@@ -25,7 +25,6 @@ from .evolve import (
     Swap,
     Trajectory,
     build_hamiltonian,
-    evolve_product_fast,
     sample_field,
     trajectory,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "dyson_decay",
     "ellipse_params",
     "equal_marginal_check",
-    "evolve_product_fast",
     "field_limit_prediction",
     "fuzzy_identity_check",
     "fuzzy_operator",

@@ -143,11 +143,5 @@ def fuzzy_operator(axis, cg):
     """
     if axis not in qcore.AXES:
         raise ValueError(f"fuzzy operator axis must be one of 'x','y','z', got {axis!r}")
-    sigma = qcore.pauli(axis)
-    dim = 2 ** cg.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(cg.n):
-        if cg.probs[k] == 0.0:
-            continue
-        out += cg.probs[k] * qcore.embed(sigma, k + 1, cg.n)
-    return out
+    terms = ((p, ((k, axis),)) for k, p in enumerate(cg.probs, start=1) if p != 0.0)
+    return qcore.pauli_sum(terms, cg.n)

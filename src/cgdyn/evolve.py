@@ -4,17 +4,18 @@ The composite map
 
     Gamma_t = C o U(t) . U(t)^dag o A
 
-is evaluated along one of three routes chosen per Hamiltonian and input:
+is evaluated along one of three routes. Each Hamiltonian spec declares
+itself as a sum of Pauli strings (`terms()`); the automatic route reads
+that structure, not the spec's class:
 
-* dense: assign, build the full 2^n state, conjugate by exp(-i H t) via a
-  Hermitian eigendecomposition (computed once per time sweep),
-* fast: exact closed-form marginals for product inputs. Available for the
-  local-field model (with or without the all-to-all interaction term),
-  the Ising chain at g = 0, and the second-qubit local rotation. These
-  are identities for diagonal or locally factorizing Hamiltonians, not
-  approximations, which is what admits site counts in the hundreds.
-* statevector: pure symmetric inputs under the transverse-field chain
-  keep 2^N amplitudes instead of 4^N matrix entries.
+* fast: all strings are z-only (a diagonal Hamiltonian). Product inputs
+  then have exact closed-form marginals, implemented for the local-field
+  model (with or without the n-body term), the Ising chain at g = 0 and
+  the second-qubit rotation. Being identities, they admit any site count.
+* statevector: any other Hamiltonian with a pure effective input keeps
+  2^n amplitudes instead of 4^n matrix entries (Krylov above 12 qubits).
+* dense: everything else. Build the full 2^n state and conjugate by
+  exp(-i H t) via a Hermitian eigendecomposition computed once per sweep.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -23,13 +24,13 @@ The effective trajectory is generally nonlinear in the input state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import maxent, qcore
-from .coarse_grain import CoarseGraining, apply_cg
+from .coarse_grain import apply_cg
 
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
@@ -38,6 +39,9 @@ DENSE_ISING_MIXED_MAX = 8
 
 # ---------------------------------------------------------------------------
 # Hamiltonian specifications
+#
+# terms() yields (coeff, ((site, axis), ...)), 1-based sites, axes x/y/z, as
+# a generator so that a large field never holds its whole term list.
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,10 @@ class Swap:
     def n(self):
         return 2
 
+    def terms(self):
+        for a in qcore.AXES:
+            yield 0.5 * self.omega, ((1, a), (2, a))
+
 
 @dataclass(frozen=True)
 class Cnot:
@@ -61,6 +69,11 @@ class Cnot:
     def n(self):
         return 2
 
+    def terms(self):
+        yield -0.5 * self.omega, ((1, "z"),)
+        yield -0.5 * self.omega, ((2, "x"),)
+        yield 0.5 * self.omega, ((1, "z"), (2, "x"))
+
 
 @dataclass(frozen=True)
 class CnotInteraction:
@@ -71,6 +84,9 @@ class CnotInteraction:
     @property
     def n(self):
         return 2
+
+    def terms(self):
+        yield 0.5 * self.omega, ((1, "z"), (2, "x"))
 
 
 @dataclass(frozen=True)
@@ -97,6 +113,12 @@ class FieldAllToAll:
     @property
     def n(self):
         return len(self.omegas)
+
+    def terms(self):
+        for k, w in enumerate(self.omegas, start=1):
+            yield w, ((k, "z"),)
+        if self.include_interaction:
+            yield 1.0, tuple((k, "z") for k in range(1, self.n + 1))
 
     @property
     def t_c(self):
@@ -128,7 +150,7 @@ class IsingChain:
 
     The closed chain wraps the bond sum literally (sigma_{N+1} = sigma_1),
     so the two-spin ring carries its single bond twice. Bond multiplicity
-    is honored identically by the dense builder and the fast path.
+    is honored identically by terms() and the fast path.
     """
 
     n_spins: int
@@ -154,6 +176,13 @@ class IsingChain:
             return [(j, j % n + 1) for j in range(1, n + 1)]
         return [(j, j + 1) for j in range(1, n)]
 
+    def terms(self):
+        for a, b in self.bonds():
+            yield -self.J, ((a, "z"), (b, "z"))
+        if self.g != 0.0:
+            for j in range(1, self.n_spins + 1):
+                yield -self.g, ((j, "x"),)
+
 
 @dataclass(frozen=True)
 class LocalZSecond:
@@ -165,26 +194,16 @@ class LocalZSecond:
     def n(self):
         return 2
 
-
-_SPEC_KINDS = (Swap, Cnot, CnotInteraction, FieldAllToAll, IsingChain, LocalZSecond)
+    def terms(self):
+        yield 0.5 * self.omega, ((2, "z"),)
 
 
 def spec_to_dict(spec):
     """JSON-friendly description of a Hamiltonian spec (for run metadata)."""
-    d = {"kind": type(spec).__name__}
-    if isinstance(spec, (Swap, Cnot, CnotInteraction, LocalZSecond)):
-        d["omega"] = spec.omega
-    elif isinstance(spec, FieldAllToAll):
-        d.update(
-            n=spec.n,
-            omegas=list(spec.omegas),
-            include_interaction=spec.include_interaction,
-            mu=spec.mu,
-            sigma=spec.sigma,
-            seed=spec.seed,
-        )
-    elif isinstance(spec, IsingChain):
-        d.update(n_spins=spec.n_spins, J=spec.J, g=spec.g, boundary=spec.boundary)
+    d = {"kind": type(spec).__name__, **asdict(spec)}
+    if "omegas" in d:
+        # the field's site count is implicit in its frequencies; record it
+        d["n"] = spec.n
     return d
 
 
@@ -194,67 +213,17 @@ def spec_to_dict(spec):
 
 def build_hamiltonian(spec):
     """Dense Hermitian matrix for the spec; capped at 12 qubits."""
-    n = spec.n
-    if n > DENSE_MAX_QUBITS:
-        raise ValueError(f"dense Hamiltonian capped at {DENSE_MAX_QUBITS} qubits, got {n}")
-    if isinstance(spec, Swap):
-        h = np.zeros((4, 4), dtype=complex)
-        for a in qcore.AXES:
-            s = qcore.pauli(a)
-            h += np.kron(s, s)
-        return 0.5 * spec.omega * h
-    if isinstance(spec, Cnot):
-        z, x, i2 = qcore.SIGMA_Z, qcore.SIGMA_X, qcore.IDENTITY_2
-        return -0.5 * spec.omega * (np.kron(z, i2) + np.kron(i2, x) - np.kron(z, x))
-    if isinstance(spec, CnotInteraction):
-        return 0.5 * spec.omega * np.kron(qcore.SIGMA_Z, qcore.SIGMA_X)
-    if isinstance(spec, FieldAllToAll):
-        dim = 2 ** n
-        h = np.zeros((dim, dim), dtype=complex)
-        for k, w in enumerate(spec.omegas, start=1):
-            h += w * qcore.embed(qcore.SIGMA_Z, k, n)
-        if spec.include_interaction:
-            h += qcore.kron([qcore.SIGMA_Z] * n)
-        return h
-    if isinstance(spec, IsingChain):
-        dim = 2 ** n
-        h = np.zeros((dim, dim), dtype=complex)
-        for (a, b) in spec.bonds():
-            h -= spec.J * (qcore.embed(qcore.SIGMA_Z, a, n) @ qcore.embed(qcore.SIGMA_Z, b, n))
-        if spec.g != 0.0:
-            for j in range(1, n + 1):
-                h -= spec.g * qcore.embed(qcore.SIGMA_X, j, n)
-        return h
-    if isinstance(spec, LocalZSecond):
-        return 0.5 * spec.omega * np.kron(qcore.IDENTITY_2, qcore.SIGMA_Z)
-    raise TypeError(f"unknown Hamiltonian spec {type(spec).__name__}")
+    if spec.n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense Hamiltonian capped at {DENSE_MAX_QUBITS} qubits, got {spec.n}")
+    return qcore.pauli_sum(spec.terms(), spec.n)
 
 
 def _sparse_hamiltonian(spec):
-    # only the transverse-field chain ever needs more than 12 qubits here
-    from scipy import sparse
+    return qcore.pauli_sum(spec.terms(), spec.n, sparse=True)
 
-    n = spec.n
-    i2 = sparse.identity(2, format="csr", dtype=complex)
-    sz = sparse.csr_matrix(qcore.SIGMA_Z)
-    sx = sparse.csr_matrix(qcore.SIGMA_X)
 
-    def site(op, k):
-        mats = [i2] * n
-        mats[k - 1] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = sparse.kron(out, m, format="csr")
-        return out
-
-    dim = 2 ** n
-    h = sparse.csr_matrix((dim, dim), dtype=complex)
-    for (a, b) in spec.bonds():
-        h = h - spec.J * (site(sz, a) @ site(sz, b))
-    if spec.g != 0.0:
-        for j in range(1, n + 1):
-            h = h - spec.g * site(sx, j)
-    return h
+def _is_diagonal(spec):
+    return all(axis == "z" for _, ops in spec.terms() for _, axis in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -302,32 +271,8 @@ def _fast_coherences(factors, spec, t):
     )
 
 
-def evolve_product_fast(factors, spec, t):
-    """Evolved single-qubit marginals of a product input, closed form.
-
-    Exact for the supported specs (diagonal or locally factorizing
-    Hamiltonians): populations are conserved, each site's coherence picks
-    up a multiplicative factor involving its neighbors' z-components.
-    """
-    factors = [np.asarray(f, dtype=complex) for f in factors]
-    if any(f.shape != (2, 2) for f in factors):
-        raise ValueError("factors must be 2x2 matrices")
-    if len(factors) != spec.n:
-        raise ValueError(f"{len(factors)} factors for an n={spec.n} Hamiltonian")
-    pop0, coh = _fast_coherences(factors, spec, t)
-    out = []
-    for k in range(len(factors)):
-        out.append(
-            np.array(
-                [[pop0[k], coh[k]], [np.conj(coh[k]), 1.0 - pop0[k]]],
-                dtype=complex,
-            )
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
-# State-vector route for pure symmetric chain inputs
+# State-vector route for pure symmetric inputs
 
 
 def _pure_site_vector(direction):
@@ -367,35 +312,25 @@ def _route(spec, assigned, method):
         raise ValueError(f"unknown method {method!r}")
     if method != "auto":
         return method
-    if isinstance(spec, (FieldAllToAll, LocalZSecond)):
+    if _is_diagonal(spec):
         return "fast"
-    if isinstance(spec, IsingChain):
-        if spec.g == 0.0:
-            return "fast"
-        return "statevector" if pure_input else "dense"
-    return "dense"
+    return "statevector" if pure_input else "dense"
 
 
 def _check_route(spec, assigned, route):
+    pure_input = assigned.solution.is_pure
     if route == "statevector":
-        if not isinstance(spec, IsingChain):
-            raise ValueError("statevector route is only defined for the spin chain")
-        if not assigned.solution.is_pure:
+        if not pure_input:
             raise ValueError("statevector route requires a pure effective input")
         if spec.n > STATEVECTOR_MAX_SPINS:
             raise ValueError(f"statevector route capped at {STATEVECTOR_MAX_SPINS} spins")
     if route == "dense":
         if spec.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route capped at {DENSE_MAX_QUBITS} qubits")
-        if (
-            isinstance(spec, IsingChain)
-            and spec.g != 0.0
-            and not assigned.solution.is_pure
-            and spec.n > DENSE_ISING_MIXED_MAX
-        ):
+        if not pure_input and spec.n > DENSE_ISING_MIXED_MAX and not _is_diagonal(spec):
             raise ValueError(
-                f"mixed effective inputs under the chain are capped at "
-                f"{DENSE_ISING_MIXED_MAX} spins; use a pure input"
+                f"mixed effective inputs under a non-diagonal Hamiltonian are capped at "
+                f"{DENSE_ISING_MIXED_MAX} sites; use a pure input"
             )
 
 
@@ -493,6 +428,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         "lambda": ("inf" if math.isinf(lam) else float(lam)),
         "initial_bloch": [float(x) for x in qcore.bloch_from_density(np.asarray(rho_eff))],
     }
-    if isinstance(spec, FieldAllToAll):
-        metadata["t_c"] = ("inf" if math.isinf(spec.t_c) else float(spec.t_c))
+    t_c = getattr(spec, "t_c", None)
+    if t_c is not None:
+        metadata["t_c"] = ("inf" if math.isinf(t_c) else float(t_c))
     return Trajectory(times=times, bloch=bloch, purity=purity, metadata=metadata)

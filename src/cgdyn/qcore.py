@@ -76,6 +76,66 @@ def embed(op, k, n):
     return kron(ops)
 
 
+def _parity(v, n):
+    """Parity of the low n bits of every entry of a nonnegative integer array."""
+    s = 1
+    while s < n:
+        s *= 2
+    while s > 1:
+        s //= 2
+        v = v ^ (v >> s)
+    return v & 1
+
+
+def pauli_sum(terms, n, sparse=False):
+    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
+
+    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
+    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
+    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
+    one xmask fill the same entries and are summed in declaration order.
+    """
+    dim = 2 ** n
+    b = np.arange(dim)
+    blocks = {}
+    for coeff, ops in terms:
+        xmask = zmask = ny = 0
+        for site, axis in ops:
+            if not 1 <= site <= n or axis not in AXES:
+                raise ValueError(f"Pauli factor {(site, axis)!r} is not an x/y/z on sites 1..{n}")
+            bit = 1 << (n - site)
+            if (xmask | zmask) & bit:
+                raise ValueError(f"site {site} appears twice in one Pauli string")
+            if axis != "z":
+                xmask |= bit
+            if axis != "x":
+                zmask |= bit
+            if axis == "y":
+                ny += 1
+        # i^ny: a real sign times one factor of i when ny is odd
+        scale = coeff if ny % 4 < 2 else -coeff
+        vals = scale * (1.0 - 2.0 * _parity(b & zmask, n))
+        if ny % 2:
+            vals = 1j * vals
+        if xmask not in blocks:
+            blocks[xmask] = np.zeros(dim, dtype=complex)
+        blocks[xmask] += vals
+    if not sparse:
+        h = np.zeros((dim, dim), dtype=complex)
+        for xmask, vals in blocks.items():
+            h[b ^ xmask, b] = vals
+        return h
+    from scipy import sparse as sp
+
+    rows = np.concatenate([b ^ xmask for xmask in blocks])
+    cols = np.tile(b, len(blocks))
+    data = np.concatenate(list(blocks.values()))
+    keep = data != 0
+    h = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+    h.sort_indices()
+    return h
+
+
 def num_qubits(rho):
     """Number of qubits of a square matrix with power-of-two dimension."""
     rho = np.asarray(rho)

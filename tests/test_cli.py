@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -215,6 +216,7 @@ def test_diagnostics_dyson_report(tmp_path):
 def test_shipped_configs_reproduce_checksums(tmp_path):
     # every published example regenerates byte-identical output
     manifest = json.loads(open(os.path.join(CONFIG_DIR, "checksums.json")).read())
+    drifted = []
     for name, entry in manifest.items():
         out = tmp_path / (name + ".out")
         code = cli.main(
@@ -223,4 +225,27 @@ def test_shipped_configs_reproduce_checksums(tmp_path):
         )
         assert code == 0, name
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == entry["sha256"], f"checksum drift for {name}"
+        if digest != entry["sha256"]:
+            drifted.append(name)
+    # one verdict naming every drifting config, not only the first
+    assert not drifted, f"checksum drift for {len(drifted)} of {len(manifest)}: {drifted}"
+
+
+def test_readme_cli_lines_parse():
+    # every `cgdyn ...` line in the README's fenced blocks is a valid command
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    lines, fenced = [], False
+    for line in open(readme, encoding="utf-8").read().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("cgdyn "):
+            lines.append(line)
+    assert lines
+    parser = cli.build_parser()
+    bad = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            bad.append(line)
+    assert not bad, bad

@@ -229,13 +229,113 @@ def test_statevector_route_requires_pure(rng):
         )
 
 
-def test_evolve_product_fast_matches_dense(rng):
+def test_fast_coherences_match_dense(rng):
     # arbitrary (non-collinear) product inputs through the factorized path
-    spec = evolve.sample_field(3, seed=2, include_interaction=True)
-    factors = [qcore.random_density(2, rng) for _ in range(3)]
+    cases = [
+        evolve.sample_field(3, seed=2, include_interaction=True),
+        evolve.IsingChain(n_spins=4, J=0.8, g=0.0, boundary="closed"),
+        evolve.IsingChain(n_spins=2, J=1.1, g=0.0, boundary="closed"),
+        evolve.LocalZSecond(omega=1.4),
+    ]
     t = 1.3
-    got = evolve.evolve_product_fast(factors, spec, t)
-    rho_t = qcore.evolve_unitary(qcore.kron(factors), evolve.build_hamiltonian(spec), t)
-    for k in range(3):
-        want = qcore.partial_trace(rho_t, [k + 1], 3)
-        assert qcore.trace_norm(np.asarray(got[k]) - want) < 1e-12
+    for spec in cases:
+        factors = [qcore.random_density(2, rng) for _ in range(spec.n)]
+        pop0, coh = evolve._fast_coherences(factors, spec, t)
+        rho_t = qcore.evolve_unitary(qcore.kron(factors), evolve.build_hamiltonian(spec), t)
+        for k in range(spec.n):
+            want = qcore.partial_trace(rho_t, [k + 1], spec.n)
+            got = np.array([[pop0[k], coh[k]], [np.conj(coh[k]), 1.0 - pop0[k]]])
+            assert qcore.trace_norm(got - want) < 1e-12
+
+
+def _reference_hamiltonian(spec):
+    # the explicit Kronecker formulas each spec's terms() must reproduce
+    z, x, i2 = qcore.SIGMA_Z, qcore.SIGMA_X, qcore.IDENTITY_2
+    n = spec.n
+    if isinstance(spec, evolve.Swap):
+        h = sum(np.kron(qcore.pauli(a), qcore.pauli(a)) for a in qcore.AXES)
+        return 0.5 * spec.omega * h
+    if isinstance(spec, evolve.Cnot):
+        return -0.5 * spec.omega * (np.kron(z, i2) + np.kron(i2, x) - np.kron(z, x))
+    if isinstance(spec, evolve.CnotInteraction):
+        return 0.5 * spec.omega * np.kron(z, x)
+    if isinstance(spec, evolve.LocalZSecond):
+        return 0.5 * spec.omega * np.kron(i2, z)
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    if isinstance(spec, evolve.FieldAllToAll):
+        for k, w in enumerate(spec.omegas, start=1):
+            h += w * qcore.embed(z, k, n)
+        if spec.include_interaction:
+            h += qcore.kron([z] * n)
+        return h
+    for a, b in spec.bonds():
+        h -= spec.J * (qcore.embed(z, a, n) @ qcore.embed(z, b, n))
+    for j in range(1, n + 1):
+        h -= spec.g * qcore.embed(x, j, n)
+    return h
+
+
+def test_specs_match_kron_formulas():
+    specs = [
+        evolve.Swap(omega=1.3),
+        evolve.Cnot(omega=0.7),
+        evolve.CnotInteraction(omega=1.1),
+        evolve.LocalZSecond(omega=2.0),
+        evolve.sample_field(4, seed=1),
+        evolve.sample_field(4, seed=2, include_interaction=True),
+        evolve.IsingChain(n_spins=2, J=1.0, g=0.3, boundary="closed"),
+        evolve.IsingChain(n_spins=4, J=0.9, g=0.0, boundary="closed"),
+        evolve.IsingChain(n_spins=5, J=-0.7, g=0.4, boundary="open"),
+    ]
+    for spec in specs:
+        want = _reference_hamiltonian(spec)
+        assert np.array_equal(evolve.build_hamiltonian(spec), want), spec
+        assert np.array_equal(evolve._sparse_hamiltonian(spec).toarray(), want), spec
+
+
+def test_auto_route_follows_structure():
+    mixed = qcore.density_from_bloch([0.5, -0.2, 0.4])
+    pure = qcore.density_from_bloch(_bloch(0.7, 0.3))
+    # (spec, route for a pure input, route for a mixed input)
+    cases = [
+        (evolve.Swap(omega=1.0), "statevector", "dense"),
+        (evolve.Cnot(omega=1.0), "statevector", "dense"),
+        (evolve.CnotInteraction(omega=1.0), "statevector", "dense"),
+        (evolve.LocalZSecond(omega=1.0), "fast", "fast"),
+        (evolve.sample_field(3, seed=4, include_interaction=True), "fast", "fast"),
+        (evolve.IsingChain(n_spins=3, J=1.0, g=0.0), "fast", "fast"),
+        (evolve.IsingChain(n_spins=3, J=1.0, g=0.5), "statevector", "dense"),
+    ]
+    for spec, want_pure, want_mixed in cases:
+        cg = preferential(spec.n, 0.6)
+        for rho0, want in ((pure, want_pure), (mixed, want_mixed)):
+            traj = evolve.trajectory(rho0, cg, spec, [0.0, 0.7])
+            assert traj.metadata["method"] == want, (spec, want)
+    # the mixed-input cap binds non-diagonal Hamiltonians only
+    field = evolve.sample_field(9, seed=4)
+    evolve.trajectory(mixed, non_preferential(9), field, [0.5], method="dense")
+    chain = evolve.IsingChain(n_spins=9, J=1.0, g=0.5)
+    with pytest.raises(ValueError):
+        evolve.trajectory(mixed, non_preferential(9), chain, [0.5], method="dense")
+
+
+def test_pure_two_qubit_statevector_vs_dense():
+    times = np.linspace(0.0, 4.0, 9)
+    rho0 = qcore.density_from_bloch(_bloch(1.1, 0.6))
+    cg = preferential(2, 0.7)
+    for spec in (evolve.Swap(omega=1.2), evolve.Cnot(omega=0.9), evolve.CnotInteraction(omega=1.0)):
+        sv = evolve.trajectory(rho0, cg, spec, times)
+        dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
+        assert sv.metadata["method"] == "statevector"
+        assert np.abs(sv.bloch - dense.bloch).max() < 1e-12
+
+
+def test_krylov_field_vs_fast():
+    # 13 sites puts the state-vector route on the generic sparse Hamiltonian
+    times = np.linspace(0.0, 2.0, 4)
+    rho0 = qcore.density_from_bloch(_bloch(1.2, 0.4))
+    spec = evolve.sample_field(13, seed=3, include_interaction=True)
+    cg = preferential(13, 0.3)
+    sv = evolve.trajectory(rho0, cg, spec, times, method="statevector")
+    fast = evolve.trajectory(rho0, cg, spec, times, method="fast")
+    assert np.abs(sv.bloch - fast.bloch).max() < 1e-10

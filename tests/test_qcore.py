@@ -33,6 +33,59 @@ def test_kron_and_embed(rng):
     assert np.allclose(x2, manual)
 
 
+def _kron_sum(terms, n):
+    # reference: each string as an explicit Kronecker product, summed in order
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for coeff, ops in terms:
+        factors = [qcore.IDENTITY_2] * n
+        for site, axis in ops:
+            factors[site - 1] = qcore.pauli(axis)
+        out = out + coeff * qcore.kron(factors)
+    return out
+
+
+def _random_string(rng, n, n_y=None):
+    # a Pauli string on a random nonempty site subset; n_y fixes the Y count
+    k = int(rng.integers(n_y or 1, n + 1))
+    sites = sorted(int(s) for s in rng.choice(np.arange(1, n + 1), size=k, replace=False))
+    if n_y is None:
+        axes = [str(a) for a in rng.choice(list(qcore.AXES), size=k)]
+    else:
+        axes = ["y"] * n_y + [str(a) for a in rng.choice(["x", "z"], size=k - n_y)]
+        rng.shuffle(axes)
+    return tuple(zip(sites, axes))
+
+
+def test_pauli_sum_matches_kron_sums(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            strings = [_random_string(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            # strings with an odd Y count carry a phase of +-i
+            strings.append(_random_string(rng, n, n_y=1))
+            if n >= 3:
+                strings.append(_random_string(rng, n, n_y=3))
+            terms = [(float(rng.normal()), ops) for ops in strings]
+            want = _kron_sum(terms, n)
+            assert np.array_equal(qcore.pauli_sum(terms, n), want)
+            got = qcore.pauli_sum(iter(terms), n, sparse=True)
+            assert got.has_sorted_indices
+            assert np.array_equal(got.toarray(), want)
+
+
+def test_pauli_sum_rejects_bad_strings():
+    for ops in (((0, "z"),), ((3, "z"),), ((1, "z"), (1, "x")), ((1, "i"),)):
+        with pytest.raises(ValueError):
+            qcore.pauli_sum([(1.0, ops)], 2)
+
+
+def test_pauli_sum_csr_drops_cancelled_entries():
+    # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
+    terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
+    csr = qcore.pauli_sum(terms, 2, sparse=True)
+    assert csr.nnz == 2
+    assert np.array_equal(csr.toarray(), _kron_sum(terms, 2))
+
+
 def test_partial_trace_products(rng):
     a = qcore.random_density(2, rng)
     b = qcore.random_density(2, rng)
