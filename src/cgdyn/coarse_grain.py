@@ -123,15 +123,16 @@ def swap_permutation(n, k):
 def apply_cg(rho, cg):
     """The coarse-graining map: weighted average of single-site marginals."""
     rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** cg.n
-    if rho.shape != (dim, dim):
-        raise ValueError(f"state shape {rho.shape} does not match n={cg.n} qubits")
+    n = cg.n
+    if rho.shape != (2 ** n, 2 ** n):
+        raise ValueError(f"state shape {rho.shape} does not match n={n} qubits")
     out = np.zeros((2, 2), dtype=complex)
-    for k in range(cg.n):
-        p = cg.probs[k]
+    for k, p in enumerate(cg.probs, start=1):
         if p == 0.0:
             continue  # zero-weight sites contribute nothing; skip the trace
-        out += p * qcore.partial_trace(rho, [k + 1], cg.n)
+        # site k's marginal reads the 2 * 2^n entries with equal bits elsewhere
+        a, b = 2 ** (k - 1), 2 ** (n - k)
+        out += p * np.einsum("aibajb->ij", rho.reshape(a, 2, b, a, 2, b))
     return out
 
 

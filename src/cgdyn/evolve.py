@@ -13,9 +13,13 @@ that structure, not the spec's class:
   model (with or without the n-body term), the Ising chain at g = 0 and
   the second-qubit rotation. Being identities, they admit any site count.
 * statevector: any other Hamiltonian with a pure effective input keeps
-  2^n amplitudes instead of 4^n matrix entries (Krylov above 12 qubits).
+  2^n amplitudes instead of 4^n matrix entries. Above 12 qubits each grid
+  point is a Krylov step (`expm_multiply`) from the previous one.
 * dense: everything else. Build the full 2^n state and conjugate by
   exp(-i H t) via a Hermitian eigendecomposition computed once per sweep.
+  A diagonal H (forced onto this route with method="dense") needs no
+  eigendecomposition: its energies come straight from the z-only terms and
+  each step is O(4^n) elementwise work.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -252,18 +256,19 @@ def _fast_coherences(factors, spec, t):
     if isinstance(spec, IsingChain):
         if spec.g != 0.0:
             raise ValueError("fast path for the chain requires g = 0")
-        n = spec.n_spins
         mult = {}
         for (a, b) in spec.bonds():
             mult[(a, b)] = mult.get((a, b), 0) + 1
             mult[(b, a)] = mult.get((b, a), 0) + 1
+        # per-site neighbours in ascending order, each with its bond multiplicity
+        neighbours = [[] for _ in range(spec.n_spins)]
+        for (j, m), b in sorted(mult.items()):
+            neighbours[j - 1].append((m - 1, b))
         out = coh.copy()
-        for j in range(1, n + 1):
-            for m in range(1, n + 1):
-                b = mult.get((j, m), 0)
-                if b:
-                    ang = 2.0 * spec.J * b * t
-                    out[j - 1] *= np.cos(ang) + 1j * zval[m - 1] * np.sin(ang)
+        for j, sites in enumerate(neighbours):
+            for m, b in sites:
+                ang = 2.0 * spec.J * b * t
+                out[j] *= np.cos(ang) + 1j * zval[m] * np.sin(ang)
         return pop0, out
     raise ValueError(
         f"{type(spec).__name__} has no fast product path; supported: "
@@ -377,8 +382,10 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     bloch = np.empty((times.size, 3))
     if route == "dense":
-        h = build_hamiltonian(spec)
-        evals, evecs = qcore.eigensystem(h)
+        if _is_diagonal(spec):
+            evals, evecs = qcore.pauli_diagonal(spec.terms(), spec.n), None
+        else:
+            evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
         rho0 = assigned.to_matrix()
         for i, t in enumerate(times):
             rho_t = qcore.propagate(evals, evecs, rho0, t)
@@ -406,9 +413,13 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         else:
             from scipy.sparse.linalg import expm_multiply
 
-            h = _sparse_hamiltonian(spec)
+            a = -1j * _sparse_hamiltonian(spec)
+            # step from the previous grid point; the state starts at t = 0
+            psi_t, t_prev = psi0, 0.0
             for i, t in enumerate(times):
-                psi_t = expm_multiply(-1j * h * t, psi0)
+                if t != t_prev:
+                    psi_t = expm_multiply(a * (t - t_prev), psi_t)
+                    t_prev = t
                 eff = _effective_from_marginals(_statevector_marginals(psi_t, spec.n), cg)
                 bloch[i] = qcore.bloch_from_density(eff)
 

@@ -87,16 +87,12 @@ def _parity(v, n):
     return v & 1
 
 
-def pauli_sum(terms, n, sparse=False):
-    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
+def _pauli_blocks(terms, n):
+    """(basis indices, {xmask: values}) of a Pauli sum; see `pauli_sum`.
 
-    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
-    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
-    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
-    one xmask fill the same entries and are summed in declaration order.
+    The block at xmask 0 is the diagonal.
     """
-    dim = 2 ** n
-    b = np.arange(dim)
+    b = np.arange(2 ** n)
     blocks = {}
     for coeff, ops in terms:
         xmask = zmask = ny = 0
@@ -118,8 +114,21 @@ def pauli_sum(terms, n, sparse=False):
         if ny % 2:
             vals = 1j * vals
         if xmask not in blocks:
-            blocks[xmask] = np.zeros(dim, dtype=complex)
+            blocks[xmask] = np.zeros(b.size, dtype=complex)
         blocks[xmask] += vals
+    return b, blocks
+
+
+def pauli_sum(terms, n, sparse=False):
+    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
+
+    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
+    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
+    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
+    one xmask fill the same entries and are summed in declaration order.
+    """
+    b, blocks = _pauli_blocks(terms, n)
+    dim = b.size
     if not sparse:
         h = np.zeros((dim, dim), dtype=complex)
         for xmask, vals in blocks.items():
@@ -134,6 +143,18 @@ def pauli_sum(terms, n, sparse=False):
     h = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
     h.sort_indices()
     return h
+
+
+def pauli_diagonal(terms, n):
+    """The 2^n energies of a sum of z-only strings: the diagonal, as a vector.
+
+    Equal entry by entry to the diagonal of `pauli_sum(terms, n)`. A string
+    with an x or y factor raises ValueError.
+    """
+    b, blocks = _pauli_blocks(terms, n)
+    if set(blocks) - {0}:
+        raise ValueError("Pauli sum has x or y factors; its matrix is not diagonal")
+    return blocks[0].real if blocks else np.zeros(b.size)
 
 
 def num_qubits(rho):
@@ -252,8 +273,15 @@ def eigensystem(h):
 
 
 def propagate(evals, evecs, rho, t):
-    """U(t) rho U(t)^dag with U from a precomputed eigendecomposition."""
+    """U(t) rho U(t)^dag with U from a precomputed eigendecomposition.
+
+    evecs=None means H is diagonal in the computational basis with energies
+    evals; U(t) rho U(t)^dag is then elementwise, O(d^2) with no matrix
+    products.
+    """
     phases = np.exp(-1j * evals * t)
+    if evecs is None:
+        return rho * np.outer(phases, phases.conj())
     u = (evecs * phases) @ evecs.conj().T
     return u @ rho @ u.conj().T
 
@@ -272,12 +300,12 @@ def exclusive_products(values):
     """
     values = np.asarray(values)
     n = len(values)
-    pre = np.ones(n, dtype=values.dtype if values.dtype.kind == "c" else float)
-    suf = np.ones_like(pre)
-    for j in range(1, n):
-        pre[j] = pre[j - 1] * values[j - 1]
-    for j in range(n - 2, -1, -1):
-        suf[j] = suf[j + 1] * values[j + 1]
+    one = np.ones(1, dtype=values.dtype if values.dtype.kind == "c" else float)
+    # pre[j] = v[0] ... v[j-1] and suf[j] = v[n-1] ... v[j+1]; each running
+    # product starts from one, as in pre[j] = pre[j-1] * v[j-1], so the
+    # rounding is that of the recurrence
+    pre = np.cumprod(np.concatenate((one, values[:-1])))[:n]
+    suf = np.cumprod(np.concatenate((one, values[:0:-1])))[:n][::-1]
     return pre * suf
 
 

@@ -118,6 +118,23 @@ def test_apply_cg_skips_zero_weights(rng):
     assert qcore.trace_norm(apply_cg(rho, cg0, ) - want) < 1e-13
 
 
+def test_apply_cg_matches_partial_trace_sum(rng):
+    for n in range(2, 9):
+        rho = qcore.random_density(2 ** n, rng)
+        w = rng.uniform(0.1, 1.0, n)
+        w[rng.choice(n, size=n // 2, replace=False)] = 0.0
+        for cg in (non_preferential(n), custom(w / w.sum())):
+            want = np.zeros((2, 2), dtype=complex)
+            for k, p in enumerate(cg.probs, start=1):
+                if p:
+                    want += p * qcore.partial_trace(rho, [k], n)
+            got = apply_cg(rho, cg)
+            assert np.abs(got - want).max() < 1e-14, n
+            if n == 2:
+                # the two-qubit configs pinned by the manifest depend on these bytes
+                assert got.tobytes() == want.tobytes()
+
+
 def test_fuzzy_operator_identity(rng):
     # Tr[sigma^a C(rho)] = Tr[G^a rho] for every axis and any state
     cg = preferential(3, 0.5)

@@ -209,6 +209,10 @@ def test_route_caps():
     big = evolve.IsingChain(n_spins=13, J=1.0, g=0.5, boundary="closed")
     with pytest.raises(ValueError):
         evolve.trajectory(rho0, non_preferential(13), big, [0.0], method="dense")
+    # the diagonal dense route builds no matrix but keeps the same cap
+    big_field = evolve.sample_field(13, seed=1, include_interaction=True)
+    with pytest.raises(ValueError):
+        evolve.trajectory(rho0, non_preferential(13), big_field, [0.0], method="dense")
     # mixed input with a transverse field has no fast or statevector route
     mixed_big = evolve.IsingChain(n_spins=9, J=1.0, g=0.5, boundary="closed")
     with pytest.raises(ValueError):
@@ -339,3 +343,50 @@ def test_krylov_field_vs_fast():
     sv = evolve.trajectory(rho0, cg, spec, times, method="statevector")
     fast = evolve.trajectory(rho0, cg, spec, times, method="fast")
     assert np.abs(sv.bloch - fast.bloch).max() < 1e-10
+
+
+def test_dense_diagonal_skips_eigensystem(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a diagonal Hamiltonian needs no matrix or eigh")
+
+    monkeypatch.setattr(qcore, "eigensystem", boom)
+    monkeypatch.setattr(evolve, "build_hamiltonian", boom)
+    times = np.linspace(0.0, 3.0, 7)
+    rho0 = qcore.density_from_bloch([0.5, -0.2, 0.4])
+    specs = [evolve.LocalZSecond(omega=1.3)]
+    for n in range(2, 11):
+        specs.append(evolve.sample_field(n, seed=n, include_interaction=False))
+        specs.append(evolve.sample_field(n, seed=n, include_interaction=True))
+    specs += [evolve.IsingChain(n_spins=n, J=0.9, g=0.0) for n in (2, 5, 8)]
+    for spec in specs:
+        cg = preferential(spec.n, 0.4)
+        dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
+        fast = evolve.trajectory(rho0, cg, spec, times, method="fast")
+        assert np.abs(dense.bloch - fast.bloch).max() < 1e-12, spec
+
+
+def test_krylov_steps_match_per_point_oracle():
+    # a non-uniform grid that starts after t = 0: each point must equal a
+    # fresh expm_multiply from t = 0, whatever the spacing before it
+    from scipy.sparse.linalg import expm_multiply
+
+    n = 13
+    times = np.array([0.15, 0.2, 0.55, 0.6, 1.4])
+    direction = _bloch(0.8, 0.3)
+    spec = evolve.IsingChain(n_spins=n, J=1.0, g=0.5)
+    cg = preferential(n, 0.3)
+    traj = evolve.trajectory(qcore.density_from_bloch(direction), cg, spec, times)
+    assert traj.metadata["method"] == "statevector"
+
+    site = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.3j)])
+    psi0 = site
+    for _ in range(n - 1):
+        psi0 = np.kron(psi0, site)
+    h = qcore.pauli_sum(spec.terms(), n, sparse=True)
+    for t, got in zip(times, traj.bloch):
+        psi = expm_multiply(-1j * t * h, psi0)
+        eff = np.zeros((2, 2), dtype=complex)
+        for k, p in enumerate(cg.probs, start=1):
+            a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
+            eff += p * np.einsum("aib,ajb->ij", a, a.conj())
+        assert np.abs(got - qcore.bloch_from_density(eff)).max() < 1e-10, t

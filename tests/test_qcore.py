@@ -78,6 +78,21 @@ def test_pauli_sum_rejects_bad_strings():
             qcore.pauli_sum([(1.0, ops)], 2)
 
 
+def test_pauli_diagonal_matches_pauli_sum(rng):
+    for n in (1, 2, 3, 5):
+        strings = [tuple((s, "z") for s in sorted(rng.choice(np.arange(1, n + 1), size=k,
+                                                              replace=False)))
+                   for k in rng.integers(1, n + 1, size=6)]
+        terms = [(float(rng.normal()), ops) for ops in strings]
+        got = qcore.pauli_diagonal(terms, n)
+        assert got.dtype == float
+        assert np.array_equal(got, np.diag(qcore.pauli_sum(terms, n)))
+    assert np.array_equal(qcore.pauli_diagonal([], 2), np.zeros(4))
+    for axis in ("x", "y"):
+        with pytest.raises(ValueError):
+            qcore.pauli_diagonal([(1.0, ((1, "z"),)), (1.0, ((2, axis),))], 2)
+
+
 def test_pauli_sum_csr_drops_cancelled_entries():
     # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
     terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
@@ -165,6 +180,44 @@ def test_propagate_matches_expm(rng):
     got = qcore.propagate(evals, evecs, rho, t)
     assert qcore.trace_norm(got - want) < 1e-12
     assert qcore.trace_norm(qcore.evolve_unitary(rho, h, t) - want) < 1e-12
+
+
+def test_propagate_diagonal_matches_eigenbasis(rng):
+    # evecs=None is the computational eigenbasis: same result as the identity
+    evals = rng.normal(size=8)
+    rho = qcore.random_density(8, rng)
+    got = qcore.propagate(evals, None, rho, 0.83)
+    want = qcore.propagate(evals, np.eye(8, dtype=complex), rho, 0.83)
+    assert np.abs(got - want).max() < 1e-15
+
+
+def _exclusive_products_loop(values):
+    # the prefix/suffix loop that exclusive_products must reproduce bit for bit
+    values = np.asarray(values)
+    n = len(values)
+    pre = np.ones(n, dtype=values.dtype if values.dtype.kind == "c" else float)
+    suf = np.ones_like(pre)
+    for j in range(1, n):
+        pre[j] = pre[j - 1] * values[j - 1]
+    for j in range(n - 2, -1, -1):
+        suf[j] = suf[j + 1] * values[j + 1]
+    return pre * suf
+
+
+def test_exclusive_products_matches_loop(rng):
+    # several draws each: a complex rounding difference shows in about half
+    for n in (1, 2, 3, 10, 10 ** 4):
+        for complex_input in (False, True):
+            for zeros in ((), (0, n - 1), (n // 2,), (0, n // 2, n - 1)):
+                for _ in range(5):
+                    vals = rng.uniform(-1.2, 1.2, n)
+                    if complex_input:
+                        vals = vals + 1j * rng.uniform(-1.2, 1.2, n)
+                    vals[list(zeros)] = 0.0
+                    want = _exclusive_products_loop(vals)
+                    got = qcore.exclusive_products(vals)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (n, complex_input, zeros)
 
 
 def test_exclusive_products_brute_force(rng):
