@@ -6,6 +6,9 @@ Conventions shared by all subcommands:
     so identical config + seed reproduces byte-identical files;
   * a metadata JSON next to the CSV with the fully resolved config, the
     seed, the library version and derived quantities;
+  * each subcommand's flags are its config keys: `--` plus the key with
+    `_` spelled `-` (`-o` is short for `--output`), as listed with their
+    defaults in `EXPERIMENTS`;
   * `--config file.json` supplies any value a flag could; explicit flags
     win over the file, the file wins over built-in defaults;
   * exit 0 on success, 1 on validation errors, 2 on numeric failure
@@ -21,32 +24,40 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, channels, diagnostics, evolve, maxent, qcore
-from .coarse_grain import CoarseGraining, apply_cg, custom, non_preferential, preferential
+from .coarse_grain import apply_cg, make_distribution, preferential  # noqa: F401 (cli.preferential)
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-EXPERIMENTS = ("swap-kappa", "cnot", "field", "ising", "linear-nm", "diagnostics", "sweep")
 
 
 # ---------------------------------------------------------------------------
 # Config plumbing
 
 
-def _parse_bloch(value):
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-    else:
-        parts = list(value)
-    if len(parts) != 3:
-        raise ValueError(f"Bloch vector needs exactly three components, got {value!r}")
-    vec = np.array([float(p) for p in parts])
-    if np.dot(vec, vec) > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector {vec.tolist()} lies outside the unit ball")
-    return vec
+def _floats(text):
+    return [float(p) for p in text.replace(",", " ").split()]
+
+
+def _vector(value, size, what):
+    """'a,b,c' (commas or spaces) or a JSON list -> float array of `size` entries."""
+    parts = _floats(value) if isinstance(value, str) else [float(p) for p in value]
+    if len(parts) != size:
+        raise ValueError(f"{what} needs exactly {size} components, got {value!r}")
+    return np.array(parts)
+
+
+def _parse_bloch(res):
+    # parsing only: qcore.density_from_bloch owns the Bloch-ball tolerance
+    return _vector(res["bloch"], 3, "Bloch vector")
+
+
+def _polar(theta, phi):
+    th, ph = float(theta), float(phi)
+    return np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
 
 
 def _load_config(path, experiment):
@@ -73,17 +84,22 @@ def _resolve(args, defaults):
     return out
 
 
-def _distribution(n, p1, probs):
+def _weights(res, n):
+    """Explicit probs win over p1; neither gives equal weights."""
+    probs, p1 = res.get("probs"), res.get("p1")
     if probs is not None:
-        if isinstance(probs, str):
-            probs = [float(p) for p in probs.replace(",", " ").split() if p]
-        vec = custom(np.asarray(probs, dtype=float))
-        if vec.n != n:
-            raise ValueError(f"weight vector covers {vec.n} sites, experiment has {n}")
-        return vec
-    if p1 is None:
-        return non_preferential(n)
-    return preferential(n, p1)
+        probs = _floats(probs) if isinstance(probs, str) else probs
+        return make_distribution("custom", n, probs=probs)
+    return make_distribution("non-preferential" if p1 is None else "preferential", n, p1=p1)
+
+
+def _check_grid(tmax, steps, least):
+    tmax, steps = float(tmax), int(steps)
+    if not tmax > 0.0:
+        raise ValueError(f"tmax must be positive, got {tmax}")
+    if steps < least:
+        raise ValueError(f"steps must be at least {least}, got {steps}")
+    return tmax, steps
 
 
 def _time_grid(resolved, t_c=None):
@@ -106,23 +122,15 @@ def _time_grid(resolved, t_c=None):
             tmax = (float(factor) if factor else 1.0) * t_c
         else:
             tmax = float(raw)
-    tmax = float(tmax)
-    steps = int(resolved["steps"])
-    if tmax <= 0.0:
-        raise ValueError(f"tmax must be positive, got {tmax}")
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+    tmax, steps = _check_grid(tmax, resolved["steps"], least=2)
     return np.linspace(0.0, tmax, steps)
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+# ---------------------------------------------------------------------------
+# Output: one writer for the CSV, the diagnostics JSON and the sidecar
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(path, text):
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -130,31 +138,14 @@ def _write_rows(path, header, rows):
             fh.write(text)
 
 
-def _metadata_path(resolved):
-    meta = resolved.get("metadata")
-    if meta is not None:
-        return meta
-    out = resolved["output"]
-    if out == "-":
-        return None
-    root, _ = os.path.splitext(out)
-    return root + ".meta.json"
+def _csv(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{float(v):.17g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def _write_metadata(resolved, experiment, derived):
-    path = _metadata_path(resolved)
-    if path is None:
-        return
-    doc = {
-        "experiment": experiment,
-        "config": {
-            k: v for k, v in resolved.items() if k not in ("output", "metadata")
-        },
-        "version": __version__,
-        "derived": derived,
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n")
+def _json(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def _jsonable(obj):
@@ -165,140 +156,84 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _trajectory_rows(traj):
-    return [
-        (t, b[0], b[1], b[2], p)
-        for t, b, p in zip(traj.times, traj.bloch, traj.purity)
-    ]
+def _write_metadata(res, experiment, derived):
+    path = res["metadata"]
+    if path is None:
+        if res["output"] == "-":
+            return
+        path = os.path.splitext(res["output"])[0] + ".meta.json"
+    config = {k: v for k, v in res.items() if k not in ("output", "metadata")}
+    doc = {"experiment": experiment, "config": config, "version": __version__, "derived": derived}
+    _write(path, _json(doc))
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Trajectory experiments
 
 
-def _run_swap(args):
-    defaults = {
-        "p1": 0.7, "probs": None, "omega": 1.0, "bloch": [0.6, 0.0, 0.3],
-        "tmax": 2.0 * math.pi, "steps": 101, "t": None,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    cg = _distribution(2, res["p1"] if res["probs"] is None else None, res["probs"])
-    bloch0 = _parse_bloch(res["bloch"])
-    r0 = float(np.linalg.norm(bloch0))
-    if r0 < 1e-15:
-        raise ValueError("the contraction factor is undefined at zero initial radius")
+def _run_trajectory(row, res):
+    spec = row.spec(res)
+    cg = _weights(res, spec.n)
+    bloch0 = row.bloch(res)
+    if row.period is not None and res["t"] is None and res["tmax"] is None:
+        res["tmax"] = row.period(res)
     rho0 = qcore.density_from_bloch(bloch0)
-    spec = evolve.Swap(omega=res["omega"])
-    times = _time_grid(res)
-    traj = evolve.trajectory(rho0, cg, spec, times)
+    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res, getattr(spec, "t_c", None)))
+    b = traj.bloch
+    columns = {"t": traj.times, "rx": b[:, 0], "ry": b[:, 1], "rz": b[:, 2], "purity": traj.purity}
+    derived = traj.metadata
+    if row.extra is not None:
+        more, facts = row.extra(res, cg, bloch0, rho0, traj)
+        columns.update(more)
+        derived = dict(derived, **facts)
+    _write(res["output"], _csv(columns, zip(*columns.values())))
+    return derived
 
+
+def _kappa_bloch(res):
+    bloch0 = _parse_bloch(res)
+    if np.linalg.norm(bloch0) < 1e-15:
+        raise ValueError("the contraction factor is undefined at zero initial radius")
+    return bloch0
+
+
+def _kappa_rate(res, cg, bloch0, rho0, traj):
+    # kappa divides by the parsed input radius, not one read back from rho0
     r1, r2 = maxent.assign(rho0, cg).solution.per_particle_r
-    kappa = np.linalg.norm(traj.bloch, axis=1) / r0
-    rate = channels.swap_rate(times, cg, r1, r2, omega=res["omega"])
-    rows = [
-        (t, b[0], b[1], b[2], p, k, rt)
-        for t, b, p, k, rt in zip(times, traj.bloch, traj.purity, kappa, rate)
-    ]
-    _write_rows(res["output"], ["t", "rx", "ry", "rz", "purity", "kappa", "rate"], rows)
-    derived = dict(traj.metadata, per_particle_r=[float(r1), float(r2)])
-    _write_metadata(res, "swap-kappa", derived)
-    return 0
+    kappa = np.linalg.norm(traj.bloch, axis=1) / float(np.linalg.norm(bloch0))
+    rate = channels.swap_rate(traj.times, cg, r1, r2, omega=res["omega"])
+    return {"kappa": kappa, "rate": rate}, {"per_particle_r": [float(r1), float(r2)]}
 
 
-def _run_cnot(args):
-    defaults = {
-        "p1": 0.7, "probs": None, "omega": 1.0, "bloch": [0.6, 0.0, 0.3],
-        "tmax": 2.0 * math.pi, "steps": 101, "t": None,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    cg = _distribution(2, res["p1"] if res["probs"] is None else None, res["probs"])
-    rho0 = qcore.density_from_bloch(_parse_bloch(res["bloch"]))
-    spec = evolve.Cnot(omega=res["omega"])
-    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res))
-    _write_rows(res["output"], ["t", "rx", "ry", "rz", "purity"], _trajectory_rows(traj))
-    _write_metadata(res, "cnot", traj.metadata)
-    return 0
+def _field_assumptions(res, cg, bloch0, rho0, traj):
+    return {}, {"assumptions": {
+        "remainder_weights": "(1 - p1)/(n - 1) spread over sites 2..n",
+        "rotation_angle": "omega_1 * t",
+    }}
 
 
-def _run_field(args):
-    defaults = {
-        "n": 10, "p1": 0.5, "probs": None, "mu": 1.5, "sigma": 0.2, "seed": 0,
-        "interaction": False, "bloch": [0.8, 0.0, 0.0],
-        "tmax": "4tc", "steps": 401, "t": None,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    n = int(res["n"])
-    spec = evolve.sample_field(
-        n, mu=res["mu"], sigma=res["sigma"], seed=int(res["seed"]),
+def _circle(res, cg, bloch0, rho0, traj):
+    center, radius = channels.circle_params(qcore.bloch_from_density(rho0))
+    return {}, {"circle_center": list(center), "circle_radius": radius}
+
+
+def _field_spec(res):
+    return evolve.sample_field(
+        int(res["n"]), mu=res["mu"], sigma=res["sigma"], seed=int(res["seed"]),
         include_interaction=bool(res["interaction"]),
     )
-    cg = _distribution(n, res["p1"] if res["probs"] is None else None, res["probs"])
-    rho0 = qcore.density_from_bloch(_parse_bloch(res["bloch"]))
-    times = _time_grid(res, t_c=spec.t_c)
-    traj = evolve.trajectory(rho0, cg, spec, times)
-    _write_rows(res["output"], ["t", "rx", "ry", "rz", "purity"], _trajectory_rows(traj))
-    derived = dict(
-        traj.metadata,
-        assumptions={
-            "remainder_weights": "(1 - p1)/(n - 1) spread over sites 2..n",
-            "rotation_angle": "omega_1 * t",
-        },
-    )
-    _write_metadata(res, "field", derived)
-    return 0
 
 
-def _run_ising(args):
-    defaults = {
-        "n_spins": 4, "J": 1.0, "g": 0.0, "boundary": "closed",
-        "p1": None, "probs": None,
-        "theta": math.pi / 2, "phi": 0.0, "bloch": None,
-        "tmax": None, "steps": 101, "t": None,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    n = int(res["n_spins"])
-    spec = evolve.IsingChain(
-        n_spins=n, J=res["J"], g=res["g"], boundary=res["boundary"]
+def _ising_spec(res):
+    return evolve.IsingChain(
+        n_spins=int(res["n_spins"]), J=res["J"], g=res["g"], boundary=res["boundary"]
     )
-    cg = _distribution(n, res["p1"] if res["probs"] is None else None, res["probs"])
+
+
+def _ising_bloch(res):
     if res["bloch"] is not None:
-        bloch0 = _parse_bloch(res["bloch"])
-    else:
-        th, ph = float(res["theta"]), float(res["phi"])
-        bloch0 = np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-    if res["t"] is None and res["tmax"] is None:
-        res["tmax"] = math.pi / abs(res["J"]) if res["J"] else math.pi
-    rho0 = qcore.density_from_bloch(bloch0)
-    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res))
-    _write_rows(res["output"], ["t", "rx", "ry", "rz", "purity"], _trajectory_rows(traj))
-    _write_metadata(res, "ising", traj.metadata)
-    return 0
-
-
-def _run_linear_nm(args):
-    defaults = {
-        "omega": 1.0, "bloch": [1.0, 0.0, 0.0],
-        "tmax": None, "steps": 101, "t": None,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    if res["t"] is None and res["tmax"] is None:
-        res["tmax"] = 2.0 * math.pi / abs(res["omega"])
-    cg = non_preferential(2)
-    rho0 = qcore.density_from_bloch(_parse_bloch(res["bloch"]))
-    spec = evolve.LocalZSecond(omega=res["omega"])
-    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res))
-    _write_rows(res["output"], ["t", "rx", "ry", "rz", "purity"], _trajectory_rows(traj))
-    center, radius = channels.circle_params(qcore.bloch_from_density(rho0))
-    derived = dict(traj.metadata, circle_center=list(center), circle_radius=radius)
-    _write_metadata(res, "linear-nm", derived)
-    return 0
+        return _parse_bloch(res)
+    return _polar(res["theta"], res["phi"])
 
 
 # ---------------------------------------------------------------------------
@@ -317,40 +252,40 @@ def _static_closure(channel, cg):
     return dyn
 
 
-def _run_diagnostics(args):
-    defaults = {
-        "target": "swap", "p1": 0.7, "n": 2, "omega": 1.0, "J": 1.0, "g": 0.0,
-        "t": None, "tmax": math.pi, "steps": 25, "samples": 100, "seed": 0,
-        "bloch": [0.6, 0.0, 0.5], "n_max": 8,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
+# target: (weights, spec) for the pipeline targets, the joint channel for the rest
+_DIAG_MODELS = {
+    "swap": ("preferential", lambda res: evolve.Swap(omega=res["omega"])),
+    "cnot": ("preferential", lambda res: evolve.Cnot(omega=res["omega"])),
+    "ising": ("non-preferential", lambda res: evolve.IsingChain(
+        n_spins=int(res["n"]), J=res["J"], g=res["g"], boundary="closed")),
+    "linear-nm": ("non-preferential", lambda res: evolve.LocalZSecond(omega=res["omega"])),
+}
+_DIAG_CHANNELS = {
+    "total-dephasing": channels.total_dephasing,
+    "pce-mask": lambda rho: channels.pauli_component_mask(rho, channels.DEPHASE_Y_MASK),
+}
+_DIAG_TARGETS = (*_DIAG_MODELS, *_DIAG_CHANNELS, "dyson")
+
+
+def _run_diagnostics(res):
     target = res["target"]
     t_probe = float(res["t"]) if res["t"] is not None else math.pi / 2
     samples, seed = int(res["samples"]), int(res["seed"])
-    tmax, steps = float(res["tmax"]), int(res["steps"])
+    tmax, steps = _check_grid(res["tmax"], res["steps"], least=1)
     grid = np.linspace(tmax / steps, tmax, steps)
     report = {"target": target, "seed": seed, "version": __version__}
 
-    if target in ("swap", "cnot", "ising", "linear-nm"):
-        if target == "swap":
-            cg = preferential(2, res["p1"])
-            spec = evolve.Swap(omega=res["omega"])
-        elif target == "cnot":
-            cg = preferential(2, res["p1"])
-            spec = evolve.Cnot(omega=res["omega"])
-        elif target == "ising":
-            n = int(res["n"])
-            cg = non_preferential(n)
-            spec = evolve.IsingChain(n_spins=n, J=res["J"], g=res["g"], boundary="closed")
-        else:
-            cg = non_preferential(2)
-            spec = evolve.LocalZSecond(omega=res["omega"])
+    if target in _DIAG_MODELS:
+        weights, make_spec = _DIAG_MODELS[target]
+        spec = make_spec(res)
+        cg = make_distribution(weights, spec.n, p1=res["p1"])
+        if target == "linear-nm" and not res["omega"]:
+            raise ValueError("the linear-nm target probes t = pi/omega, so omega must be nonzero")
         dyn = _pipeline_closure(spec, cg)
         lin = diagnostics.linearity_probe(dyn, t_probe, samples=samples, seed=seed)
         mk = diagnostics.semigroup_gap(dyn, grid, grid, probes=8, seed=seed)
         if target == "swap":
-            rho0 = qcore.density_from_bloch(_parse_bloch(res["bloch"]))
+            rho0 = qcore.density_from_bloch(_parse_bloch(res))
             r1, r2 = maxent.assign(rho0, cg).solution.per_particle_r
             rates = channels.swap_rate(grid, cg, r1, r2, omega=res["omega"])
             mk = dataclasses.replace(
@@ -368,28 +303,22 @@ def _run_diagnostics(args):
         report["fuzzy_identity"] = diagnostics.fuzzy_identity_check(
             qcore.random_density(2 ** cg.n, rng), cg
         )
-    elif target in ("total-dephasing", "pce-mask"):
+    elif target in _DIAG_CHANNELS:
         n = int(res["n"])
-        if target == "total-dephasing":
-            channel = channels.total_dephasing
-        else:
-            if n != 2:
-                raise ValueError("the masked-component channel is two sites only")
-            channel = lambda rho: channels.pauli_component_mask(
-                rho, channels.DEPHASE_Y_MASK
-            )
+        if target == "pce-mask" and n != 2:
+            raise ValueError("the masked-component channel is two sites only")
+        channel = _DIAG_CHANNELS[target]
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = eq.to_dict()
-        cg = non_preferential(n)
+        cg = make_distribution("non-preferential", n)
         lin = diagnostics.linearity_probe(
             _static_closure(channel, cg), 0.0, samples=samples, seed=seed
         )
         report["linearity"] = lin.to_dict()
     elif target == "dyson":
-        bloch0 = _parse_bloch(res["bloch"])
-        rho0 = qcore.density_from_bloch(bloch0)
+        rho0 = qcore.density_from_bloch(_parse_bloch(res))
         ns = list(range(2, int(res["n_max"]) + 1))
-        norms = diagnostics.dyson_decay([non_preferential(n) for n in ns], rho0)
+        norms = diagnostics.dyson_decay([make_distribution("non-preferential", n) for n in ns], rho0)
         report["dyson"] = {
             "n": ns,
             "trace_norms": [float(v) for v in norms],
@@ -397,17 +326,9 @@ def _run_diagnostics(args):
         }
     else:
         raise ValueError(
-            f"unknown diagnostics target {target!r}; pick from swap, cnot, ising, "
-            "linear-nm, total-dephasing, pce-mask, dyson"
+            f"unknown diagnostics target {target!r}; pick from {', '.join(_DIAG_TARGETS)}"
         )
-
-    text = json.dumps(report, sort_keys=True, indent=2, default=_jsonable) + "\n"
-    if res["output"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(res["output"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return 0
+    _write(res["output"], _json(report))
 
 
 # ---------------------------------------------------------------------------
@@ -426,43 +347,21 @@ def fibonacci_sphere(count):
 
 
 def _sweep_states(res):
-    explicit = res["state"]
-    if explicit:
-        out = []
-        for item in explicit:
-            if isinstance(item, str):
-                parts = [float(p) for p in item.replace(",", " ").split() if p]
-            else:
-                parts = [float(p) for p in item]
-            if len(parts) != 2:
-                raise ValueError(f"state needs theta,phi; got {item!r}")
-            out.append(parts)
-        return np.asarray(out)
+    if res["state"]:
+        return np.asarray([_vector(item, 2, "state theta,phi") for item in res["state"]])
     return fibonacci_sphere(int(res["states"]))
 
 
-def _run_sweep(args):
-    defaults = {
-        "states": 64, "state": None,
-        "n_spins": 4, "J": 1.0, "g": 0.0, "boundary": "closed",
-        "p1": None, "probs": None,
-        "tmax": None, "steps": 2, "t": 0.9,
-        "output": "-", "metadata": None,
-    }
-    res = _resolve(args, defaults)
-    n = int(res["n_spins"])
-    spec = evolve.IsingChain(n_spins=n, J=res["J"], g=res["g"], boundary=res["boundary"])
-    cg = _distribution(n, res["p1"] if res["probs"] is None else None, res["probs"])
+def _run_sweep(res):
+    spec = _ising_spec(res)
+    cg = _weights(res, spec.n)
     if res["tmax"] is not None:
-        res = dict(res, t=None)
+        res["t"] = None
     times = _time_grid(res)
     states = _sweep_states(res)
 
     def one(th, ph):
-        bloch0 = np.array(
-            [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        )
-        traj = evolve.trajectory(qcore.density_from_bloch(bloch0), cg, spec, times)
+        traj = evolve.trajectory(qcore.density_from_bloch(_polar(th, ph)), cg, spec, times)
         return traj.bloch, traj.purity
 
     env = os.environ.get("CGDYN_NUM_THREADS", "")
@@ -481,28 +380,130 @@ def _run_sweep(args):
                 rows.append((idx, th, ph, t, b[0], b[1], b[2], p))
 
     header = ["state", "theta", "phi", "t", "rx", "ry", "rz", "purity"]
-    _write_rows(res["output"], header, rows)
-    derived = {
+    _write(res["output"], _csv(header, rows))
+    return {
         "spec": evolve.spec_to_dict(spec),
         "distribution": {"n": cg.n, "probs": [float(p) for p in cg.probs]},
         "states": int(states.shape[0]),
         "workers": workers if workers is not None else "default",
     }
-    _write_metadata(res, "sweep", derived)
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# The experiment table and the parser built from it
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file with config values (flags override)")
-    sub.add_argument("--output", "-o", help="CSV path, or - for stdout (default -)")
-    sub.add_argument("--metadata", help="metadata JSON path (default: next to the CSV)")
-    sub.add_argument("--tmax", help="grid endpoint; field runs accept a 'tc' suffix")
-    sub.add_argument("--steps", type=int, help="number of grid points, endpoints included")
-    sub.add_argument("--t", type=float, help="single evaluation time instead of a grid")
+class Experiment(NamedTuple):
+    """One subcommand. `defaults` is its set of config keys, and so of flags.
+
+    Trajectory rows give `spec` (resolved config -> Hamiltonian spec) and
+    optional hooks: `bloch` (config -> initial Bloch vector), `period`
+    (config -> tmax when neither t nor tmax is set) and `extra`
+    (res, cg, bloch0, rho0, traj -> extra CSV columns, extra derived
+    metadata). Other rows give `run` (config -> derived metadata for the
+    sidecar, or None to write none).
+    """
+
+    help: str
+    defaults: dict
+    spec: Optional[Callable] = None
+    bloch: Callable = _parse_bloch
+    period: Optional[Callable] = None
+    extra: Optional[Callable] = None
+    run: Optional[Callable] = None
+
+
+_IO = {"output": "-", "metadata": None}
+_GATE = {
+    "p1": 0.7, "probs": None, "omega": 1.0, "bloch": [0.6, 0.0, 0.3],
+    "tmax": 2.0 * math.pi, "steps": 101, "t": None, **_IO,
+}
+_CHAIN = {"n_spins": 4, "J": 1.0, "g": 0.0, "boundary": "closed", "p1": None, "probs": None}
+
+EXPERIMENTS = {
+    "swap-kappa": Experiment(
+        "exchange model with kappa and rate columns", _GATE,
+        spec=lambda res: evolve.Swap(omega=res["omega"]), bloch=_kappa_bloch, extra=_kappa_rate,
+    ),
+    "cnot": Experiment(
+        "conditional-flip model trajectory", _GATE,
+        spec=lambda res: evolve.Cnot(omega=res["omega"]),
+    ),
+    "field": Experiment(
+        "random local frequencies, optional n-body term",
+        {
+            "n": 10, "p1": 0.5, "probs": None, "mu": 1.5, "sigma": 0.2, "seed": 0,
+            "interaction": False, "bloch": [0.8, 0.0, 0.0],
+            "tmax": "4tc", "steps": 401, "t": None, **_IO,
+        },
+        spec=_field_spec, extra=_field_assumptions,
+    ),
+    "ising": Experiment(
+        "transverse-field chain trajectory",
+        {
+            **_CHAIN, "theta": math.pi / 2, "phi": 0.0, "bloch": None,
+            "tmax": None, "steps": 101, "t": None, **_IO,
+        },
+        spec=_ising_spec, bloch=_ising_bloch,
+        period=lambda res: math.pi / abs(res["J"]) if res["J"] else math.pi,
+    ),
+    "linear-nm": Experiment(
+        "local-field model, linear but memoryful",
+        {"omega": 1.0, "bloch": [1.0, 0.0, 0.0], "tmax": None, "steps": 101, "t": None, **_IO},
+        spec=lambda res: evolve.LocalZSecond(omega=res["omega"]),
+        period=lambda res: 2.0 * math.pi / abs(res["omega"]) if res["omega"] else 2.0 * math.pi,
+        extra=_circle,
+    ),
+    "diagnostics": Experiment(
+        "linearity/memory probe battery as JSON",
+        {
+            "target": "swap", "p1": 0.7, "n": 2, "omega": 1.0, "J": 1.0, "g": 0.0,
+            "t": None, "tmax": math.pi, "steps": 25, "samples": 100, "seed": 0,
+            "bloch": [0.6, 0.0, 0.5], "n_max": 8, **_IO,
+        },
+        run=_run_diagnostics,
+    ),
+    "sweep": Experiment(
+        "many initial pure states through one model",
+        {"states": 64, "state": None, **_CHAIN, "tmax": None, "steps": 2, "t": 0.9, **_IO},
+        run=_run_sweep,
+    ),
+}
+
+# argparse options per config key; each row appends "(default X)" to the help
+_FLAGS = {
+    "target": dict(choices=_DIAG_TARGETS, help="what the battery probes"),
+    "states": dict(type=int, help="Fibonacci-sphere state count"),
+    "state": dict(
+        action="append", help="explicit 'theta,phi' pair; repeat for a list (overrides --states)"
+    ),
+    "n": dict(type=int, help="number of sites"),
+    "n_spins": dict(type=int, help="chain length"),
+    "J": dict(type=float, help="coupling"),
+    "g": dict(type=float, help="transverse field"),
+    "boundary": dict(choices=["closed", "open"], help="chain boundary"),
+    "p1": dict(type=float, help="first-site weight (unset: equal weights)"),
+    "probs": dict(help="explicit weights, e.g. '0.7,0.3' (overrides --p1)"),
+    "omega": dict(type=float, help="model frequency"),
+    "mu": dict(type=float, help="frequency mean"),
+    "sigma": dict(type=float, help="frequency spread"),
+    "seed": dict(type=int, help="random seed"),
+    "interaction": dict(action=argparse.BooleanOptionalAction, help="include the n-body term"),
+    "theta": dict(type=float, help="initial polar angle (--bloch overrides theta and phi)"),
+    "phi": dict(type=float, help="initial azimuth"),
+    "bloch": dict(help="initial effective state 'rx,ry,rz'"),
+    "samples": dict(type=int, help="probe count"),
+    "n_max": dict(type=int, help="largest n for dyson decay"),
+    "tmax": dict(help="grid endpoint; field runs accept a 'tc' suffix"),
+    "steps": dict(type=int, help="number of grid points"),
+    "t": dict(type=float, help="single evaluation time instead of a grid"),
+    "output": dict(help="output path, or - for stdout"),
+    "metadata": dict(help="metadata JSON path (default: next to the output)"),
+}
+
+
+def _show(value):
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def build_parser():
@@ -512,89 +513,15 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"cgdyn {__version__}")
     subs = parser.add_subparsers(dest="experiment", required=True, metavar="EXPERIMENT")
-
-    sw = subs.add_parser("swap-kappa", help="exchange model with kappa and rate columns")
-    sw.add_argument("--p1", type=float, help="first-site weight (default 0.7)")
-    sw.add_argument("--probs", help="explicit weights, e.g. '0.7,0.3'")
-    sw.add_argument("--omega", type=float, help="exchange frequency (default 1.0)")
-    sw.add_argument("--bloch", help="initial effective state 'rx,ry,rz'")
-    _add_common(sw)
-    sw.set_defaults(run=_run_swap)
-
-    cn = subs.add_parser("cnot", help="conditional-flip model trajectory")
-    cn.add_argument("--p1", type=float)
-    cn.add_argument("--probs")
-    cn.add_argument("--omega", type=float)
-    cn.add_argument("--bloch")
-    _add_common(cn)
-    cn.set_defaults(run=_run_cnot)
-
-    fd = subs.add_parser("field", help="random local frequencies, optional n-body term")
-    fd.add_argument("--n", type=int, help="number of sites (default 10)")
-    fd.add_argument("--p1", type=float, help="first-site weight (default 0.5)")
-    fd.add_argument("--probs")
-    fd.add_argument("--mu", type=float, help="frequency mean (default 1.5)")
-    fd.add_argument("--sigma", type=float, help="frequency spread (default 0.2)")
-    fd.add_argument("--seed", type=int, help="frequency-draw seed (default 0)")
-    fd.add_argument(
-        "--interaction", action=argparse.BooleanOptionalAction, default=None,
-        help="include the n-body term (default off)",
-    )
-    fd.add_argument("--bloch")
-    _add_common(fd)
-    fd.set_defaults(run=_run_field)
-
-    isg = subs.add_parser("ising", help="transverse-field chain trajectory")
-    isg.add_argument("--n-spins", dest="n_spins", type=int, help="chain length (default 4)")
-    isg.add_argument("--J", type=float, help="coupling (default 1.0)")
-    isg.add_argument("--g", type=float, help="transverse field (default 0.0)")
-    isg.add_argument("--boundary", choices=["closed", "open"], help="default closed")
-    isg.add_argument("--p1", type=float)
-    isg.add_argument("--probs")
-    isg.add_argument("--theta", type=float, help="initial polar angle (default pi/2)")
-    isg.add_argument("--phi", type=float, help="initial azimuth (default 0)")
-    isg.add_argument("--bloch", help="mixed initial state; overrides theta/phi")
-    _add_common(isg)
-    isg.set_defaults(run=_run_ising)
-
-    nm = subs.add_parser("linear-nm", help="local-field model, linear but memoryful")
-    nm.add_argument("--omega", type=float)
-    nm.add_argument("--bloch")
-    _add_common(nm)
-    nm.set_defaults(run=_run_linear_nm)
-
-    dg = subs.add_parser("diagnostics", help="linearity/memory probe battery as JSON")
-    dg.add_argument(
-        "--target",
-        choices=["swap", "cnot", "ising", "linear-nm", "total-dephasing", "pce-mask", "dyson"],
-    )
-    dg.add_argument("--p1", type=float)
-    dg.add_argument("--n", type=int, help="sites for channel targets (default 2)")
-    dg.add_argument("--omega", type=float)
-    dg.add_argument("--J", type=float)
-    dg.add_argument("--g", type=float)
-    dg.add_argument("--samples", type=int, help="probe count (default 100)")
-    dg.add_argument("--seed", type=int)
-    dg.add_argument("--bloch", help="probe state for swap rates / dyson decay")
-    dg.add_argument("--n-max", dest="n_max", type=int, help="largest n for dyson decay")
-    _add_common(dg)
-    dg.set_defaults(run=_run_diagnostics)
-
-    sp = subs.add_parser("sweep", help="many initial pure states through one model")
-    sp.add_argument("--states", type=int, help="Fibonacci-sphere state count (default 64)")
-    sp.add_argument(
-        "--state", action="append",
-        help="explicit 'theta,phi' pair; repeat for a list (overrides --states)",
-    )
-    sp.add_argument("--n-spins", dest="n_spins", type=int)
-    sp.add_argument("--J", type=float)
-    sp.add_argument("--g", type=float)
-    sp.add_argument("--boundary", choices=["closed", "open"])
-    sp.add_argument("--p1", type=float)
-    sp.add_argument("--probs")
-    _add_common(sp)
-    sp.set_defaults(run=_run_sweep)
-
+    for name, row in EXPERIMENTS.items():
+        sub = subs.add_parser(name, help=row.help)
+        sub.add_argument("--config", help="JSON file with config values (flags override)")
+        for key, default in row.defaults.items():
+            opts = dict(_FLAGS[key])
+            if default is not None:
+                opts["help"] += f" (default {_show(default)})"
+            flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
+            sub.add_argument(*flags, **opts)
     return parser
 
 
@@ -606,8 +533,13 @@ def main(argv=None):
         # argparse exits 2 on usage errors; our contract reserves 2 for
         # numeric failure, so fold usage problems into the validation code
         return 0 if exc.code == 0 else 1
+    row = EXPERIMENTS[args.experiment]
     try:
-        return args.run(args)
+        res = _resolve(args, row.defaults)
+        derived = row.run(res) if row.run is not None else _run_trajectory(row, res)
+        if derived is not None:
+            _write_metadata(res, args.experiment, derived)
+        return 0
     except qcore.PositivityError as exc:
         print(f"cgdyn: numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -60,6 +60,8 @@ def preferential(n, p1):
 
     p1 must lie in (0, 1]; p1 = 1 puts everything on the first site.
     """
+    if n < 2:
+        raise ValueError(f"preferential weights need n >= 2 sites, got {n}")
     if not 0.0 < p1 <= 1.0:
         raise ValueError(f"p1 must lie in (0, 1], got {p1}")
     probs = np.full(n, (1.0 - p1) / (n - 1))

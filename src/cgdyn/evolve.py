@@ -28,6 +28,7 @@ The effective trajectory is generally nonlinear in the input state
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -234,46 +235,52 @@ def _is_diagonal(spec):
 # Fast product paths (exact closed forms)
 
 
-def _factor_arrays(factors):
+def _fast_invariants(factors, spec):
+    """What every fast-path step reads, built once per trajectory: per-site
+    pop0 and coherence, plus the field's frequencies and n-body factors or
+    the chain's per-site (bond multiplicity, neighbour z) in ascending order.
+    """
     pop0 = np.array([f[0, 0].real for f in factors])
     coh = np.array([f[0, 1] for f in factors], dtype=complex)
     zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
-    return pop0, coh, zval
-
-
-def _fast_coherences(factors, spec, t):
-    """Per-site (pop0, evolved coherence) under a fast-path spec."""
-    pop0, coh, zval = _factor_arrays(factors)
+    couplings = None
     if isinstance(spec, FieldAllToAll):
-        out = coh * np.exp(-2j * np.asarray(spec.omegas) * t)
-        if spec.include_interaction:
-            out = out * (np.cos(2 * t) - 1j * np.sin(2 * t) * qcore.exclusive_products(zval))
-        return pop0, out
-    if isinstance(spec, LocalZSecond):
-        out = coh.copy()
-        out[1] *= np.exp(-1j * spec.omega * t)
-        return pop0, out
-    if isinstance(spec, IsingChain):
+        nbody = qcore.exclusive_products(zval) if spec.include_interaction else None
+        couplings = np.asarray(spec.omegas), nbody
+    elif isinstance(spec, IsingChain):
         if spec.g != 0.0:
             raise ValueError("fast path for the chain requires g = 0")
-        mult = {}
-        for (a, b) in spec.bonds():
-            mult[(a, b)] = mult.get((a, b), 0) + 1
-            mult[(b, a)] = mult.get((b, a), 0) + 1
-        # per-site neighbours in ascending order, each with its bond multiplicity
-        neighbours = [[] for _ in range(spec.n_spins)]
+        bonds = spec.bonds()
+        mult = Counter(bonds) + Counter((b, a) for a, b in bonds)
+        couplings = [[] for _ in range(spec.n_spins)]
         for (j, m), b in sorted(mult.items()):
-            neighbours[j - 1].append((m - 1, b))
-        out = coh.copy()
-        for j, sites in enumerate(neighbours):
-            for m, b in sites:
-                ang = 2.0 * spec.J * b * t
-                out[j] *= np.cos(ang) + 1j * zval[m] * np.sin(ang)
+            couplings[j - 1].append((b, zval[m - 1]))
+    elif not isinstance(spec, LocalZSecond):
+        raise ValueError(
+            f"{type(spec).__name__} has no fast product path; supported: "
+            "FieldAllToAll, IsingChain (g = 0), LocalZSecond"
+        )
+    return pop0, coh, couplings
+
+
+def _fast_coherences(invariants, spec, t):
+    """Per-site (pop0, evolved coherence) at time t under a fast-path spec."""
+    pop0, coh, couplings = invariants
+    if isinstance(spec, FieldAllToAll):
+        omegas, nbody = couplings
+        out = coh * np.exp(-2j * omegas * t)
+        if nbody is not None:
+            out = out * (np.cos(2 * t) - 1j * np.sin(2 * t) * nbody)
         return pop0, out
-    raise ValueError(
-        f"{type(spec).__name__} has no fast product path; supported: "
-        "FieldAllToAll, IsingChain (g = 0), LocalZSecond"
-    )
+    out = coh.copy()
+    if isinstance(spec, LocalZSecond):
+        out[1] *= np.exp(-1j * spec.omega * t)
+        return pop0, out
+    for j, sites in enumerate(couplings):
+        for b, z in sites:
+            ang = 2.0 * spec.J * b * t
+            out[j] *= np.cos(ang) + 1j * z * np.sin(ang)
+    return pop0, out
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +399,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
     elif route == "fast":
         probs = cg.probs
+        invariants = _fast_invariants(assigned.factors, spec)
         for i, t in enumerate(times):
-            pop0, coh = _fast_coherences(assigned.factors, spec, t)
+            pop0, coh = _fast_coherences(invariants, spec, t)
             eff_pop0 = float(np.dot(probs, pop0))
             eff_coh = complex(np.dot(probs, coh))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import shlex
 import numpy as np
 import pytest
 
-from cgdyn import channels, cli, evolve, qcore
+from cgdyn import channels, cli, coarse_grain, evolve, qcore
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -118,7 +119,101 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["--version"]) == 0
     assert cli.main(["swap-kappa", "--bloch", "0,0,0"]) == 1
     assert cli.main(["field", "--config", str(tmp_path / "missing.json")]) == 1
+    # the diagnostics grid (tmax/steps, ..., tmax) needs tmax > 0 and steps >= 1
+    assert cli.main(["diagnostics", "--steps", "0"]) == 1
+    assert cli.main(["diagnostics", "--tmax", "-1"]) == 1
+    assert cli.main(["diagnostics", "--target", "dyson", "--tmax", "-1"]) == 1
+    # the linear-nm target probes t = pi/omega
+    assert cli.main(["diagnostics", "--target", "linear-nm", "--omega", "0"]) == 1
+    assert "omega" in capsys.readouterr().err
+    # one Bloch-ball tolerance: |r| <= 1 + 1e-12, as qcore.density_from_bloch has it
+    code, _ = _run(tmp_path, "cnot", "--bloch", "1.0000000000008,0,0", "--t", "0.5")
+    assert code == 0
+    assert cli.main(["cnot", "--bloch", "1.000000001,0,0", "--t", "0.5"]) == 1
     capsys.readouterr()
+
+
+def test_linear_nm_static_at_zero_omega(tmp_path):
+    # the default period 2 pi/|omega| falls back to 2 pi, as ising's pi/|J| falls back to pi
+    code, out = _run(tmp_path, "linear-nm", "--omega", "0", "--steps", "5")
+    assert code == 0
+    _, data = _read_csv(out)
+    assert data[-1, 0] == 2 * math.pi
+    assert np.abs(data[:, 1:4] - data[0, 1:4]).max() == 0.0
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    assert meta["config"]["tmax"] == 2 * math.pi
+
+
+def _polar(theta, phi):
+    return [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+
+
+# per trajectory row: flags, and the (spec, weights, Bloch vector) they mean
+ROW_CASES = {
+    "swap-kappa": (
+        ["--p1", "0.6", "--omega", "1.3", "--bloch", "0.5,0.1,0.3"],
+        lambda: (evolve.Swap(omega=1.3), cli.preferential(2, 0.6), [0.5, 0.1, 0.3]),
+    ),
+    "cnot": (
+        ["--probs", "0.35,0.65", "--bloch", "0.2,0.6,0.3"],
+        lambda: (evolve.Cnot(omega=1.0), coarse_grain.custom([0.35, 0.65]), [0.2, 0.6, 0.3]),
+    ),
+    "field": (
+        ["--n", "5", "--seed", "2", "--interaction", "--mu", "1.2"],
+        lambda: (
+            evolve.sample_field(5, mu=1.2, sigma=0.2, seed=2, include_interaction=True),
+            cli.preferential(5, 0.5),
+            [0.8, 0.0, 0.0],
+        ),
+    ),
+    "ising": (
+        ["--g", "0.4", "--theta", "0.9", "--phi", "0.2", "--J", "0.8"],
+        lambda: (
+            evolve.IsingChain(n_spins=4, J=0.8, g=0.4),
+            coarse_grain.non_preferential(4),
+            _polar(0.9, 0.2),
+        ),
+    ),
+    "linear-nm": (
+        ["--omega", "1.7", "--bloch", "0.6,0.2,0.1"],
+        lambda: (evolve.LocalZSecond(omega=1.7), coarse_grain.non_preferential(2), [0.6, 0.2, 0.1]),
+    ),
+}
+
+
+def test_cli_rows_match_trajectory(tmp_path):
+    rows = {name for name, row in cli.EXPERIMENTS.items() if row.run is None}
+    assert rows == set(ROW_CASES)
+    for name, (flags, direct) in ROW_CASES.items():
+        code, out = _run(tmp_path, name, *flags, "--tmax", "2", "--steps", "7", name=name + ".csv")
+        assert code == 0, name
+        header, data = _read_csv(out)
+        assert header[:5] == ["t", "rx", "ry", "rz", "purity"], name
+        spec, cg, bloch = direct()
+        traj = evolve.trajectory(
+            qcore.density_from_bloch(bloch), cg, spec, np.linspace(0.0, 2.0, 7)
+        )
+        want = np.column_stack([traj.times, traj.bloch, traj.purity])
+        # %.17g round-trips float64, so the CSV holds the trajectory exactly
+        assert np.array_equal(data[:, :5], want), name
+
+
+def test_flags_are_config_keys(capsys):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(cli.EXPERIMENTS)
+    for name, row in cli.EXPERIMENTS.items():
+        actions = [a for a in subs.choices[name]._actions if a.dest != "help"]
+        assert {a.dest for a in actions} == set(row.defaults) | {"config"}, name
+        for action in actions:
+            assert "--" + action.dest.replace("_", "-") in action.option_strings
+        assert cli.main([name, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--output OUTPUT, -o OUTPUT" in text
+        for key, default in row.defaults.items():
+            if default is not None:
+                shown = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+                assert f"(default {shown})" in text, (name, key)
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -36,6 +36,13 @@ def test_preferential_p1_range():
     assert np.allclose(preferential(3, 1.0).probs, [1.0, 0.0, 0.0])
 
 
+def test_preferential_needs_two_sites():
+    # the remainder (1 - p1)/(n - 1) has no sites to spread over below n = 2
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            preferential(n, 0.5)
+
+
 def test_custom_allows_zeros_and_validates():
     cg = custom([0.5, 0.5, 0.0])
     assert cg.n == 3

@@ -244,7 +244,7 @@ def test_fast_coherences_match_dense(rng):
     t = 1.3
     for spec in cases:
         factors = [qcore.random_density(2, rng) for _ in range(spec.n)]
-        pop0, coh = evolve._fast_coherences(factors, spec, t)
+        pop0, coh = evolve._fast_coherences(evolve._fast_invariants(factors, spec), spec, t)
         rho_t = qcore.evolve_unitary(qcore.kron(factors), evolve.build_hamiltonian(spec), t)
         for k in range(spec.n):
             want = qcore.partial_trace(rho_t, [k + 1], spec.n)
