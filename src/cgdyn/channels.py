@@ -111,7 +111,7 @@ def swap_effective(rho_eff, cg, t, omega=1.0):
     r1, r2 = assigned.solution.per_particle_r
     r = qcore.bloch_from_density(np.asarray(rho_eff, dtype=complex))
     r_ef0 = float(np.linalg.norm(r))
-    if r_ef0 < 1e-15:
+    if r_ef0 < qcore.ZERO_RADIUS:
         return np.asarray(rho_eff, dtype=complex).copy()
     k = float(kappa_swap(t, cg, r1, r2, r_ef0, omega=omega))
     return 0.5 * (
@@ -190,7 +190,7 @@ def ellipse_params(r1_0, r2_0, cg):
     if r1.shape != (3,) or r2.shape != (3,):
         raise ValueError("initial Bloch vectors must be 3-vectors")
     for name, r in (("site 1", r1), ("site 2", r2)):
-        if np.linalg.norm(r) > 1.0 + 1e-12:
+        if np.linalg.norm(r) > 1.0 + qcore.BLOCH_SLACK:
             raise ValueError(f"{name} Bloch vector leaves the ball")
     p1, p2 = cg.probs
     r1x, r1y, r1z = r1

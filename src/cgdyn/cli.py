@@ -71,12 +71,32 @@ def _load_config(path, experiment):
     return cfg
 
 
+def _config_value(key, value, default):
+    """A config-file value, checked as its flag's type and choices check the
+    flag: null only where the row's default is null, a JSON boolean for a
+    switch, an integral number for an int key and a number for a float key."""
+    opts = _FLAGS[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    kind = bool if opts.get("action") is argparse.BooleanOptionalAction else opts.get("type")
+    integral = number and (isinstance(value, int) or value.is_integer())
+    ok = {bool: isinstance(value, bool), int: integral, float: number}.get(
+        kind, number or isinstance(value, (str, list)))
+    if value is None:
+        ok = default is None
+    elif "choices" in opts:
+        ok = ok and value in opts["choices"]
+    if not ok:
+        raise ValueError(f"config key {key!r} cannot be {json.dumps(value)}")
+    return value
+
+
 def _resolve(args, defaults):
     """defaults < config file < explicit flags, per key."""
     cfg = _load_config(args.config, args.experiment) if args.config else {}
     unknown = set(cfg) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(defaults)}")
+    cfg = {key: _config_value(key, value, defaults[key]) for key, value in cfg.items()}
     out = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
@@ -192,7 +212,7 @@ def _run_trajectory(row, res):
 
 def _kappa_bloch(res):
     bloch0 = _parse_bloch(res)
-    if np.linalg.norm(bloch0) < 1e-15:
+    if np.linalg.norm(bloch0) < qcore.ZERO_RADIUS:
         raise ValueError("the contraction factor is undefined at zero initial radius")
     return bloch0
 
@@ -274,6 +294,7 @@ def _run_diagnostics(res):
     tmax, steps = _check_grid(res["tmax"], res["steps"], least=1)
     grid = np.linspace(tmax / steps, tmax, steps)
     report = {"target": target, "seed": seed, "version": __version__}
+    derived = {}
 
     if target in _DIAG_MODELS:
         weights, make_spec = _DIAG_MODELS[target]
@@ -281,6 +302,7 @@ def _run_diagnostics(res):
         cg = make_distribution(weights, spec.n, p1=res["p1"])
         if target == "linear-nm" and not res["omega"]:
             raise ValueError("the linear-nm target probes t = pi/omega, so omega must be nonzero")
+        derived = {"spec": evolve.spec_to_dict(spec), "distribution": cg.to_dict()}
         dyn = _pipeline_closure(spec, cg)
         lin = diagnostics.linearity_probe(dyn, t_probe, samples=samples, seed=seed)
         mk = diagnostics.semigroup_gap(dyn, grid, grid, probes=8, seed=seed)
@@ -311,11 +333,12 @@ def _run_diagnostics(res):
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = eq.to_dict()
         cg = make_distribution("non-preferential", n)
+        derived = {"distribution": cg.to_dict()}
         lin = diagnostics.linearity_probe(
             _static_closure(channel, cg), 0.0, samples=samples, seed=seed
         )
         report["linearity"] = lin.to_dict()
-    elif target == "dyson":
+    else:  # dyson
         rho0 = qcore.density_from_bloch(_parse_bloch(res))
         ns = list(range(2, int(res["n_max"]) + 1))
         norms = diagnostics.dyson_decay([make_distribution("non-preferential", n) for n in ns], rho0)
@@ -324,11 +347,8 @@ def _run_diagnostics(res):
             "trace_norms": [float(v) for v in norms],
             "ratios": [float(r) for r in norms[1:] / np.where(norms[:-1] == 0, 1, norms[:-1])],
         }
-    else:
-        raise ValueError(
-            f"unknown diagnostics target {target!r}; pick from {', '.join(_DIAG_TARGETS)}"
-        )
     _write(res["output"], _json(report))
+    return derived
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +403,7 @@ def _run_sweep(res):
     _write(res["output"], _csv(header, rows))
     return {
         "spec": evolve.spec_to_dict(spec),
-        "distribution": {"n": cg.n, "probs": [float(p) for p in cg.probs]},
+        "distribution": cg.to_dict(),
         "states": int(states.shape[0]),
         "workers": workers if workers is not None else "default",
     }
@@ -401,7 +421,7 @@ class Experiment(NamedTuple):
     (config -> tmax when neither t nor tmax is set) and `extra`
     (res, cg, bloch0, rho0, traj -> extra CSV columns, extra derived
     metadata). Other rows give `run` (config -> derived metadata for the
-    sidecar, or None to write none).
+    sidecar).
     """
 
     help: str
@@ -537,8 +557,7 @@ def main(argv=None):
     try:
         res = _resolve(args, row.defaults)
         derived = row.run(res) if row.run is not None else _run_trajectory(row, res)
-        if derived is not None:
-            _write_metadata(res, args.experiment, derived)
+        _write_metadata(res, args.experiment, derived)
         return 0
     except qcore.PositivityError as exc:
         print(f"cgdyn: numeric failure: {exc}", file=sys.stderr)

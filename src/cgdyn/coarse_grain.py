@@ -38,16 +38,20 @@ class CoarseGraining:
             raise ValueError(f"expected {self.n} weights, got shape {p.shape}")
         if (p < 0).any():
             raise ValueError("weights must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {p.sum()}, expected 1 within 1e-12")
+        if abs(p.sum() - 1.0) > qcore.WEIGHT_SUM_TOL:
+            raise ValueError(f"weights sum to {p.sum()}, expected 1 within {qcore.WEIGHT_SUM_TOL}")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "probs", p)
 
+    def to_dict(self):
+        """The weights as JSON-friendly run metadata."""
+        return {"n": self.n, "probs": [float(p) for p in self.probs]}
+
     @property
     def is_uniform(self):
-        return bool(np.allclose(self.probs, 1.0 / self.n, rtol=0.0, atol=1e-15))
+        return bool(np.allclose(self.probs, 1.0 / self.n, rtol=0.0, atol=qcore.UNIFORM_WEIGHT_TOL))
 
 
 def non_preferential(n):
@@ -97,29 +101,6 @@ def make_distribution(kind, n, p1=None, probs=None):
             raise ValueError(f"custom weights have length {cg.n}, expected n={n}")
         return cg
     raise ValueError(f"unknown distribution kind {kind!r}")
-
-
-def swap_permutation(n, k):
-    """Permutation matrix exchanging tensor slots 1 and k (1-based).
-
-    k = 1 returns the identity. Retained mainly so tests can check the
-    marginal shortcut in apply_cg against the defining expression.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"slot index k={k} outside 1..{n}")
-    dim = 2 ** n
-    perm = np.zeros((dim, dim))
-    # bit positions count from the left: qubit 1 is the most significant bit
-    b1 = n - 1
-    bk = n - k
-    for i in range(dim):
-        v1 = (i >> b1) & 1
-        vk = (i >> bk) & 1
-        j = i & ~(1 << b1) & ~(1 << bk)
-        j |= vk << b1
-        j |= v1 << bk
-        perm[j, i] = 1.0
-    return perm
 
 
 def apply_cg(rho, cg):

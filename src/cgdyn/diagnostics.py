@@ -185,10 +185,7 @@ def _induced_map_from_products(channel, n):
 
 
 def _apply_affine(linear, shift, rho):
-    r = linear @ qcore.bloch_from_density(rho) + shift
-    return 0.5 * (
-        qcore.IDENTITY_2 + r[0] * qcore.SIGMA_X + r[1] * qcore.SIGMA_Y + r[2] * qcore.SIGMA_Z
-    )
+    return qcore.bloch_operator(linear @ qcore.bloch_from_density(rho) + shift)
 
 
 def equal_marginal_check(channel, n, samples=20, seed=0, tol=1e-10):

@@ -8,16 +8,16 @@ is evaluated along one of three routes. Each Hamiltonian spec declares
 itself as a sum of Pauli strings (`terms()`); the automatic route reads
 that structure, not the spec's class:
 
-* fast: all strings are z-only (a diagonal Hamiltonian). Product inputs
-  then have exact closed-form marginals, implemented for the local-field
-  model (with or without the n-body term), the Ising chain at g = 0 and
-  the second-qubit rotation. Being identities, they admit any site count.
+* fast: any z-only sum whose strings pairwise share at most one site once
+  equal supports are merged: the field with or without the n-body term,
+  the chain at g = 0, the second-qubit rotation, any two-body ZZ graph.
+  Product inputs then have exact closed-form marginals at any site count.
 * statevector: any other Hamiltonian with a pure effective input keeps
   2^n amplitudes instead of 4^n matrix entries. Above 12 qubits each grid
   point is a Krylov step (`expm_multiply`) from the previous one.
 * dense: everything else. Build the full 2^n state and conjugate by
   exp(-i H t) via a Hermitian eigendecomposition computed once per sweep.
-  A diagonal H (forced onto this route with method="dense") needs no
+  A diagonal H (any other z-only sum, or a forced method="dense") needs no
   eigendecomposition: its energies come straight from the z-only terms and
   each step is O(4^n) elementwise work.
 
@@ -28,8 +28,7 @@ The effective trajectory is generally nonlinear in the input state
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -205,7 +204,8 @@ class LocalZSecond:
 
 def spec_to_dict(spec):
     """JSON-friendly description of a Hamiltonian spec (for run metadata)."""
-    d = {"kind": type(spec).__name__, **asdict(spec)}
+    # fields, not asdict: asdict deep-copies a 10^4-site field's frequencies
+    d = {"kind": type(spec).__name__, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
     if "omegas" in d:
         # the field's site count is implicit in its frequencies; record it
         d["n"] = spec.n
@@ -227,59 +227,68 @@ def _sparse_hamiltonian(spec):
     return qcore.pauli_sum(spec.terms(), spec.n, sparse=True)
 
 
-def _is_diagonal(spec):
-    return all(axis == "z" for _, ops in spec.terms() for _, axis in ops)
+def _z_strings(spec):
+    """A diagonal H's strings merged by support (the two-site ring's doubled
+    bond becomes one -2J string), as one (sites, coeffs) pair per string
+    size with supports sorted and rows ascending; None unless all factors are z.
+    """
+    merged = {}
+    for coeff, ops in spec.terms():
+        sites = tuple(sorted(site for site, axis in ops if axis == "z"))
+        if len(sites) != len(ops):
+            return None
+        merged[sites] = merged[sites] + coeff if sites in merged else coeff
+    groups = []
+    for size in sorted({len(s) for s in merged} - {0}):  # an identity string is a phase
+        supports = sorted(s for s in merged if len(s) == size)
+        sites = np.array(supports, dtype=np.intp)
+        if sites.min() < 1 or sites.max() > spec.n or (np.diff(sites, axis=1) == 0).any():
+            raise ValueError(f"each Pauli string needs distinct sites in 1..{spec.n}")
+        groups.append((sites, np.array([merged[s] for s in supports], dtype=float)))
+    return groups
+
+
+def _fast_exact(groups):
+    """No two strings share two or more sites, so for every site k the other
+    sites of the strings containing k are disjoint and the fast route's
+    product of factors is exact. Merged two-site strings never share both."""
+    rows = [set(row) for sites, _ in groups if sites.shape[1] > 1 for row in sites.tolist()]
+    big = [i for i, row in enumerate(rows) if len(row) > 2]
+    return all(len(rows[i] & rows[j]) < 2 for i in big for j in range(len(rows)) if j != i)
 
 
 # ---------------------------------------------------------------------------
-# Fast product paths (exact closed forms)
+# Fast product route: the exact closed form for a z-only H = sum_S c_S Z_S
+# and a product input. Populations stay fixed; site k's coherence gains one
+# factor per string S containing k: exp(-2i c_S t) for S = {k}, otherwise
+# cos 2c_S t - i sin 2c_S t E[Z_{S-k}], the product of the other z values.
 
 
-def _fast_invariants(factors, spec):
-    """What every fast-path step reads, built once per trajectory: per-site
-    pop0 and coherence, plus the field's frequencies and n-body factors or
-    the chain's per-site (bond multiplicity, neighbour z) in ascending order.
-    """
+def _fast_invariants(factors, groups):
+    """Per-site pop0 and coherence, and per string size the 0-based sites,
+    coefficients and other-site z products (None for single sites)."""
     pop0 = np.array([f[0, 0].real for f in factors])
     coh = np.array([f[0, 1] for f in factors], dtype=complex)
     zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
-    couplings = None
-    if isinstance(spec, FieldAllToAll):
-        nbody = qcore.exclusive_products(zval) if spec.include_interaction else None
-        couplings = np.asarray(spec.omegas), nbody
-    elif isinstance(spec, IsingChain):
-        if spec.g != 0.0:
-            raise ValueError("fast path for the chain requires g = 0")
-        bonds = spec.bonds()
-        mult = Counter(bonds) + Counter((b, a) for a, b in bonds)
-        couplings = [[] for _ in range(spec.n_spins)]
-        for (j, m), b in sorted(mult.items()):
-            couplings[j - 1].append((b, zval[m - 1]))
-    elif not isinstance(spec, LocalZSecond):
-        raise ValueError(
-            f"{type(spec).__name__} has no fast product path; supported: "
-            "FieldAllToAll, IsingChain (g = 0), LocalZSecond"
-        )
-    return pop0, coh, couplings
+    steps = []
+    for sites, coeffs in groups:
+        others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[sites - 1])
+        steps.append((sites.ravel() - 1, coeffs, others))
+    return pop0, coh, steps
 
 
-def _fast_coherences(invariants, spec, t):
-    """Per-site (pop0, evolved coherence) at time t under a fast-path spec."""
-    pop0, coh, couplings = invariants
-    if isinstance(spec, FieldAllToAll):
-        omegas, nbody = couplings
-        out = coh * np.exp(-2j * omegas * t)
-        if nbody is not None:
-            out = out * (np.cos(2 * t) - 1j * np.sin(2 * t) * nbody)
-        return pop0, out
+def _fast_coherences(invariants, t):
+    """Per-site (pop0, evolved coherence) at time t on the fast route."""
+    pop0, coh, steps = invariants
     out = coh.copy()
-    if isinstance(spec, LocalZSecond):
-        out[1] *= np.exp(-1j * spec.omega * t)
-        return pop0, out
-    for j, sites in enumerate(couplings):
-        for b, z in sites:
-            ang = 2.0 * spec.J * b * t
-            out[j] *= np.cos(ang) + 1j * z * np.sin(ang)
+    for sites, coeffs, others in steps:
+        if others is None:
+            factor = np.exp(-2j * coeffs * t)
+        else:
+            ang = 2 * coeffs * t
+            factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * others
+        # scalar rounding, each site's factors in (size, support) order
+        np.multiply.at(out, sites, factor.ravel())
     return pop0, out
 
 
@@ -296,21 +305,13 @@ def _pure_site_vector(direction):
     )
 
 
-def _statevector_marginals(psi, n):
-    """All single-site 2x2 marginals of an n-qubit pure state."""
-    out = []
-    for k in range(1, n + 1):
-        a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
-        m = np.einsum("aib,ajb->ij", a, a.conj())
-        out.append(m)
-    return out
-
-
-def _effective_from_marginals(marginals, cg):
-    out = np.zeros((2, 2), dtype=complex)
-    for p, m in zip(cg.probs, marginals):
+def _effective_from_state(psi, cg):
+    """C(|psi><psi|): the weighted single-site marginals of a pure state."""
+    n, out = cg.n, np.zeros((2, 2), dtype=complex)
+    for k, p in enumerate(cg.probs, start=1):
         if p:
-            out += p * m
+            a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
+            out += p * np.einsum("aib,ajb->ij", a, a.conj())
     return out
 
 
@@ -318,19 +319,17 @@ def _effective_from_marginals(marginals, cg):
 # Pipeline
 
 
-def _route(spec, assigned, method):
-    pure_input = assigned.solution.is_pure
+def _route(spec, pure_input, method, strings):
+    """The route that runs, given the merged z strings (None unless H is
+    diagonal); ValueError when the chosen route cannot run this case."""
     if method not in ("auto", "dense", "fast", "statevector"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "auto":
-        return method
-    if _is_diagonal(spec):
-        return "fast"
-    return "statevector" if pure_input else "dense"
-
-
-def _check_route(spec, assigned, route):
-    pure_input = assigned.solution.is_pure
+    fast_ok = strings is not None and _fast_exact(strings)
+    route = method
+    if method == "auto":
+        route = "fast" if fast_ok else "statevector" if pure_input and strings is None else "dense"
+    if route == "fast" and not fast_ok:
+        raise ValueError("fast route needs z-only strings of which no two share two or more sites")
     if route == "statevector":
         if not pure_input:
             raise ValueError("statevector route requires a pure effective input")
@@ -339,11 +338,12 @@ def _check_route(spec, assigned, route):
     if route == "dense":
         if spec.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route capped at {DENSE_MAX_QUBITS} qubits")
-        if not pure_input and spec.n > DENSE_ISING_MIXED_MAX and not _is_diagonal(spec):
+        if not pure_input and spec.n > DENSE_ISING_MIXED_MAX and strings is None:
             raise ValueError(
                 f"mixed effective inputs under a non-diagonal Hamiltonian are capped at "
                 f"{DENSE_ISING_MIXED_MAX} sites; use a pure input"
             )
+    return route
 
 
 @dataclass
@@ -362,11 +362,8 @@ class Trajectory:
 def gamma_t(rho_eff, cg, spec, t, method="auto"):
     """One step of the effective dynamics at time t."""
     traj = trajectory(rho_eff, cg, spec, [t], method=method)
-    r = traj.bloch[0]
     # trajectory already policed the radius at the positivity floor
-    return 0.5 * (
-        qcore.IDENTITY_2 + r[0] * qcore.SIGMA_X + r[1] * qcore.SIGMA_Y + r[2] * qcore.SIGMA_Z
-    )
+    return qcore.bloch_operator(traj.bloch[0])
 
 
 def trajectory(rho_eff, cg, spec, times, method="auto"):
@@ -384,12 +381,12 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         raise ValueError("time grid must be strictly increasing")
 
     assigned = maxent.assign(rho_eff, cg)
-    route = _route(spec, assigned, method)
-    _check_route(spec, assigned, route)
+    strings = _z_strings(spec)
+    route = _route(spec, assigned.solution.is_pure, method, strings)
 
     bloch = np.empty((times.size, 3))
     if route == "dense":
-        if _is_diagonal(spec):
+        if strings is not None:
             evals, evecs = qcore.pauli_diagonal(spec.terms(), spec.n), None
         else:
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
@@ -399,9 +396,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
     elif route == "fast":
         probs = cg.probs
-        invariants = _fast_invariants(assigned.factors, spec)
+        invariants = _fast_invariants(assigned.factors, strings)
         for i, t in enumerate(times):
-            pop0, coh = _fast_coherences(invariants, spec, t)
+            pop0, coh = _fast_coherences(invariants, t)
             eff_pop0 = float(np.dot(probs, pop0))
             eff_coh = complex(np.dot(probs, coh))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
@@ -416,8 +413,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             coeff = evecs.conj().T @ psi0
             for i, t in enumerate(times):
                 psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
-                eff = _effective_from_marginals(_statevector_marginals(psi_t, spec.n), cg)
-                bloch[i] = qcore.bloch_from_density(eff)
+                bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
         else:
             from scipy.sparse.linalg import expm_multiply
 
@@ -428,8 +424,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
                 if t != t_prev:
                     psi_t = expm_multiply(a * (t - t_prev), psi_t)
                     t_prev = t
-                eff = _effective_from_marginals(_statevector_marginals(psi_t, spec.n), cg)
-                bloch[i] = qcore.bloch_from_density(eff)
+                bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
 
     radii_sq = np.sum(bloch * bloch, axis=1)
     # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
@@ -442,7 +437,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
     lam = assigned.solution.lam
     metadata = {
         "spec": spec_to_dict(spec),
-        "distribution": {"n": cg.n, "probs": [float(p) for p in cg.probs]},
+        "distribution": cg.to_dict(),
         "method": route,
         "lambda": ("inf" if math.isinf(lam) else float(lam)),
         "initial_bloch": [float(x) for x in qcore.bloch_from_density(np.asarray(rho_eff))],

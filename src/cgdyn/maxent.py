@@ -81,12 +81,12 @@ def solve_lambda(r_ef, cg, direction=None):
     if direction.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     dnorm = float(np.linalg.norm(direction))
-    if dnorm < 1e-15:
+    if dnorm < qcore.ZERO_RADIUS:
         raise ValueError("direction must be nonzero")
     direction = direction / dnorm
 
     r_ef = float(r_ef)
-    if not 0.0 <= r_ef <= 1.0 + 1e-12:
+    if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:
         raise ValueError(f"effective radius must lie in [0, 1], got {r_ef}")
     probs = cg.probs
 
@@ -125,11 +125,11 @@ def assign(rho_eff, cg):
         raise ValueError("effective state must be a single qubit")
     r = qcore.bloch_from_density(rho_eff)
     r_ef = float(np.linalg.norm(r))
-    if r_ef > 1.0 + 1e-12:
+    if r_ef > 1.0 + qcore.BLOCH_SLACK:
         raise ValueError(f"effective state has Bloch radius {r_ef} > 1")
     r_ef = min(r_ef, 1.0)
 
-    if r_ef < 1e-15:
+    if r_ef < qcore.ZERO_RADIUS:
         sol = LagrangeSolution(0.0, _DIRECTION_Z, np.zeros(cg.n))
         factors = tuple(qcore.IDENTITY_2 / 2.0 for _ in range(cg.n))
         return AssignedState(factors, cg, sol)

@@ -25,11 +25,16 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = {"i": IDENTITY_2, "x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 AXES = ("x", "y", "z")
 
-# Validation tolerances. PSD_FLOOR is the most negative eigenvalue a state
-# may show before it is treated as a hard numerical error, not noise.
+# Validation tolerances, one name per meaning. PSD_FLOOR is the most negative
+# eigenvalue a state may show before it is treated as a hard numerical error,
+# not noise.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
+BLOCH_SLACK = 1e-12  # a Bloch radius may exceed 1 by this much
+ZERO_RADIUS = 1e-15  # a radius or direction norm below this counts as zero
+WEIGHT_SUM_TOL = 1e-12  # site weights sum to one within this
+UNIFORM_WEIGHT_TOL = 1e-15  # weights within this of 1/n count as uniform
 
 
 class PositivityError(ArithmeticError):
@@ -214,15 +219,20 @@ def bloch_from_density(rho):
     return np.array([np.trace(PAULI[a] @ rho).real for a in AXES])
 
 
+def bloch_operator(r):
+    """(I + r . sigma)/2 for a real 3-vector r, unchecked: no ball test."""
+    return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+
+
 def density_from_bloch(r):
-    """Single-qubit state (I + r . sigma)/2; requires |r| <= 1 (+tiny slack)."""
+    """Single-qubit state (I + r . sigma)/2; requires |r| <= 1 + BLOCH_SLACK."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + 1e-12:
+    if norm > 1.0 + BLOCH_SLACK:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+    return bloch_operator(r)
 
 
 def purity(rho):
@@ -293,20 +303,22 @@ def evolve_unitary(rho, h, t):
 
 
 def exclusive_products(values):
-    """prod of all entries except index j, for every j, without division.
+    """prod of all entries except index j, for every j along the last axis,
+    without division.
 
     Division by the total would poison every slot as soon as one entry is
     zero; the prefix/suffix form keeps zeros local.
     """
     values = np.asarray(values)
-    n = len(values)
-    one = np.ones(1, dtype=values.dtype if values.dtype.kind == "c" else float)
+    n = values.shape[-1]
+    dtype = values.dtype if values.dtype.kind == "c" else float
+    one = np.ones(values.shape[:-1] + (1,), dtype=dtype)
     # pre[j] = v[0] ... v[j-1] and suf[j] = v[n-1] ... v[j+1]; each running
     # product starts from one, as in pre[j] = pre[j-1] * v[j-1], so the
     # rounding is that of the recurrence
-    pre = np.cumprod(np.concatenate((one, values[:-1])))[:n]
-    suf = np.cumprod(np.concatenate((one, values[:0:-1])))[:n][::-1]
-    return pre * suf
+    pre = np.cumprod(np.concatenate((one, values[..., :-1]), axis=-1), axis=-1)[..., :n]
+    suf = np.cumprod(np.concatenate((one, values[..., :0:-1]), axis=-1), axis=-1)[..., :n]
+    return pre * suf[..., ::-1]
 
 
 def random_density(dim, rng):
@@ -320,8 +332,3 @@ def random_pure(dim, rng):
     """Haar-uniform pure state vector of the given dimension."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_pure_density(dim, rng):
-    v = random_pure(dim, rng)
-    return np.outer(v, v.conj())

@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("cgdyn", derandomize=True, database=None)
+settings.load_profile("cgdyn")
 
 # one line per acceptance criterion, echoed after the run so the verdicts
 # survive output capturing

@@ -131,6 +131,57 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 0
     assert cli.main(["cnot", "--bloch", "1.000000001,0,0", "--t", "0.5"]) == 1
     capsys.readouterr()
+    # config values get the checks their flags get, and the message names the key
+    config = tmp_path / "config.json"
+    bad = [
+        ("cnot", "tmax", None), ("swap-kappa", "tmax", None), ("field", "tmax", None),
+        ("field", "interaction", "no"), ("field", "interaction", 1), ("field", "n", 3.5),
+        ("field", "n", True), ("field", "seed", "7"), ("cnot", "omega", "1"),
+        ("cnot", "bloch", None), ("ising", "boundary", "twisted"), ("diagnostics", "target", "x"),
+    ]
+    for experiment, key, value in bad:
+        config.write_text(json.dumps({key: value}))
+        assert cli.main([experiment, "--config", str(config)]) == 1, (experiment, key, value)
+        assert f"{key!r}" in capsys.readouterr().err, (experiment, key, value)
+    good = [
+        ("ising", "p1", None), ("ising", "bloch", None), ("field", "tmax", "4tc"),
+        ("cnot", "tmax", 3), ("field", "n", 4.0), ("field", "interaction", True),
+    ]
+    for experiment, key, value in good:
+        config.write_text(json.dumps({key: value}))
+        code, _ = _run(tmp_path, experiment, "--config", str(config), "--steps", "3")
+        assert code == 0, (experiment, key, value)
+    # a switch set to false in the file really is off
+    config.write_text(json.dumps({"interaction": False}))
+    code, _ = _run(tmp_path, "field", "--config", str(config), "--n", "3", "--steps", "3")
+    assert code == 0
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    assert meta["derived"]["spec"]["include_interaction"] is False
+
+
+def test_diagnostics_writes_sidecar(tmp_path, monkeypatch, capsys):
+    out, meta = tmp_path / "r.json", tmp_path / "m.json"
+    argv = ["diagnostics", "--target", "pce-mask", "--samples", "5", "-o", str(out)]
+    assert cli.main(argv + ["--metadata", str(meta)]) == 0
+    doc = json.loads(meta.read_text())
+    assert doc["experiment"] == "diagnostics"
+    assert doc["config"]["target"] == "pce-mask"
+    assert doc["derived"]["distribution"] == {"n": 2, "probs": [0.5, 0.5]}
+    # a model target records its spec and weights, next to the report by default
+    code, _ = _run(
+        tmp_path, "diagnostics", "--samples", "3", "--steps", "2", name="swap.json"
+    )
+    assert code == 0
+    derived = json.loads((tmp_path / "swap.meta.json").read_text())["derived"]
+    assert derived["spec"] == {"kind": "Swap", "omega": 1.0}
+    assert derived["distribution"]["probs"] == pytest.approx([0.7, 0.3])
+    # a report on stdout with no --metadata path writes no file
+    run_dir = tmp_path / "stdout"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert cli.main(["diagnostics", "--target", "pce-mask", "--samples", "5", "-o", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["target"] == "pce-mask"
+    assert list(run_dir.iterdir()) == []
 
 
 def test_linear_nm_static_at_zero_omega(tmp_path):

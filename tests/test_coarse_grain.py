@@ -10,7 +10,6 @@ from cgdyn.coarse_grain import (
     make_distribution,
     non_preferential,
     preferential,
-    swap_permutation,
 )
 
 
@@ -94,6 +93,29 @@ def test_apply_cg_is_a_channel(rng):
         qcore.trace_norm(apply_cg(mix, cg) - 0.3 * apply_cg(a, cg) - 0.7 * apply_cg(b, cg))
         < 1e-13
     )
+
+
+def swap_permutation(n, k):
+    """Permutation matrix exchanging tensor slots 1 and k (1-based).
+
+    k = 1 returns the identity. The defining expression that the marginal
+    shortcut in apply_cg is checked against.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"slot index k={k} outside 1..{n}")
+    dim = 2 ** n
+    perm = np.zeros((dim, dim))
+    # bit positions count from the left: qubit 1 is the most significant bit
+    b1 = n - 1
+    bk = n - k
+    for i in range(dim):
+        v1 = (i >> b1) & 1
+        vk = (i >> bk) & 1
+        j = i & ~(1 << b1) & ~(1 << bk)
+        j |= vk << b1
+        j |= v1 << bk
+        perm[j, i] = 1.0
+    return perm
 
 
 def test_swap_permutation_cross_checks_apply_cg(rng):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgdyn import evolve, maxent, qcore
 from cgdyn.coarse_grain import apply_cg, custom, non_preferential, preferential
@@ -244,7 +247,8 @@ def test_fast_coherences_match_dense(rng):
     t = 1.3
     for spec in cases:
         factors = [qcore.random_density(2, rng) for _ in range(spec.n)]
-        pop0, coh = evolve._fast_coherences(evolve._fast_invariants(factors, spec), spec, t)
+        invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
+        pop0, coh = evolve._fast_coherences(invariants, t)
         rho_t = qcore.evolve_unitary(qcore.kron(factors), evolve.build_hamiltonian(spec), t)
         for k in range(spec.n):
             want = qcore.partial_trace(rho_t, [k + 1], spec.n)
@@ -390,3 +394,105 @@ def test_krylov_steps_match_per_point_oracle():
             a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
             eff += p * np.einsum("aib,ajb->ij", a, a.conj())
         assert np.abs(got - qcore.bloch_from_density(eff)).max() < 1e-10, t
+
+
+@dataclass(frozen=True)
+class _ZSum:
+    """A z-only Pauli sum given as (coeff, sites) pairs, sites in any order."""
+
+    n: int
+    strings: tuple
+
+    def terms(self):
+        for coeff, sites in self.strings:
+            yield coeff, tuple((k, "z") for k in sites)
+
+
+@st.composite
+def _z_sum_cases(draw):
+    n = draw(st.integers(2, 6))
+    coeff = st.floats(-2.0, 2.0, allow_nan=False)
+    support = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+    kind = draw(st.sampled_from(["repeats", "ring", "graph", "overlap"]))
+    if kind == "repeats":  # a few supports, each drawn again in either order
+        pool = draw(st.lists(support, min_size=1, max_size=4))
+        strings = []
+        for _ in range(draw(st.integers(1, 7))):
+            sites = draw(st.sampled_from(pool))
+            strings.append((draw(coeff), sites[::-1] if draw(st.booleans()) else sites))
+    elif kind == "ring":  # the two-site ring's doubled bond, with fields
+        j = draw(coeff)
+        strings = [(j, (1, 2)), (j, (2, 1))] + [(draw(coeff), (k,)) for k in range(1, n + 1)]
+    elif kind == "graph":  # two-body ZZ on a random coupling graph, with fields
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        strings = [(draw(coeff), e) for e in edges] + [(draw(coeff), (k,)) for k in range(1, n + 1)]
+    else:  # a string sharing two sites with a longer one, among random others
+        n = max(n, 3)
+        a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
+        strings = [(draw(coeff), (a, b, c)), (draw(coeff), (b, a))]
+        extra = st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        strings += [(draw(coeff), s) for s in draw(st.lists(extra, max_size=3))]
+    pure = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.dirichlet(np.ones(n))
+    if not pure:  # zero weights are allowed for mixed inputs only
+        probs[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+        if probs.sum() == 0.0:
+            probs[0] = 1.0
+    direction = rng.normal(size=3)
+    radius = 1.0 if pure else draw(st.floats(0.05, 0.95))
+    bloch = radius * direction / np.linalg.norm(direction)
+    return _ZSum(n, tuple(strings)), custom(probs / probs.sum()), bloch
+
+
+def _shares_two_sites(strings):
+    # the eligibility rule, written independently: merged supports, pairwise
+    supports = list({frozenset(sites) for _, sites in strings})
+    return any(len(a & b) > 1 for i, a in enumerate(supports) for b in supports[i + 1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_z_sum_cases())
+def test_fast_route_matches_diagonal_dense(case):
+    spec, cg, bloch = case
+    rho0 = qcore.density_from_bloch(bloch)
+    times = [0.0, 0.37, 1.3, 2.9]
+    dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
+    auto = evolve.trajectory(rho0, cg, spec, times)
+    if _shares_two_sites(spec.strings):
+        assert auto.metadata["method"] == "dense"
+        assert np.array_equal(auto.bloch, dense.bloch)
+        with pytest.raises(ValueError, match="share two or more sites"):
+            evolve.trajectory(rho0, cg, spec, times, method="fast")
+    else:
+        assert auto.metadata["method"] == "fast"
+        assert np.abs(auto.bloch - dense.bloch).max() < 1e-12
+
+
+def test_fast_chain_keeps_scalar_rounding(rng):
+    # a per-bond loop multiplies each site's factors one scalar at a time in
+    # ascending partner order; the fast route keeps those bytes, which the
+    # shipped g = 0 chain sweep pins
+    t = 1.3
+    for n, boundary in ((2, "closed"), (2, "open"), (3, "closed"), (6, "closed"), (6, "open")):
+        spec = evolve.IsingChain(n_spins=n, J=0.9, g=0.0, boundary=boundary)
+        factors = [qcore.random_density(2, rng) for _ in range(n)]
+        invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
+        _, got = evolve._fast_coherences(invariants, t)
+        zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
+        want = np.array([f[0, 1] for f in factors], dtype=complex)
+        for j in range(1, n + 1):
+            bonds = spec.bonds()
+            partners = [b for a, b in bonds if a == j] + [a for a, b in bonds if b == j]
+            for m in sorted(set(partners)):
+                ang = 2.0 * spec.J * partners.count(m) * t
+                want[j - 1] *= np.cos(ang) + 1j * zval[m - 1] * np.sin(ang)
+        assert got.tobytes() == want.tobytes(), (n, boundary)
+
+
+def test_fast_route_rejects_bad_sites():
+    rho0 = qcore.density_from_bloch([0.3, 0.1, 0.2])
+    for strings in (((1.0, (0,)),), ((1.0, (4,)),), ((1.0, (2, 2)),), ((0.5, (1, 3, 4)),)):
+        with pytest.raises(ValueError, match="distinct sites"):
+            evolve.trajectory(rho0, non_preferential(3), _ZSum(3, strings), [0.0, 1.0])

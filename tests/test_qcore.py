@@ -218,6 +218,10 @@ def test_exclusive_products_matches_loop(rng):
                     got = qcore.exclusive_products(vals)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes(), (n, complex_input, zeros)
+            # stacked rows act along the last axis with each row's 1-d bytes
+            rows = np.stack([vals, vals[::-1], rng.permutation(vals)])
+            want = np.stack([_exclusive_products_loop(row) for row in rows])
+            assert qcore.exclusive_products(rows).tobytes() == want.tobytes(), n
 
 
 def test_exclusive_products_brute_force(rng):
@@ -240,5 +244,6 @@ def test_random_density_is_a_state(rng):
 
 
 def test_random_pure_density_rank_one(rng):
-    rho = qcore.random_pure_density(4, rng)
+    v = qcore.random_pure(4, rng)
+    rho = np.outer(v, v.conj())
     assert qcore.purity(rho) == pytest.approx(1.0, abs=1e-12)
