@@ -11,7 +11,6 @@ from .coarse_grain import (
     apply_cg,
     custom,
     fuzzy_operator,
-    make_distribution,
     non_preferential,
     preferential,
 )
@@ -30,7 +29,6 @@ from .evolve import (
 )
 from .channels import (
     EllipseParams,
-    KappaCurve,
     cnot_effective,
     dephase,
     depolarize,
@@ -43,7 +41,6 @@ from .channels import (
     linear_nm_effective,
     pauli_component_mask,
     swap_effective,
-    swap_kappa_curve,
     swap_rate,
     total_dephasing,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "EqualMarginalReport",
     "FieldAllToAll",
     "IsingChain",
-    "KappaCurve",
     "LagrangeSolution",
     "LinearityReport",
     "LocalZSecond",
@@ -101,7 +97,6 @@ __all__ = [
     "linear_nm_circle",
     "linear_nm_effective",
     "linearity_probe",
-    "make_distribution",
     "negative_rate_intervals",
     "non_preferential",
     "partial_trace",
@@ -111,7 +106,6 @@ __all__ = [
     "semigroup_gap",
     "solve_lambda",
     "swap_effective",
-    "swap_kappa_curve",
     "swap_rate",
     "total_dephasing",
     "trajectory",

@@ -86,25 +86,6 @@ def swap_rate(t, cg, r1, r2, omega=1.0):
     return num / _kappa_numerator(t, cg, r1, r2, omega)
 
 
-@dataclass(frozen=True)
-class KappaCurve:
-    """kappa(t) and its logarithmic rate on a shared grid."""
-
-    times: np.ndarray
-    kappa: np.ndarray
-    rate: np.ndarray
-
-
-def swap_kappa_curve(times, cg, r1, r2, omega=1.0):
-    times = np.asarray(times, dtype=float)
-    r_ef0 = float(cg.probs[0] * r1 + cg.probs[1] * r2)
-    return KappaCurve(
-        times=times,
-        kappa=kappa_swap(times, cg, r1, r2, r_ef0, omega=omega),
-        rate=swap_rate(times, cg, r1, r2, omega=omega),
-    )
-
-
 def swap_effective(rho_eff, cg, t, omega=1.0):
     """Effective state of the exchange model: kappa-depolarized input."""
     assigned = maxent.assign(rho_eff, cg)

@@ -23,13 +23,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__, channels, diagnostics, evolve, maxent, qcore
-from .coarse_grain import apply_cg, make_distribution, preferential  # noqa: F401 (cli.preferential)
+from .coarse_grain import apply_cg, custom, non_preferential, preferential
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -71,16 +70,35 @@ def _load_config(path, experiment):
     return cfg
 
 
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, size=None):
+    """A flat JSON list of numbers, of `size` entries if given."""
+    return isinstance(value, list) and all(map(_number, value)) and size in (None, len(value))
+
+
+# the JSON shapes a config file may give the keys whose flags take strings
+_SHAPES = {
+    **dict.fromkeys(("target", "boundary", "output", "metadata"), lambda v: isinstance(v, str)),
+    "tmax": lambda v: isinstance(v, str) or _number(v),
+    **dict.fromkeys(("bloch", "probs"), lambda v: isinstance(v, str) or _numbers(v)),
+    "state": lambda v: isinstance(v, list) and all(isinstance(i, str) or _numbers(i, 2) for i in v),
+}
+
+
 def _config_value(key, value, default):
     """A config-file value, checked as its flag's type and choices check the
     flag: null only where the row's default is null, a JSON boolean for a
-    switch, an integral number for an int key and a number for a float key."""
+    switch, an integral number for an int key, a number for a float key and
+    the `_SHAPES` entry for a string key."""
     opts = _FLAGS[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = _number(value)
     kind = bool if opts.get("action") is argparse.BooleanOptionalAction else opts.get("type")
     integral = number and (isinstance(value, int) or value.is_integer())
-    ok = {bool: isinstance(value, bool), int: integral, float: number}.get(
-        kind, number or isinstance(value, (str, list)))
+    checks = {bool: isinstance(value, bool), int: integral, float: number}
+    ok = checks[kind] if kind else _SHAPES[key](value)
     if value is None:
         ok = default is None
     elif "choices" in opts:
@@ -108,9 +126,11 @@ def _weights(res, n):
     """Explicit probs win over p1; neither gives equal weights."""
     probs, p1 = res.get("probs"), res.get("p1")
     if probs is not None:
-        probs = _floats(probs) if isinstance(probs, str) else probs
-        return make_distribution("custom", n, probs=probs)
-    return make_distribution("non-preferential" if p1 is None else "preferential", n, p1=p1)
+        cg = custom(_floats(probs) if isinstance(probs, str) else probs)
+        if cg.n != n:
+            raise ValueError(f"custom weights have length {cg.n}, expected n={n}")
+        return cg
+    return non_preferential(n) if p1 is None else preferential(n, p1)
 
 
 def _check_grid(tmax, steps, least):
@@ -272,13 +292,14 @@ def _static_closure(channel, cg):
     return dyn
 
 
-# target: (weights, spec) for the pipeline targets, the joint channel for the rest
+# target: (True for preferential weights, False for equal ones; spec) for the pipeline
+# targets, the joint channel for the rest
 _DIAG_MODELS = {
-    "swap": ("preferential", lambda res: evolve.Swap(omega=res["omega"])),
-    "cnot": ("preferential", lambda res: evolve.Cnot(omega=res["omega"])),
-    "ising": ("non-preferential", lambda res: evolve.IsingChain(
+    "swap": (True, lambda res: evolve.Swap(omega=res["omega"])),
+    "cnot": (True, lambda res: evolve.Cnot(omega=res["omega"])),
+    "ising": (False, lambda res: evolve.IsingChain(
         n_spins=int(res["n"]), J=res["J"], g=res["g"], boundary="closed")),
-    "linear-nm": ("non-preferential", lambda res: evolve.LocalZSecond(omega=res["omega"])),
+    "linear-nm": (False, lambda res: evolve.LocalZSecond(omega=res["omega"])),
 }
 _DIAG_CHANNELS = {
     "total-dephasing": channels.total_dephasing,
@@ -297,9 +318,9 @@ def _run_diagnostics(res):
     derived = {}
 
     if target in _DIAG_MODELS:
-        weights, make_spec = _DIAG_MODELS[target]
+        preferred, make_spec = _DIAG_MODELS[target]
         spec = make_spec(res)
-        cg = make_distribution(weights, spec.n, p1=res["p1"])
+        cg = preferential(spec.n, res["p1"]) if preferred else non_preferential(spec.n)
         if target == "linear-nm" and not res["omega"]:
             raise ValueError("the linear-nm target probes t = pi/omega, so omega must be nonzero")
         derived = {"spec": evolve.spec_to_dict(spec), "distribution": cg.to_dict()}
@@ -332,7 +353,7 @@ def _run_diagnostics(res):
         channel = _DIAG_CHANNELS[target]
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = eq.to_dict()
-        cg = make_distribution("non-preferential", n)
+        cg = non_preferential(n)
         derived = {"distribution": cg.to_dict()}
         lin = diagnostics.linearity_probe(
             _static_closure(channel, cg), 0.0, samples=samples, seed=seed
@@ -341,7 +362,7 @@ def _run_diagnostics(res):
     else:  # dyson
         rho0 = qcore.density_from_bloch(_parse_bloch(res))
         ns = list(range(2, int(res["n_max"]) + 1))
-        norms = diagnostics.dyson_decay([make_distribution("non-preferential", n) for n in ns], rho0)
+        norms = diagnostics.dyson_decay([non_preferential(n) for n in ns], rho0)
         report["dyson"] = {
             "n": ns,
             "trace_norms": [float(v) for v in norms],
@@ -379,25 +400,11 @@ def _run_sweep(res):
         res["t"] = None
     times = _time_grid(res)
     states = _sweep_states(res)
-
-    def one(th, ph):
-        traj = evolve.trajectory(qcore.density_from_bloch(_polar(th, ph)), cg, spec, times)
-        return traj.bloch, traj.purity
-
-    env = os.environ.get("CGDYN_NUM_THREADS", "")
-    workers = int(env) if env else None
-    if workers is not None and workers < 1:
-        raise ValueError(f"CGDYN_NUM_THREADS must be positive, got {env!r}")
-
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, th, ph) for th, ph in states]
-        # iterate in submission order so output order never depends on timing
-        for idx, fut in enumerate(futures):
-            bloch, purity = fut.result()
-            th, ph = states[idx]
-            for t, b, p in zip(times, bloch, purity):
-                rows.append((idx, th, ph, t, b[0], b[1], b[2], p))
+    for idx, (th, ph) in enumerate(states):
+        traj = evolve.trajectory(qcore.density_from_bloch(_polar(th, ph)), cg, spec, times)
+        for t, b, p in zip(times, traj.bloch, traj.purity):
+            rows.append((idx, th, ph, t, b[0], b[1], b[2], p))
 
     header = ["state", "theta", "phi", "t", "rx", "ry", "rz", "purity"]
     _write(res["output"], _csv(header, rows))
@@ -405,7 +412,6 @@ def _run_sweep(res):
         "spec": evolve.spec_to_dict(spec),
         "distribution": cg.to_dict(),
         "states": int(states.shape[0]),
-        "workers": workers if workers is not None else "default",
     }
 
 

@@ -49,10 +49,6 @@ class CoarseGraining:
         """The weights as JSON-friendly run metadata."""
         return {"n": self.n, "probs": [float(p) for p in self.probs]}
 
-    @property
-    def is_uniform(self):
-        return bool(np.allclose(self.probs, 1.0 / self.n, rtol=0.0, atol=qcore.UNIFORM_WEIGHT_TOL))
-
 
 def non_preferential(n):
     """Uniform weights 1/n over all sites."""
@@ -79,28 +75,6 @@ def custom(probs):
     if probs.ndim != 1:
         raise ValueError("custom weights must be a flat vector")
     return CoarseGraining(probs.shape[0], probs)
-
-
-def make_distribution(kind, n, p1=None, probs=None):
-    """Dispatch helper for config-driven construction.
-
-    kind in {"non-preferential", "preferential", "custom"}.
-    """
-    kind = str(kind).lower().replace("_", "-")
-    if kind == "non-preferential":
-        return non_preferential(n)
-    if kind == "preferential":
-        if p1 is None:
-            raise ValueError("preferential distribution requires p1")
-        return preferential(n, p1)
-    if kind == "custom":
-        if probs is None:
-            raise ValueError("custom distribution requires a weight vector")
-        cg = custom(probs)
-        if cg.n != n:
-            raise ValueError(f"custom weights have length {cg.n}, expected n={n}")
-        return cg
-    raise ValueError(f"unknown distribution kind {kind!r}")
 
 
 def apply_cg(rho, cg):

@@ -238,11 +238,10 @@ def effective_commutator(cg, rho_eff):
     sum_k p_k [rho_k, Z] prod_{j != k} z_j; the product of z-components is
     what shrinks exponentially with n and buries the odd expansion terms.
     """
-    assigned = maxent.assign(rho_eff, cg)
-    zvals = np.array([(f[0, 0] - f[1, 1]).real for f in assigned.factors])
-    excl = qcore.exclusive_products(zvals)
+    factors = maxent.assign(rho_eff, cg).factors
+    excl = qcore.exclusive_products((factors[:, 0, 0] - factors[:, 1, 1]).real)
     out = np.zeros((2, 2), dtype=complex)
-    for k, (p, f) in enumerate(zip(cg.probs, assigned.factors)):
+    for k, (p, f) in enumerate(zip(cg.probs, factors)):
         if p == 0.0:
             continue
         out += p * excl[k] * (f @ qcore.SIGMA_Z - qcore.SIGMA_Z @ f)

@@ -267,9 +267,9 @@ def _fast_exact(groups):
 def _fast_invariants(factors, groups):
     """Per-site pop0 and coherence, and per string size the 0-based sites,
     coefficients and other-site z products (None for single sites)."""
-    pop0 = np.array([f[0, 0].real for f in factors])
-    coh = np.array([f[0, 1] for f in factors], dtype=complex)
-    zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
+    pop0 = factors[:, 0, 0].real.copy()
+    coh = factors[:, 0, 1]
+    zval = (factors[:, 0, 0] - factors[:, 1, 1]).real
     steps = []
     for sites, coeffs in groups:
         others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[sites - 1])

@@ -26,10 +26,6 @@ import numpy as np
 from . import qcore
 from .coarse_grain import CoarseGraining
 
-# Effective radius beyond which the input is treated as pure and the
-# finite-lambda solve is bypassed (lambda diverges there).
-PURE_RADIUS = 1.0 - 1e-9
-
 _BISECT_ITERS = 200
 _DIRECTION_Z = np.array([0.0, 0.0, 1.0])
 
@@ -54,9 +50,9 @@ class LagrangeSolution:
 
 @dataclass(frozen=True)
 class AssignedState:
-    """Product state rho_1 x ... x rho_n stored as its 2x2 factors."""
+    """Product state rho_1 x ... x rho_n stored as its (n, 2, 2) factors."""
 
-    factors: tuple
+    factors: np.ndarray
     cg: CoarseGraining
     solution: LagrangeSolution
 
@@ -90,7 +86,7 @@ def solve_lambda(r_ef, cg, direction=None):
         raise ValueError(f"effective radius must lie in [0, 1], got {r_ef}")
     probs = cg.probs
 
-    if r_ef >= PURE_RADIUS:
+    if r_ef >= qcore.PURE_RADIUS:
         per = np.where(probs > 0.0, 1.0, 0.0)
         return LagrangeSolution(math.inf, direction, per)
     if r_ef == 0.0:
@@ -130,20 +126,23 @@ def assign(rho_eff, cg):
     r_ef = min(r_ef, 1.0)
 
     if r_ef < qcore.ZERO_RADIUS:
-        sol = LagrangeSolution(0.0, _DIRECTION_Z, np.zeros(cg.n))
-        factors = tuple(qcore.IDENTITY_2 / 2.0 for _ in range(cg.n))
-        return AssignedState(factors, cg, sol)
-
-    direction = r / r_ef
-    sol = solve_lambda(r_ef, cg, direction=direction)
-    if sol.is_pure and (cg.probs <= 0.0).any():
-        raise ValueError(
-            "pure effective state with a zero-weight site: the assignment "
-            "is not defined (that factor is unconstrained)"
-        )
-    factors = tuple(
-        qcore.density_from_bloch(sol.per_particle_r[k] * direction) for k in range(cg.n)
-    )
+        direction = _DIRECTION_Z
+        sol = LagrangeSolution(0.0, direction, np.zeros(cg.n))
+    else:
+        direction = r / r_ef
+        sol = solve_lambda(r_ef, cg, direction=direction)
+        if sol.is_pure and (cg.probs <= 0.0).any():
+            raise ValueError(
+                "pure effective state with a zero-weight site: the assignment "
+                "is not defined (that factor is unconstrained)"
+            )
+    site_r = sol.per_particle_r[:, None] * direction
+    norm = float(np.linalg.norm(site_r, axis=1).max())
+    if norm > 1.0 + qcore.BLOCH_SLACK:
+        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    # every product is by 0, +-1 or 0.5, so each factor is exactly bloch_operator's
+    x, y, z = site_r.T[:, :, None, None]
+    factors = 0.5 * (qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z)
     return AssignedState(factors, cg, sol)
 
 

@@ -34,7 +34,7 @@ PSD_FLOOR = -1e-10
 BLOCH_SLACK = 1e-12  # a Bloch radius may exceed 1 by this much
 ZERO_RADIUS = 1e-15  # a radius or direction norm below this counts as zero
 WEIGHT_SUM_TOL = 1e-12  # site weights sum to one within this
-UNIFORM_WEIGHT_TOL = 1e-15  # weights within this of 1/n count as uniform
+PURE_RADIUS = 1.0 - 1e-9  # an effective radius from here up is pure (lambda diverges)
 
 
 class PositivityError(ArithmeticError):
@@ -70,15 +70,6 @@ def kron(factors):
             raise ValueError("kron factors must be square matrices")
         out = np.kron(out, f)
     return out
-
-
-def embed(op, k, n):
-    """Place a single-qubit operator on slot k (1-based) of an n-qubit register."""
-    if not 1 <= k <= n:
-        raise ValueError(f"slot index k={k} outside 1..{n}")
-    ops = [IDENTITY_2] * n
-    ops[k - 1] = np.asarray(op, dtype=complex)
-    return kron(ops)
 
 
 def _parity(v, n):
@@ -235,11 +226,6 @@ def density_from_bloch(r):
     return bloch_operator(r)
 
 
-def purity(rho):
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
-
-
 def trace_norm(a):
     """Schatten 1-norm: sum of singular values."""
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
@@ -296,12 +282,6 @@ def propagate(evals, evecs, rho, t):
     return u @ rho @ u.conj().T
 
 
-def evolve_unitary(rho, h, t):
-    """Conjugate rho by exp(-i h t); h must be Hermitian."""
-    evals, evecs = eigensystem(h)
-    return propagate(evals, evecs, np.asarray(rho, dtype=complex), t)
-
-
 def exclusive_products(values):
     """prod of all entries except index j, for every j along the last axis,
     without division.
@@ -326,9 +306,3 @@ def random_density(dim, rng):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
     return m / np.trace(m).real
-
-
-def random_pure(dim, rng):
-    """Haar-uniform pure state vector of the given dimension."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -258,7 +258,7 @@ def test_criterion_9_ising_invariants(acceptance_report):
     h = evolve.build_hamiltonian(spec)
     trans_worst = 0.0
     for t in np.linspace(0.2, 2.0, 7):
-        rho_t = qcore.evolve_unitary(rho0, h, t)
+        rho_t = qcore.propagate(*qcore.eigensystem(h), rho0, t)
         marginals = [qcore.partial_trace(rho_t, [k], 4) for k in range(1, 5)]
         for m in marginals[1:]:
             trans_worst = max(trans_worst, qcore.trace_norm(m - marginals[0]))

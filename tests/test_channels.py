@@ -95,9 +95,10 @@ def test_swap_rate_sign_structure():
 
 
 def test_kappa_curve_invariants():
-    curve = channels.swap_kappa_curve(np.linspace(0, 7, 100), preferential(2, 0.9), 0.9, 0.2)
-    assert curve.kappa[0] == pytest.approx(1.0)
-    assert curve.kappa.min() > 0.0 and curve.kappa.max() <= 1.0 + 1e-12
+    cg = preferential(2, 0.9)
+    kappa = channels.kappa_swap(np.linspace(0, 7, 100), cg, 0.9, 0.2, 0.9 * 0.9 + 0.1 * 0.2)
+    assert kappa[0] == pytest.approx(1.0)
+    assert kappa.min() > 0.0 and kappa.max() <= 1.0 + 1e-12
 
 
 def test_swap_effective_matches_pipeline(rng):
@@ -208,7 +209,7 @@ def test_ellipse_matches_dense_pipeline(rng):
         rho0 = qcore.kron([qcore.density_from_bloch(r1), qcore.density_from_bloch(r2)])
         pred = channels.ellipse_params(r1, r2, cg).predict(ts)
         for i, t in enumerate(ts):
-            eff = apply_cg(qcore.evolve_unitary(rho0, h, t), cg)
+            eff = apply_cg(qcore.propagate(*qcore.eigensystem(h), rho0, t), cg)
             assert np.abs(qcore.bloch_from_density(eff) - pred[i]).max() < 1e-9
 
 

@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import os
+import importlib
 import platform
+import re
 import shlex
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from cgdyn import channels, cli, coarse_grain, evolve, qcore
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _run(tmp_path, *argv, name="out.csv"):
@@ -130,7 +133,9 @@ def test_exit_codes(tmp_path, capsys):
     code, _ = _run(tmp_path, "cnot", "--bloch", "1.0000000000008,0,0", "--t", "0.5")
     assert code == 0
     assert cli.main(["cnot", "--bloch", "1.000000001,0,0", "--t", "0.5"]) == 1
-    capsys.readouterr()
+    # explicit weights must cover every site
+    assert cli.main(["cnot", "--probs", "0.2,0.3,0.5"]) == 1
+    assert "length 3, expected n=2" in capsys.readouterr().err
     # config values get the checks their flags get, and the message names the key
     config = tmp_path / "config.json"
     bad = [
@@ -138,14 +143,23 @@ def test_exit_codes(tmp_path, capsys):
         ("field", "interaction", "no"), ("field", "interaction", 1), ("field", "n", 3.5),
         ("field", "n", True), ("field", "seed", "7"), ("cnot", "omega", "1"),
         ("cnot", "bloch", None), ("ising", "boundary", "twisted"), ("diagnostics", "target", "x"),
+        # each string flag's key has its own JSON shape
+        ("cnot", "output", 1), ("cnot", "metadata", 5), ("cnot", "tmax", [1]),
+        ("cnot", "bloch", [[1]]), ("cnot", "probs", [0.5, "0.5"]), ("sweep", "state", "0,0"),
+        ("sweep", "state", [[0.1, 0.2, 0.3]]), ("sweep", "state", [[0.1, [0.2]]]),
     ]
+    config.write_text("{}")
+    files = sorted(tmp_path.iterdir())
     for experiment, key, value in bad:
-        config.write_text(json.dumps({key: value}))
+        config.write_text(json.dumps({key: value, "t": 0.5}))
         assert cli.main([experiment, "--config", str(config)]) == 1, (experiment, key, value)
-        assert f"{key!r}" in capsys.readouterr().err, (experiment, key, value)
+        captured = capsys.readouterr()
+        assert f"config key {key!r} cannot be" in captured.err, (experiment, key, value)
+        assert captured.out == "" and sorted(tmp_path.iterdir()) == files, (experiment, key, value)
     good = [
         ("ising", "p1", None), ("ising", "bloch", None), ("field", "tmax", "4tc"),
         ("cnot", "tmax", 3), ("field", "n", 4.0), ("field", "interaction", True),
+        ("cnot", "bloch", [0.6, 0, 0.3]), ("sweep", "state", ["0,0", [0.8, 0.3]]),
     ]
     for experiment, key, value in good:
         config.write_text(json.dumps({key: value}))
@@ -285,11 +299,9 @@ def test_rows_stay_inside_bloch_ball(tmp_path):
     assert (np.sum(data[:, 1:4] ** 2, axis=1) <= 1.0 + 1e-9).all()
 
 
-def test_sweep_rows_and_thread_invariance(tmp_path, monkeypatch):
+def test_sweep_rows_and_thread_invariance(tmp_path):
     args = ["sweep", "--states", "6", "--g", "0.5", "--t", "0.9"]
-    monkeypatch.setenv("CGDYN_NUM_THREADS", "1")
     _, a = _run(tmp_path, *args, name="a.csv")
-    monkeypatch.setenv("CGDYN_NUM_THREADS", "3")
     _, b = _run(tmp_path, *args, name="b.csv")
     assert a.read_bytes() == b.read_bytes()
     header, data = _read_csv(a)
@@ -393,9 +405,8 @@ def test_shipped_configs_reproduce_checksums(tmp_path):
 
 def test_readme_cli_lines_parse():
     # every `cgdyn ...` line in the README's fenced blocks is a valid command
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     lines, fenced = [], False
-    for line in open(readme, encoding="utf-8").read().splitlines():
+    for line in open(README, encoding="utf-8").read().splitlines():
         if line.startswith("```"):
             fenced = not fenced
         elif fenced and line.startswith("cgdyn "):
@@ -409,3 +420,23 @@ def test_readme_cli_lines_parse():
         except SystemExit:
             bad.append(line)
     assert not bad, bad
+
+
+def test_readme_layout_names_exist():
+    # every bare `name` in a `cgdyn.<module>` bullet of "Library layout" is an
+    # attribute of that module or a route `trajectory(..., method=...)` takes
+    text = open(README, encoding="utf-8").read()
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    bullets = [" ".join(b.split()) for b in section.split("\n- ")[1:]]
+    routes = {"auto", "dense", "fast", "statevector"}
+    stale, modules = [], []
+    for bullet in bullets:
+        module = re.match(r"`cgdyn\.(\w+)`", bullet)
+        assert module, bullet
+        mod = importlib.import_module(f"cgdyn.{module.group(1)}")
+        modules.append(mod.__name__)
+        for name in re.findall(r"`([A-Za-z_]\w*)`", bullet):
+            if not hasattr(mod, name) and name not in routes:
+                stale.append(f"{mod.__name__}: {name}")
+    assert len(modules) == 6, modules
+    assert not stale, stale

@@ -7,7 +7,6 @@ from cgdyn.coarse_grain import (
     apply_cg,
     custom,
     fuzzy_operator,
-    make_distribution,
     non_preferential,
     preferential,
 )
@@ -15,14 +14,12 @@ from cgdyn.coarse_grain import (
 
 def test_non_preferential_uniform():
     cg = non_preferential(4)
-    assert np.allclose(cg.probs, 0.25)
-    assert cg.is_uniform
+    assert np.allclose(cg.probs, 0.25, rtol=0.0, atol=1e-15)
 
 
 def test_preferential_remainder_split():
     cg = preferential(3, 0.7)
     assert np.allclose(cg.probs, [0.7, 0.15, 0.15])
-    assert not cg.is_uniform
     assert np.allclose(preferential(2, 0.5).probs, [0.5, 0.5])
 
 
@@ -58,17 +55,6 @@ def test_constructor_validates():
         CoarseGraining(1, np.array([1.0]))
     with pytest.raises(ValueError):
         CoarseGraining(3, np.array([0.5, 0.5]))
-
-
-def test_make_distribution_dispatch():
-    assert make_distribution("non-preferential", 3).is_uniform
-    assert make_distribution("non_preferential", 3).is_uniform
-    assert np.allclose(make_distribution("preferential", 2, p1=0.8).probs, [0.8, 0.2])
-    assert make_distribution("custom", 2, probs=[0.3, 0.7]).probs[1] == 0.7
-    with pytest.raises(ValueError):
-        make_distribution("preferential", 2)
-    with pytest.raises(ValueError):
-        make_distribution("bogus", 2)
 
 
 def test_apply_cg_product_state(rng):

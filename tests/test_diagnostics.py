@@ -60,8 +60,9 @@ def test_identical_local_unitaries_linear(rng):
     h1 = qcore.SIGMA_X * 0.3 + qcore.SIGMA_Z * 0.9
 
     def channel(joint):
-        h = sum(qcore.embed(h1, k, 3) for k in range(1, 4))
-        return qcore.evolve_unitary(joint, h, 0.77)
+        i2 = qcore.IDENTITY_2
+        h = qcore.kron([h1, i2, i2]) + qcore.kron([i2, h1, i2]) + qcore.kron([i2, i2, h1])
+        return qcore.propagate(*qcore.eigensystem(h), joint, 0.77)
     rep = diagnostics.linearity_probe(_static(channel, cg), 0.0, samples=30, seed=7)
     assert rep.max_violation < 1e-12
 
@@ -77,7 +78,8 @@ def test_linearity_probe_needs_samples():
 
 def test_unitary_dynamics_semigroup_clean():
     def dyn(rho, t):
-        return qcore.evolve_unitary(rho, 0.7 * qcore.SIGMA_Z + 0.2 * qcore.SIGMA_X, t)
+        h = 0.7 * qcore.SIGMA_Z + 0.2 * qcore.SIGMA_X
+        return qcore.propagate(*qcore.eigensystem(h), rho, t)
 
     rep = diagnostics.semigroup_gap(dyn, np.linspace(0.1, 2, 5), np.linspace(0.1, 2, 5))
     assert rep.gap < 1e-12

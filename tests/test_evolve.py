@@ -155,7 +155,7 @@ def test_ising_translation_symmetric_marginals():
     psi_site = np.array([math.cos(0.35), math.sin(0.35) * np.exp(0.2j)])
     rho0 = qcore.kron([np.outer(psi_site, psi_site.conj())] * 4)
     h = evolve.build_hamiltonian(spec)
-    rho_t = qcore.evolve_unitary(rho0, h, 0.9)
+    rho_t = qcore.propagate(*qcore.eigensystem(h), rho0, 0.9)
     marginals = [qcore.partial_trace(rho_t, [k], 4) for k in range(1, 5)]
     for m in marginals[1:]:
         assert qcore.trace_norm(m - marginals[0]) < 1e-10
@@ -246,10 +246,11 @@ def test_fast_coherences_match_dense(rng):
     ]
     t = 1.3
     for spec in cases:
-        factors = [qcore.random_density(2, rng) for _ in range(spec.n)]
+        factors = np.array([qcore.random_density(2, rng) for _ in range(spec.n)])
         invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
         pop0, coh = evolve._fast_coherences(invariants, t)
-        rho_t = qcore.evolve_unitary(qcore.kron(factors), evolve.build_hamiltonian(spec), t)
+        h = evolve.build_hamiltonian(spec)
+        rho_t = qcore.propagate(*qcore.eigensystem(h), qcore.kron(factors), t)
         for k in range(spec.n):
             want = qcore.partial_trace(rho_t, [k + 1], spec.n)
             got = np.array([[pop0[k], coh[k]], [np.conj(coh[k]), 1.0 - pop0[k]]])
@@ -269,17 +270,20 @@ def _reference_hamiltonian(spec):
         return 0.5 * spec.omega * np.kron(z, x)
     if isinstance(spec, evolve.LocalZSecond):
         return 0.5 * spec.omega * np.kron(i2, z)
+    def on_sites(ops):
+        return qcore.kron([ops.get(k, i2) for k in range(1, n + 1)])
+
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
     if isinstance(spec, evolve.FieldAllToAll):
         for k, w in enumerate(spec.omegas, start=1):
-            h += w * qcore.embed(z, k, n)
+            h += w * on_sites({k: z})
         if spec.include_interaction:
             h += qcore.kron([z] * n)
         return h
     for a, b in spec.bonds():
-        h -= spec.J * (qcore.embed(z, a, n) @ qcore.embed(z, b, n))
+        h -= spec.J * on_sites({a: z, b: z})
     for j in range(1, n + 1):
-        h -= spec.g * qcore.embed(x, j, n)
+        h -= spec.g * on_sites({j: x})
     return h
 
 
@@ -477,7 +481,7 @@ def test_fast_chain_keeps_scalar_rounding(rng):
     t = 1.3
     for n, boundary in ((2, "closed"), (2, "open"), (3, "closed"), (6, "closed"), (6, "open")):
         spec = evolve.IsingChain(n_spins=n, J=0.9, g=0.0, boundary=boundary)
-        factors = [qcore.random_density(2, rng) for _ in range(n)]
+        factors = np.array([qcore.random_density(2, rng) for _ in range(n)])
         invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
         _, got = evolve._fast_coherences(invariants, t)
         zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
