@@ -14,7 +14,7 @@ from .coarse_grain import (
     non_preferential,
     preferential,
 )
-from .maxent import AssignedState, LagrangeSolution, assign, assign_extended, solve_lambda
+from .maxent import AssignedState, LagrangeSolution, assign, solve_lambda
 from .evolve import (
     Cnot,
     CnotInteraction,
@@ -77,7 +77,6 @@ __all__ = [
     "Trajectory",
     "apply_cg",
     "assign",
-    "assign_extended",
     "bloch_from_density",
     "build_hamiltonian",
     "cnot_effective",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxent, qcore
-from .coarse_grain import CoarseGraining
 
 
 def depolarize(rho, q):
@@ -309,8 +308,8 @@ def linear_nm_effective(rho_eff, omega, t):
 def circle_params(r0):
     """Center and radius of the half-mixing circle traced by linear_nm_effective.
 
-    The trajectory is r(t) = center + radius * (cos(omega t + phase) ...)
-    in the transverse plane: explicitly,
+    The trajectory is r(t) = center + radius * (cos(wt + phase), sin(wt + phase), 0)
+    with phase = atan2(ry, rx): explicitly,
 
         rx(t) = (rx cos wt - ry sin wt + rx) / 2
         ry(t) = (ry cos wt + rx sin wt + ry) / 2
@@ -325,11 +324,8 @@ def circle_params(r0):
 
 
 def linear_nm_circle(r0, omega, times):
-    """Parametric circle trajectory; matches linear_nm_effective exactly."""
-    r0 = np.asarray(r0, dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    wt = omega * times
-    rx = 0.5 * (r0[0] * np.cos(wt) - r0[1] * np.sin(wt) + r0[0])
-    ry = 0.5 * (r0[1] * np.cos(wt) + r0[0] * np.sin(wt) + r0[1])
-    rz = np.full_like(rx, r0[2])
-    return np.stack([rx, ry, rz], axis=1)
+    """Parametric circle trajectory; matches linear_nm_effective to rounding."""
+    center, radius = circle_params(r0)
+    angle = omega * np.atleast_1d(np.asarray(times, dtype=float)) + math.atan2(r0[1], r0[0])
+    ring = np.stack([np.cos(angle), np.sin(angle), np.zeros_like(angle)], axis=1)
+    return center + radius * ring

@@ -340,8 +340,8 @@ def _run_diagnostics(res):
             tpi = math.pi / res["omega"]
             mk_plus = diagnostics.semigroup_gap(dyn, [tpi], [tpi], probes=[plus])
             report["gap_at_pi_on_plus"] = mk_plus.gap
-        report["linearity"] = lin.to_dict()
-        report["semigroup"] = mk.to_dict()
+        report["linearity"] = dataclasses.asdict(lin)
+        report["semigroup"] = dataclasses.asdict(mk)
         rng = np.random.default_rng(seed)
         report["fuzzy_identity"] = diagnostics.fuzzy_identity_check(
             qcore.random_density(2 ** cg.n, rng), cg
@@ -352,13 +352,13 @@ def _run_diagnostics(res):
             raise ValueError("the masked-component channel is two sites only")
         channel = _DIAG_CHANNELS[target]
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
-        report["equal_marginal"] = eq.to_dict()
+        report["equal_marginal"] = dataclasses.asdict(eq)
         cg = non_preferential(n)
         derived = {"distribution": cg.to_dict()}
         lin = diagnostics.linearity_probe(
             _static_closure(channel, cg), 0.0, samples=samples, seed=seed
         )
-        report["linearity"] = lin.to_dict()
+        report["linearity"] = dataclasses.asdict(lin)
     else:  # dyson
         rho0 = qcore.density_from_bloch(_parse_bloch(res))
         ns = list(range(2, int(res["n_max"]) + 1))

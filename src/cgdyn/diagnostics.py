@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import maxent, qcore
-from .coarse_grain import CoarseGraining, apply_cg, fuzzy_operator, non_preferential, custom
+from .coarse_grain import apply_cg, fuzzy_operator, non_preferential, custom
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,6 @@ class LinearityReport:
     samples: int
     seed: int
 
-    def to_dict(self):
-        return {
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class MarkovReport:
@@ -46,15 +38,6 @@ class MarkovReport:
     argmax_s: float
     witness_bloch: list
     rate_sign_changes: tuple = field(default=())
-
-    def to_dict(self):
-        return {
-            "gap": self.gap,
-            "argmax_t": self.argmax_t,
-            "argmax_s": self.argmax_s,
-            "witness_bloch": self.witness_bloch,
-            "rate_sign_changes": [list(iv) for iv in self.rate_sign_changes],
-        }
 
 
 @dataclass(frozen=True)
@@ -70,17 +53,13 @@ class EqualMarginalReport:
     seed: int
     tol: float
 
-    def to_dict(self):
-        return {
-            "holds": self.holds,
-            "max_deviation": self.max_deviation,
-            "commutation_deviation": self.commutation_deviation,
-            "induced_linear": self.induced_linear,
-            "induced_shift": self.induced_shift,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-        }
+
+def _violation(dynamics, rho_a, rho_b, w, t):
+    """Trace norm of dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs."""
+    mix = w * rho_a + (1.0 - w) * rho_b
+    return qcore.trace_norm(
+        dynamics(mix, t) - w * dynamics(rho_a, t) - (1.0 - w) * dynamics(rho_b, t)
+    )
 
 
 def linearity_probe(dynamics, t, samples=100, seed=0):
@@ -99,10 +78,7 @@ def linearity_probe(dynamics, t, samples=100, seed=0):
         rho_a = qcore.random_density(2, rng)
         rho_b = qcore.random_density(2, rng)
         w = float(rng.uniform(0.0, 1.0))
-        mix = w * rho_a + (1.0 - w) * rho_b
-        v = qcore.trace_norm(
-            dynamics(mix, t) - w * dynamics(rho_a, t) - (1.0 - w) * dynamics(rho_b, t)
-        )
+        v = _violation(dynamics, rho_a, rho_b, w, t)
         if v > worst:
             worst = v
             witness = {
@@ -118,11 +94,7 @@ def replay_linearity_witness(dynamics, witness):
     """Re-evaluate a stored witness; returns its violation."""
     rho_a = qcore.density_from_bloch(np.asarray(witness["bloch_a"]))
     rho_b = qcore.density_from_bloch(np.asarray(witness["bloch_b"]))
-    w, t = witness["weight"], witness["t"]
-    mix = w * rho_a + (1.0 - w) * rho_b
-    return qcore.trace_norm(
-        dynamics(mix, t) - w * dynamics(rho_a, t) - (1.0 - w) * dynamics(rho_b, t)
-    )
+    return _violation(dynamics, rho_a, rho_b, witness["weight"], witness["t"])
 
 
 def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
@@ -188,7 +160,7 @@ def _apply_affine(linear, shift, rho):
     return qcore.bloch_operator(linear @ qcore.bloch_from_density(rho) + shift)
 
 
-def equal_marginal_check(channel, n, samples=20, seed=0, tol=1e-10):
+def equal_marginal_check(channel, n, samples=20, seed=0):
     """Does the channel act on every site's marginal as one single-qubit map?
 
     The candidate map is reconstructed from the channel's action on
@@ -199,6 +171,7 @@ def equal_marginal_check(channel, n, samples=20, seed=0, tol=1e-10):
     """
     if n < 2:
         raise ValueError("need at least two sites")
+    tol = 1e-10  # the largest marginal deviation that still counts as equal
     linear, shift = _induced_map_from_products(channel, n)
     rng = np.random.default_rng(seed)
 

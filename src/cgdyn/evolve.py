@@ -297,6 +297,7 @@ def _fast_coherences(invariants, t):
 
 
 def _pure_site_vector(direction):
+    direction = direction / float(np.linalg.norm(direction))
     theta = math.acos(min(1.0, max(-1.0, float(direction[2]))))
     phi = math.atan2(float(direction[1]), float(direction[0]))
     return np.array(
@@ -355,13 +356,10 @@ class Trajectory:
     purity: np.ndarray
     metadata: dict
 
-    def __len__(self):
-        return len(self.times)
 
-
-def gamma_t(rho_eff, cg, spec, t, method="auto"):
+def gamma_t(rho_eff, cg, spec, t):
     """One step of the effective dynamics at time t."""
-    traj = trajectory(rho_eff, cg, spec, [t], method=method)
+    traj = trajectory(rho_eff, cg, spec, [t])
     # trajectory already policed the radius at the positivity floor
     return qcore.bloch_operator(traj.bloch[0])
 
@@ -403,7 +401,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             eff_coh = complex(np.dot(probs, coh))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
     else:  # statevector
-        site = _pure_site_vector(assigned.solution.direction)
+        site = _pure_site_vector(assigned.direction)
         psi0 = site
         for _ in range(spec.n - 1):
             psi0 = np.kron(psi0, site)

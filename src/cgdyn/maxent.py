@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .coarse_grain import CoarseGraining
 
 _BISECT_ITERS = 200
 _DIRECTION_Z = np.array([0.0, 0.0, 1.0])
@@ -40,7 +39,6 @@ class LagrangeSolution:
     """
 
     lam: float
-    direction: np.ndarray
     per_particle_r: np.ndarray
 
     @property
@@ -50,10 +48,11 @@ class LagrangeSolution:
 
 @dataclass(frozen=True)
 class AssignedState:
-    """Product state rho_1 x ... x rho_n stored as its (n, 2, 2) factors."""
+    """Product state rho_1 x ... x rho_n stored as its (n, 2, 2) factors,
+    whose Bloch vectors all point along the unit vector direction."""
 
     factors: np.ndarray
-    cg: CoarseGraining
+    direction: np.ndarray
     solution: LagrangeSolution
 
     def to_matrix(self):
@@ -64,23 +63,13 @@ def _radius_sum(lam, probs):
     return float(np.dot(probs, np.tanh(probs * lam)))
 
 
-def solve_lambda(r_ef, cg, direction=None):
+def solve_lambda(r_ef, cg):
     """Solve sum_k p_k tanh(p_k lambda) = r_ef for lambda >= 0.
 
     r_ef is the Bloch radius of the effective state, in [0, 1]. The
     bracket is grown geometrically from [0, 1] and then bisected to
     machine precision (at most 200 iterations).
     """
-    if direction is None:
-        direction = _DIRECTION_Z
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    dnorm = float(np.linalg.norm(direction))
-    if dnorm < qcore.ZERO_RADIUS:
-        raise ValueError("direction must be nonzero")
-    direction = direction / dnorm
-
     r_ef = float(r_ef)
     if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:
         raise ValueError(f"effective radius must lie in [0, 1], got {r_ef}")
@@ -88,9 +77,9 @@ def solve_lambda(r_ef, cg, direction=None):
 
     if r_ef >= qcore.PURE_RADIUS:
         per = np.where(probs > 0.0, 1.0, 0.0)
-        return LagrangeSolution(math.inf, direction, per)
+        return LagrangeSolution(math.inf, per)
     if r_ef == 0.0:
-        return LagrangeSolution(0.0, direction, np.zeros(cg.n))
+        return LagrangeSolution(0.0, np.zeros(cg.n))
 
     lo, hi = 0.0, 1.0
     while _radius_sum(hi, probs) < r_ef:
@@ -106,7 +95,7 @@ def solve_lambda(r_ef, cg, direction=None):
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    return LagrangeSolution(lam, direction, np.tanh(probs * lam))
+    return LagrangeSolution(lam, np.tanh(probs * lam))
 
 
 def assign(rho_eff, cg):
@@ -127,10 +116,10 @@ def assign(rho_eff, cg):
 
     if r_ef < qcore.ZERO_RADIUS:
         direction = _DIRECTION_Z
-        sol = LagrangeSolution(0.0, direction, np.zeros(cg.n))
+        sol = LagrangeSolution(0.0, np.zeros(cg.n))
     else:
         direction = r / r_ef
-        sol = solve_lambda(r_ef, cg, direction=direction)
+        sol = solve_lambda(r_ef, cg)
         if sol.is_pure and (cg.probs <= 0.0).any():
             raise ValueError(
                 "pure effective state with a zero-weight site: the assignment "
@@ -143,27 +132,4 @@ def assign(rho_eff, cg):
     # every product is by 0, +-1 or 0.5, so each factor is exactly bloch_operator's
     x, y, z = site_r.T[:, :, None, None]
     factors = 0.5 * (qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z)
-    return AssignedState(factors, cg, sol)
-
-
-def assign_extended(rho_joint, cg, dim_env):
-    """Assignment tensored with the identity on an environment factor.
-
-    rho_joint lives on (effective qubit) x (environment of dimension
-    dim_env). The environment is traced out, the system register is
-    assigned as usual, and the environment is replaced by the maximally
-    mixed state. The output being a valid state for every joint input is
-    the complete-positivity statement in testable form.
-    """
-    if int(dim_env) != dim_env or dim_env < 1:
-        raise ValueError(f"environment dimension must be a positive integer, got {dim_env}")
-    dim_env = int(dim_env)
-    rho_joint = np.asarray(rho_joint, dtype=complex)
-    if rho_joint.shape != (2 * dim_env, 2 * dim_env):
-        raise ValueError(
-            f"joint state shape {rho_joint.shape} does not match qubit x {dim_env} environment"
-        )
-    rho_eff = qcore.trace_out_second(rho_joint, 2, dim_env)
-    assigned = assign(rho_eff, cg)
-    env = np.eye(dim_env, dtype=complex) / dim_env
-    return np.kron(assigned.to_matrix(), env)
+    return AssignedState(factors, direction, sol)

@@ -153,28 +153,14 @@ def pauli_diagonal(terms, n):
     return blocks[0].real if blocks else np.zeros(b.size)
 
 
-def num_qubits(rho):
-    """Number of qubits of a square matrix with power-of-two dimension."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("expected a square matrix")
-    d = rho.shape[0]
-    n = d.bit_length() - 1
-    if d != 2 ** n:
-        raise ValueError(f"dimension {d} is not a power of two")
-    return n
-
-
-def partial_trace(rho, keep, n=None):
+def partial_trace(rho, keep, n):
     """Trace out every qubit not listed in `keep` (1-based indices).
 
     The retained slots keep their original relative order. Works on any
     square 2^n operator, not only states.
     """
     rho = np.asarray(rho, dtype=complex)
-    if n is None:
-        n = num_qubits(rho)
-    elif rho.shape != (2 ** n, 2 ** n):
+    if rho.shape != (2 ** n, 2 ** n):
         raise ValueError(f"matrix shape {rho.shape} does not match n={n} qubits")
     keep = sorted(set(int(k) for k in keep))
     if not keep:
@@ -182,24 +168,13 @@ def partial_trace(rho, keep, n=None):
     if keep[0] < 1 or keep[-1] > n:
         raise ValueError(f"keep indices {keep} outside 1..{n}")
     t = rho.reshape((2,) * (2 * n))
-    dropped = 0
     for q in range(n, 0, -1):
         if q in keep:
             continue
         half = t.ndim // 2
         t = np.trace(t, axis1=q - 1, axis2=q - 1 + half)
-        dropped += 1
     d = 2 ** len(keep)
     return np.ascontiguousarray(t.reshape(d, d))
-
-
-def trace_out_second(rho, dim_a, dim_b):
-    """Partial trace over the second factor of a dim_a x dim_b bipartition."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(f"matrix shape {rho.shape} does not match {dim_a}x{dim_b} bipartition")
-    t = rho.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.trace(t, axis1=1, axis2=3)
 
 
 def bloch_from_density(rho):
@@ -231,10 +206,10 @@ def trace_norm(a):
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
 
 
-def is_hermitian(m, tol=HERMITICITY_TOL):
+def is_hermitian(m):
     m = np.asarray(m)
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return bool(np.abs(m - m.conj().T).max() <= tol * scale)
+    return bool(np.abs(m - m.conj().T).max() <= HERMITICITY_TOL * scale)
 
 
 def assert_density_matrix(rho, name="state"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgdyn import channels, evolve, maxent, qcore
-from cgdyn.coarse_grain import apply_cg, custom, non_preferential, preferential
+from cgdyn.coarse_grain import apply_cg, non_preferential, preferential
 
 
 def _bloch(theta, phi=0.0):

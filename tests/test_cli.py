@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from cgdyn import channels, cli, coarse_grain, evolve, qcore
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "cgdyn")
 
 
 def _run(tmp_path, *argv, name="out.csv"):
@@ -440,3 +442,26 @@ def test_readme_layout_names_exist():
                 stale.append(f"{mod.__name__}: {name}")
     assert len(modules) == 6, modules
     assert not stale, stale
+
+
+def test_no_unused_imports():
+    # every name a module or test file imports is read somewhere in that file
+    # (__init__.py imports to re-export, so it is left out)
+    here = os.path.dirname(__file__)
+    paths = [os.path.join(SRC_DIR, f) for f in os.listdir(SRC_DIR) if f != "__init__.py"]
+    paths += [os.path.join(here, f) for f in os.listdir(here)]
+    unused = []
+    for path in sorted(p for p in paths if p.endswith(".py")):
+        tree = ast.parse(open(path, encoding="utf-8").read())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
+    assert not unused, unused

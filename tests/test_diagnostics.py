@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -213,4 +214,8 @@ def test_reports_serialize():
     mk = diagnostics.semigroup_gap(dyn, [0.5], [0.5], probes=2, seed=0)
     eq = diagnostics.equal_marginal_check(channels.total_dephasing, 2, samples=3, seed=0)
     for rep in (lin, mk, eq):
-        json.dumps(rep.to_dict())
+        json.dumps(dataclasses.asdict(rep))
+    # the swap target's rate intervals come out as nested lists
+    rated = dataclasses.replace(mk, rate_sign_changes=((0.5, 1.0), (2.0, 2.5)))
+    doc = json.loads(json.dumps(dataclasses.asdict(rated)))
+    assert doc["rate_sign_changes"] == [[0.5, 1.0], [2.0, 2.5]]

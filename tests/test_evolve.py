@@ -7,8 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdyn import evolve, maxent, qcore
-from cgdyn.coarse_grain import apply_cg, custom, non_preferential, preferential
+from cgdyn import evolve, qcore
+from cgdyn.coarse_grain import custom, non_preferential, preferential
 
 
 def _bloch(theta, phi=0.0):

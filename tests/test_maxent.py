@@ -128,10 +128,13 @@ def test_maximally_mixed_shortcut():
         assert qcore.trace_norm(f - qcore.IDENTITY_2 / 2) < 1e-15
 
 
-def test_solve_lambda_direction_override():
+def test_assign_direction():
+    # the factors' common axis is the input's unit Bloch direction; the
+    # maximally mixed input has none and gets z
     cg = non_preferential(2)
-    sol = maxent.solve_lambda(0.5, cg, direction=[0.0, 2.0, 0.0])
-    assert np.allclose(sol.direction, [0.0, 1.0, 0.0])
+    a = maxent.assign(qcore.density_from_bloch([0.0, 0.5, 0.0]), cg)
+    assert np.allclose(a.direction, [0.0, 1.0, 0.0])
+    assert np.allclose(maxent.assign(qcore.IDENTITY_2 / 2, cg).direction, [0.0, 0.0, 1.0])
 
 
 def _entropy(rho):
@@ -161,21 +164,6 @@ def test_entropy_maximality_spot_check(rng):
         found += 1
         alt = [qcore.density_from_bloch(r1), qcore.density_from_bloch(r2)]
         assert sum(_entropy(f) for f in alt) <= s_best + 1e-12
-
-
-def test_assign_extended_blocks(rng):
-    # feed in a correlated qubit + environment state; the output must be a
-    # genuine state (complete positivity in testable form)
-    cg = preferential(2, 0.6)
-    joint_in = qcore.random_density(4, rng)
-    joint = maxent.assign_extended(joint_in, cg, dim_env=2)
-    qcore.assert_density_matrix(joint)
-    assert joint.shape == (8, 8)
-    # system block = assignment of the reduced input state
-    rho_eff = qcore.trace_out_second(joint_in, 2, 2)
-    sys_part = qcore.trace_out_second(joint, 4, 2)
-    assert qcore.trace_norm(sys_part - maxent.assign(rho_eff, cg).to_matrix()) < 1e-12
-    assert qcore.trace_norm(apply_cg(sys_part, cg) - rho_eff) < 1e-10
 
 
 def test_assign_rejects_junk():
