@@ -281,13 +281,14 @@ def _ising_bloch(res):
 
 
 def _pipeline_closure(spec, cg):
-    return lambda rho, t: evolve.gamma_t(rho, cg, spec, t)
+    # through the module attribute, so a rebound evolve.trajectory is the one called
+    return lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
 
 
 def _static_closure(channel, cg):
-    def dyn(rho, t):
+    def dyn(rho, times):
         joint = maxent.assign(rho, cg).to_matrix()
-        return apply_cg(channel(joint), cg)
+        return np.broadcast_to(apply_cg(channel(joint), cg), (len(times), 2, 2))
 
     return dyn
 

@@ -1,10 +1,15 @@
 """Probes that classify an effective dynamics: linearity, memory, identities.
 
-Every probe takes the dynamics as a closure `dyn(rho, t)` so that the same
-machinery applies to pipeline trajectories, closed-form predictors, or any
-user-supplied map. Random states are drawn Hilbert-Schmidt (mixed) from an
-explicit seed, and each report stores the witness that achieved its
-extremal value so a run can be replayed from the report alone.
+Every probe takes the dynamics as a closure `dyn(rho, times)` so that the
+same machinery applies to pipeline trajectories, closed-form predictors, or
+any user-supplied map. `times` is a nonempty, strictly increasing 1-d grid,
+and the closure returns one 2x2 output per grid point, stacked along the
+first axis: the shape `evolve.trajectory` produces from one assignment. A
+probe asks for whole grids where it can, so a pipeline closure assigns,
+builds and diagonalizes once per (input, grid), not once per time point.
+Random states are drawn Hilbert-Schmidt (mixed) from an explicit seed, and
+each report stores the witness that achieved its extremal value so a run
+can be replayed from the report alone.
 
 Trace-norm distance is the canonical figure of merit throughout.
 """
@@ -57,9 +62,8 @@ class EqualMarginalReport:
 def _violation(dynamics, rho_a, rho_b, w, t):
     """Trace norm of dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs."""
     mix = w * rho_a + (1.0 - w) * rho_b
-    return qcore.trace_norm(
-        dynamics(mix, t) - w * dynamics(rho_a, t) - (1.0 - w) * dynamics(rho_b, t)
-    )
+    out, out_a, out_b = (dynamics(rho, [t])[0] for rho in (mix, rho_a, rho_b))
+    return qcore.trace_norm(out - w * out_a - (1.0 - w) * out_b)
 
 
 def linearity_probe(dynamics, t, samples=100, seed=0):
@@ -98,9 +102,13 @@ def replay_linearity_witness(dynamics, witness):
 
 
 def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
-    """sup over (t, s, probe) of || dyn(rho, t+s) - dyn(dyn(rho, s), t) ||_1."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    """sup over (t, s, probe) of || dyn(rho, t+s) - dyn(dyn(rho, s), t) ||_1.
+
+    Both grids must be nonempty and strictly increasing. Each probe costs
+    one call on s_grid and, per s, one on t_grid + s and one on t_grid.
+    """
+    t_grid = qcore.time_grid(t_grid, "t_grid")
+    s_grid = qcore.time_grid(s_grid, "s_grid")
     if isinstance(probes, (int, np.integer)):
         rng = np.random.default_rng(seed)
         probe_states = [qcore.random_density(2, rng) for _ in range(int(probes))]
@@ -111,10 +119,12 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
 
     gap, arg_t, arg_s, wit = -1.0, float("nan"), float("nan"), None
     for rho in probe_states:
-        for s in s_grid:
-            mid = dynamics(rho, s)
-            for t in t_grid:
-                g = qcore.trace_norm(dynamics(rho, t + s) - dynamics(mid, t))
+        mids = dynamics(rho, s_grid)
+        for s, mid in zip(s_grid, mids):
+            direct = dynamics(rho, t_grid + s)
+            composed = dynamics(mid, t_grid)
+            for t, d, c in zip(t_grid, direct, composed):
+                g = qcore.trace_norm(d - c)
                 if g > gap:
                     gap, arg_t, arg_s = g, float(t), float(s)
                     wit = [float(x) for x in qcore.bloch_from_density(rho)]

@@ -372,11 +372,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    if times.size > 1 and not (np.diff(times) > 0).all():
-        raise ValueError("time grid must be strictly increasing")
+    times = qcore.time_grid(times)
 
     assigned = maxent.assign(rho_eff, cg)
     strings = _z_strings(spec)

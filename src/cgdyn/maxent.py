@@ -129,7 +129,4 @@ def assign(rho_eff, cg):
     norm = float(np.linalg.norm(site_r, axis=1).max())
     if norm > 1.0 + qcore.BLOCH_SLACK:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    # every product is by 0, +-1 or 0.5, so each factor is exactly bloch_operator's
-    x, y, z = site_r.T[:, :, None, None]
-    factors = 0.5 * (qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z)
-    return AssignedState(factors, direction, sol)
+    return AssignedState(qcore.bloch_operator(site_r), direction, sol)

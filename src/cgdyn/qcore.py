@@ -178,16 +178,30 @@ def partial_trace(rho, keep, n):
 
 
 def bloch_from_density(rho):
-    """Bloch vector (rx, ry, rz) of a single-qubit operator."""
+    """Bloch vector (rx, ry, rz) of a single-qubit operator.
+
+    Reads Tr[sigma rho] off the entries. Every Pauli product is exact, so
+    each component equals the trace of the product bit for bit; the final
+    + 0.0 turns a -0.0 into the +0.0 that the trace's sum gives.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("bloch_from_density expects a 2x2 matrix")
-    return np.array([np.trace(PAULI[a] @ rho).real for a in AXES])
+    return np.array([
+        rho[1, 0].real + rho[0, 1].real,
+        rho[1, 0].imag - rho[0, 1].imag,
+        rho[0, 0].real - rho[1, 1].real,
+    ]) + 0.0
 
 
 def bloch_operator(r):
-    """(I + r . sigma)/2 for a real 3-vector r, unchecked: no ball test."""
-    return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+    """(I + r . sigma)/2 for a real (..., 3) array r, unchecked: no ball test.
+
+    A stack of vectors gives a stack of 2x2 matrices, each equal bit for bit
+    to the one-vector result.
+    """
+    x, y, z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)[..., None, None]
+    return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def density_from_bloch(r):
@@ -230,6 +244,16 @@ def assert_density_matrix(rho, name="state"):
     if w.min() < PSD_FLOOR:
         raise PositivityError(f"{name} has eigenvalue {w.min():.3e} below floor {PSD_FLOOR}")
     return rho
+
+
+def time_grid(values, name="time grid"):
+    """values as a float array; ValueError unless nonempty, 1-d and strictly increasing."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array")
+    if not (np.diff(grid) > 0).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
 
 
 def eigensystem(h):

@@ -280,10 +280,12 @@ def test_criterion_9_ising_invariants(acceptance_report):
 
 def test_criterion_10_linearity_suite(acceptance_report):
     def pipeline(spec, cg):
-        return lambda rho, t: evolve.gamma_t(rho, cg, spec, t)
+        return lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
 
     def static(channel, cg):
-        return lambda rho, t: apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)
+        return lambda rho, times: np.array(
+            [apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)] * len(times)
+        )
 
     linear_worst = diagnostics.linearity_probe(
         pipeline(evolve.LocalZSecond(omega=1.0), non_preferential(2)), 1.1,
@@ -322,7 +324,7 @@ def test_criterion_11_semigroup_violation(acceptance_report):
     omega = 1.0
     cg = non_preferential(2)
     spec = evolve.LocalZSecond(omega=omega)
-    dyn = lambda rho, t: evolve.gamma_t(rho, cg, spec, t)
+    dyn = lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
     plus = qcore.density_from_bloch([1.0, 0.0, 0.0])
     tpi = math.pi / omega
     gap = diagnostics.semigroup_gap(dyn, [tpi], [tpi], probes=[plus]).gap

@@ -405,6 +405,35 @@ def test_shipped_configs_reproduce_checksums(tmp_path):
     )
 
 
+def test_diagnostics_swap_config_replays_closed_form(tmp_path):
+    # a platform-independent pin: the report's witnesses replay through the
+    # exchange model's closed form, whatever the last bits of the report
+    path = os.path.join(CONFIG_DIR, "diagnostics-swap.json")
+    out = tmp_path / "report.json"
+    assert cli.main(["diagnostics", "--config", path, "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    cg = coarse_grain.preferential(2, json.loads(open(path).read())["p1"])
+
+    def dyn(rho, t):
+        return channels.swap_effective(rho, cg, t)
+
+    w = rep["linearity"]["witness"]
+    rho_a, rho_b = qcore.density_from_bloch(w["bloch_a"]), qcore.density_from_bloch(w["bloch_b"])
+    mix = w["weight"] * rho_a + (1.0 - w["weight"]) * rho_b
+    t = w["t"]
+    violation = qcore.trace_norm(
+        dyn(mix, t) - w["weight"] * dyn(rho_a, t) - (1.0 - w["weight"]) * dyn(rho_b, t)
+    )
+    assert abs(violation - rep["linearity"]["max_violation"]) <= 1e-10
+
+    sg = rep["semigroup"]
+    rho = qcore.density_from_bloch(sg["witness_bloch"])
+    t, s = sg["argmax_t"], sg["argmax_s"]
+    gap = qcore.trace_norm(dyn(rho, t + s) - dyn(dyn(rho, s), t))
+    assert abs(gap - sg["gap"]) <= 1e-10
+    assert abs(rep["fuzzy_identity"]) <= 1e-10
+
+
 def test_readme_cli_lines_parse():
     # every `cgdyn ...` line in the README's fenced blocks is a valid command
     lines, fenced = [], False

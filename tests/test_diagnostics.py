@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from cgdyn import channels, diagnostics, evolve, maxent, qcore
+from cgdyn import channels, cli, diagnostics, evolve, maxent, qcore
 from cgdyn.coarse_grain import apply_cg, non_preferential, preferential
 
 
 def _pipeline(spec, cg):
-    return lambda rho, t: evolve.gamma_t(rho, cg, spec, t)
+    return lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
 
 
 def _static(channel, cg):
-    def dyn(rho, t):
-        return apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)
+    def dyn(rho, times):
+        out = apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)
+        return np.array([out] * len(times))
 
     return dyn
 
@@ -78,9 +79,9 @@ def test_linearity_probe_needs_samples():
 
 
 def test_unitary_dynamics_semigroup_clean():
-    def dyn(rho, t):
+    def dyn(rho, times):
         h = 0.7 * qcore.SIGMA_Z + 0.2 * qcore.SIGMA_X
-        return qcore.propagate(*qcore.eigensystem(h), rho, t)
+        return np.array([qcore.propagate(*qcore.eigensystem(h), rho, t) for t in times])
 
     rep = diagnostics.semigroup_gap(dyn, np.linspace(0.1, 2, 5), np.linspace(0.1, 2, 5))
     assert rep.gap < 1e-12
@@ -111,6 +112,79 @@ def test_rate_and_semigroup_consistency():
     assert (rates < 0).any()
     rep = diagnostics.semigroup_gap(_pipeline(evolve.Swap(omega=1.0), cg), grid, grid, probes=6, seed=2)
     assert rep.gap > 1e-6
+
+
+@pytest.mark.parametrize("t_grid, s_grid", [
+    ([], [0.5]),
+    ([0.5], []),
+    ([[0.1, 0.2]], [0.5]),
+    ([0.5], [[0.1], [0.2]]),
+    ([0.5, 0.2], [0.5]),
+    ([0.5], [0.3, 0.3]),
+])
+def test_semigroup_gap_rejects_bad_grids(t_grid, s_grid):
+    def dyn(rho, times):
+        raise AssertionError("no dynamics call before the grids are checked")
+
+    with pytest.raises(ValueError):
+        diagnostics.semigroup_gap(dyn, t_grid, s_grid, probes=1)
+
+
+@pytest.mark.parametrize("spec", [evolve.Swap(omega=1.0), evolve.Cnot(omega=1.0)])
+def test_grid_probes_match_point_loop(spec):
+    # the grid calls reproduce a loop of one-point gamma_t calls bit for bit
+    cg = preferential(2, 0.7)
+    grid = np.linspace(0.3, 2.1, 5)
+
+    def gamma(rho, t):
+        return evolve.gamma_t(rho, cg, spec, t)
+
+    rng = np.random.default_rng(4)
+    gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
+    for rho in [qcore.random_density(2, rng) for _ in range(3)]:
+        for s in grid:
+            mid = gamma(rho, s)
+            for t in grid:
+                g = qcore.trace_norm(gamma(rho, t + s) - gamma(mid, t))
+                if g > gap:
+                    gap, arg_t, arg_s = g, float(t), float(s)
+                    wit = [float(x) for x in qcore.bloch_from_density(rho)]
+    rep = diagnostics.semigroup_gap(_pipeline(spec, cg), grid, grid, probes=3, seed=4)
+    assert (rep.gap, rep.argmax_t, rep.argmax_s, rep.witness_bloch) == (gap, arg_t, arg_s, wit)
+
+    rng = np.random.default_rng(5)
+    worst, witness = -1.0, None
+    for _ in range(6):
+        rho_a, rho_b = qcore.random_density(2, rng), qcore.random_density(2, rng)
+        w = float(rng.uniform(0.0, 1.0))
+        out = gamma(w * rho_a + (1.0 - w) * rho_b, 1.1)
+        v = qcore.trace_norm(out - w * gamma(rho_a, 1.1) - (1.0 - w) * gamma(rho_b, 1.1))
+        if v > worst:
+            worst, witness = v, (rho_a, rho_b, w)
+    lin = diagnostics.linearity_probe(_pipeline(spec, cg), 1.1, samples=6, seed=5)
+    assert lin.max_violation == worst
+    assert lin.witness == {
+        "bloch_a": [float(x) for x in qcore.bloch_from_density(witness[0])],
+        "bloch_b": [float(x) for x in qcore.bloch_from_density(witness[1])],
+        "weight": witness[2],
+        "t": 1.1,
+    }
+
+
+def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
+    # 3 calls per linearity sample; per probe, one on the s grid and two per s
+    calls = []
+    inner = evolve.trajectory
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "trajectory", counted)
+    argv = ["diagnostics", "--target", "swap", "--samples", "5", "--steps", "4",
+            "--output", str(tmp_path / "swap.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 3 * 5 + 8 * (1 + 2 * 4)
 
 
 def test_negative_rate_intervals():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -140,6 +142,35 @@ def test_bloch_round_trip(rng):
         rho = qcore.density_from_bloch(r)
         assert np.allclose(qcore.bloch_from_density(rho), r)
         assert abs(np.trace(rho) - 1) < 1e-14
+
+
+def test_bloch_from_density_matches_trace_form(rng):
+    # the entry read-out is Tr[sigma rho] bit for bit, signed zeros included
+    def trace_form(rho):
+        return np.array([np.trace(qcore.pauli(a) @ rho).real for a in qcore.AXES])
+
+    mats = [np.array(entries).reshape(2, 2) for entries in itertools.product(
+        [0.0, -0.0, 0.3, complex(0.0, -0.0), complex(-0.0, 0.7)], repeat=4)]
+    for scale in 10.0 ** np.arange(-20, 21, 4):
+        for _ in range(100):
+            m = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            mats += [m, m + m.conj().T]
+    for m in mats:
+        assert qcore.bloch_from_density(m).tobytes() == trace_form(m).tobytes()
+
+
+def test_bloch_operator_stack_matches_one_vector(rng):
+    r = np.concatenate([
+        rng.uniform(-1.0, 1.0, (200, 3)),
+        np.array(list(itertools.product([0.0, -0.0, 0.5, -1.0], repeat=3))),
+    ])
+    stack = qcore.bloch_operator(r)
+    assert stack.shape == (len(r), 2, 2)
+    for v, op in zip(r, stack):
+        want = 0.5 * (qcore.IDENTITY_2 + v[0] * qcore.SIGMA_X + v[1] * qcore.SIGMA_Y + v[2] * qcore.SIGMA_Z)
+        assert op.tobytes() == qcore.bloch_operator(v).tobytes() == want.tobytes()
+    blocks = qcore.bloch_operator(r[:12].reshape(3, 4, 3))
+    assert blocks.tobytes() == stack[:12].tobytes()
 
 
 def test_density_from_bloch_rejects_outside_ball():
