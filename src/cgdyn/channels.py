@@ -60,7 +60,7 @@ def kappa_swap(t, cg, r1, r2, r_ef0, omega=1.0):
     if cg.n != 2:
         raise ValueError("exchange model is two sites")
     p1, p2 = cg.probs
-    if abs(p1 * r1 + p2 * r2 - r_ef0) > 1e-9:
+    if abs(p1 * r1 + p2 * r2 - r_ef0) > qcore.RADII_SUM_TOL:
         raise ValueError(
             f"inconsistent radii: p1 r1 + p2 r2 = {p1 * r1 + p2 * r2}, given r_ef0 = {r_ef0}"
         )
@@ -249,21 +249,6 @@ def field_limit_prediction(rho_eff, p1, r1, omega1, t, with_interaction=False):
 # ---------------------------------------------------------------------------
 # Reference microscopic channels used by the linearity diagnostics
 
-# Pauli-component mask for two qubits, indexed (axis1, axis2) over (i,x,y,z).
-# Erases every component pairing {i, y} with {x, z}; each marginal comes out
-# dephased along y. Equals the Kraus form (rho + (Y x Y) rho (Y x Y)) / 2.
-DEPHASE_Y_MASK = np.array(
-    [
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-        [1, 0, 1, 0],
-        [0, 1, 0, 1],
-    ],
-    dtype=float,
-)
-
-_PAULI_SEQ = (qcore.IDENTITY_2, qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)
-
 
 def total_dephasing(rho):
     """n-qubit dephasing averaging all {identity, Z} Pauli strings.
@@ -275,23 +260,17 @@ def total_dephasing(rho):
     return np.diag(np.diag(rho))
 
 
-def pauli_component_mask(rho, mask):
-    """Two-qubit map multiplying each Pauli component by a 4x4 mask entry."""
+def pauli_component_mask(rho):
+    """Two-qubit map (rho + (Y x Y) rho (Y x Y)) / 2.
+
+    It erases every Pauli component pairing {i, y} with {x, z}, so each
+    marginal comes out dephased along y.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("component mask is a two-qubit map")
-    mask = np.asarray(mask, dtype=float)
-    if mask.shape != (4, 4):
-        raise ValueError("mask must be 4x4, indexed by (axis1, axis2)")
-    out = np.zeros((4, 4), dtype=complex)
-    for a, sa in enumerate(_PAULI_SEQ):
-        for b, sb in enumerate(_PAULI_SEQ):
-            if mask[a, b] == 0.0:
-                continue
-            basis = np.kron(sa, sb)
-            coeff = np.trace(basis @ rho) / 4.0
-            out += mask[a, b] * coeff * basis
-    return out
+    yy = np.kron(qcore.SIGMA_Y, qcore.SIGMA_Y)
+    return 0.5 * (rho + yy @ rho @ yy)
 
 
 # ---------------------------------------------------------------------------

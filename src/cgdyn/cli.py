@@ -142,10 +142,17 @@ def _check_grid(tmax, steps, least):
     return tmax, steps
 
 
-def _time_grid(resolved, t_c=None):
+def _t_c(res):
+    """The field experiment's dephasing time 2 pi / sigma (infinite at sigma = 0)."""
+    sigma = float(res["sigma"])
+    return 2.0 * math.pi / sigma if sigma > 0.0 else math.inf
+
+
+def _time_grid(resolved):
     """(t | tmax+steps) -> 1-d grid, inclusive endpoints.
 
-    tmax may carry a literal `tc` suffix ("4tc") for field runs.
+    tmax may carry a literal `tc` suffix ("4tc") for field runs, in units of
+    `_t_c`.
     """
     t_single = resolved.get("t")
     if t_single is not None:
@@ -154,8 +161,9 @@ def _time_grid(resolved, t_c=None):
     if isinstance(tmax, str):
         raw = tmax.strip().lower()
         if raw.endswith("tc"):
-            if t_c is None:
+            if "sigma" not in resolved:
                 raise ValueError("a 'tc' time unit only makes sense for field runs")
+            t_c = _t_c(resolved)
             if math.isinf(t_c):
                 raise ValueError("t_c is infinite at zero frequency spread")
             factor = raw[:-2].strip()
@@ -218,7 +226,7 @@ def _run_trajectory(row, res):
     if row.period is not None and res["t"] is None and res["tmax"] is None:
         res["tmax"] = row.period(res)
     rho0 = qcore.density_from_bloch(bloch0)
-    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res, getattr(spec, "t_c", None)))
+    traj = evolve.trajectory(rho0, cg, spec, _time_grid(res))
     b = traj.bloch
     columns = {"t": traj.times, "rx": b[:, 0], "ry": b[:, 1], "rz": b[:, 2], "purity": traj.purity}
     derived = traj.metadata
@@ -245,8 +253,9 @@ def _kappa_rate(res, cg, bloch0, rho0, traj):
     return {"kappa": kappa, "rate": rate}, {"per_particle_r": [float(r1), float(r2)]}
 
 
-def _field_assumptions(res, cg, bloch0, rho0, traj):
-    return {}, {"assumptions": {
+def _field_facts(res, cg, bloch0, rho0, traj):
+    t_c = _t_c(res)
+    return {}, {"t_c": "inf" if math.isinf(t_c) else t_c, "assumptions": {
         "remainder_weights": "(1 - p1)/(n - 1) spread over sites 2..n",
         "rotation_angle": "omega_1 * t",
     }}
@@ -304,7 +313,7 @@ _DIAG_MODELS = {
 }
 _DIAG_CHANNELS = {
     "total-dephasing": channels.total_dephasing,
-    "pce-mask": lambda rho: channels.pauli_component_mask(rho, channels.DEPHASE_Y_MASK),
+    "pce-mask": channels.pauli_component_mask,
 }
 _DIAG_TARGETS = (*_DIAG_MODELS, *_DIAG_CHANNELS, "dyson")
 
@@ -463,7 +472,7 @@ EXPERIMENTS = {
             "interaction": False, "bloch": [0.8, 0.0, 0.0],
             "tmax": "4tc", "steps": 401, "t": None, **_IO,
         },
-        spec=_field_spec, extra=_field_assumptions,
+        spec=_field_spec, extra=_field_facts,
     ),
     "ising": Experiment(
         "transverse-field chain trajectory",

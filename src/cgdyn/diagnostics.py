@@ -181,7 +181,6 @@ def equal_marginal_check(channel, n, samples=20, seed=0):
     """
     if n < 2:
         raise ValueError("need at least two sites")
-    tol = 1e-10  # the largest marginal deviation that still counts as equal
     linear, shift = _induced_map_from_products(channel, n)
     rng = np.random.default_rng(seed)
 
@@ -203,14 +202,14 @@ def equal_marginal_check(channel, n, samples=20, seed=0):
             comm_worst = max(comm_worst, comm)
 
     return EqualMarginalReport(
-        holds=bool(worst <= tol),
+        holds=bool(worst <= qcore.EQUAL_MARGINAL_TOL),
         max_deviation=float(worst),
         commutation_deviation=float(comm_worst),
         induced_linear=[[float(x) for x in row] for row in linear],
         induced_shift=[float(x) for x in shift],
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=qcore.EQUAL_MARGINAL_TOL,
     )
 
 

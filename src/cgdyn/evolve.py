@@ -28,8 +28,7 @@ The effective trajectory is generally nonlinear in the input state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,16 +96,11 @@ class CnotInteraction:
 class FieldAllToAll:
     """Per-site z fields, optionally plus the n-body term Z x Z x ... x Z.
 
-    omegas holds one frequency per site. mu/sigma/seed record how the
-    frequencies were sampled when `sample_field` built the spec; they are
-    metadata only and do not enter the dynamics.
+    omegas holds one frequency per site.
     """
 
     omegas: tuple
     include_interaction: bool = False
-    mu: Optional[float] = None
-    sigma: Optional[float] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         w = tuple(float(x) for x in np.atleast_1d(np.asarray(self.omegas, dtype=float)))
@@ -124,28 +118,14 @@ class FieldAllToAll:
         if self.include_interaction:
             yield 1.0, tuple((k, "z") for k in range(1, self.n + 1))
 
-    @property
-    def t_c(self):
-        """Dephasing time scale 2 pi / (frequency spread)."""
-        spread = self.sigma if self.sigma is not None else float(np.std(self.omegas))
-        if spread <= 0.0:
-            return math.inf
-        return 2.0 * math.pi / spread
-
 
 def sample_field(n, mu=1.5, sigma=0.2, seed=0, include_interaction=False):
-    """Draw site frequencies from normal(mu, sigma) with a recorded seed."""
+    """Draw site frequencies from normal(mu, sigma) with the given seed."""
     if sigma < 0:
         raise ValueError("frequency spread must be nonnegative")
     rng = np.random.default_rng(seed)
     omegas = rng.normal(mu, sigma, size=n)
-    return FieldAllToAll(
-        omegas=tuple(omegas),
-        include_interaction=include_interaction,
-        mu=float(mu),
-        sigma=float(sigma),
-        seed=int(seed),
-    )
+    return FieldAllToAll(omegas=tuple(omegas), include_interaction=include_interaction)
 
 
 @dataclass(frozen=True)
@@ -204,8 +184,9 @@ class LocalZSecond:
 
 def spec_to_dict(spec):
     """JSON-friendly description of a Hamiltonian spec (for run metadata)."""
-    # fields, not asdict: asdict deep-copies a 10^4-site field's frequencies
-    d = {"kind": type(spec).__name__, **{f.name: getattr(spec, f.name) for f in fields(spec)}}
+    # the instance dict holds exactly the fields; asdict would deep-copy a
+    # 10^4-site field's frequencies
+    d = {"kind": type(spec).__name__, **vars(spec)}
     if "omegas" in d:
         # the field's site count is implicit in its frequencies; record it
         d["n"] = spec.n
@@ -436,7 +417,4 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         "lambda": ("inf" if math.isinf(lam) else float(lam)),
         "initial_bloch": [float(x) for x in qcore.bloch_from_density(np.asarray(rho_eff))],
     }
-    t_c = getattr(spec, "t_c", None)
-    if t_c is not None:
-        metadata["t_c"] = ("inf" if math.isinf(t_c) else float(t_c))
     return Trajectory(times=times, bloch=bloch, purity=purity, metadata=metadata)

@@ -35,6 +35,8 @@ BLOCH_SLACK = 1e-12  # a Bloch radius may exceed 1 by this much
 ZERO_RADIUS = 1e-15  # a radius or direction norm below this counts as zero
 WEIGHT_SUM_TOL = 1e-12  # site weights sum to one within this
 PURE_RADIUS = 1.0 - 1e-9  # an effective radius from here up is pure (lambda diverges)
+RADII_SUM_TOL = 1e-9  # p1 r1 + p2 r2 given to kappa_swap meets r_ef0 within this
+EQUAL_MARGINAL_TOL = 1e-10  # the largest marginal deviation that still counts as equal
 
 
 class PositivityError(ArithmeticError):

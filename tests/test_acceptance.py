@@ -147,6 +147,7 @@ def test_criterion_5_field_desk_scale(acceptance_report):
     t0 = time.perf_counter()
     rho0 = qcore.density_from_bloch([0.8, 0.0, 0.0])
     seeds = range(20)
+    t_c = 2.0 * math.pi / 0.2  # the CLI's dephasing time 2 pi / sigma
 
     def stats(n):
         cg = preferential(n, 0.5)
@@ -154,7 +155,7 @@ def test_criterion_5_field_desk_scale(acceptance_report):
         means, stds = [], []
         for seed in seeds:
             spec = evolve.sample_field(n, mu=1.5, sigma=0.2, seed=seed)
-            times = np.linspace(1.01 * spec.t_c, 4.0 * spec.t_c, 240)
+            times = np.linspace(1.01 * t_c, 4.0 * t_c, 240)
             traj = evolve.trajectory(rho0, cg, spec, times, method="fast")
             rt = np.hypot(traj.bloch[:, 0], traj.bloch[:, 1])
             means.append(rt.mean())
@@ -297,11 +298,10 @@ def test_criterion_10_linearity_suite(acceptance_report):
             samples=100, seed=1,
         )
         linear_worst = max(linear_worst, rep.max_violation)
-    mask = lambda rho: channels.pauli_component_mask(rho, channels.DEPHASE_Y_MASK)
     linear_worst = max(
         linear_worst,
         diagnostics.linearity_probe(
-            static(mask, non_preferential(2)), 0.0, samples=100, seed=2
+            static(channels.pauli_component_mask, non_preferential(2)), 0.0, samples=100, seed=2
         ).max_violation,
     )
 

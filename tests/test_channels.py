@@ -354,14 +354,22 @@ def test_total_dephasing_kraus_oracle(rng):
 
 
 def test_pauli_mask_matches_kraus(rng):
-    yy = np.kron(qcore.SIGMA_Y, qcore.SIGMA_Y)
+    # the Kraus form (rho + (Y x Y) rho (Y x Y)) / 2 keeps the Pauli components
+    # sigma_a x sigma_b (a, b over i, x, y, z) whose two factors both lie in
+    # {i, y} or both in {x, z}, and erases the rest
+    paulis = [qcore.IDENTITY_2, qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z]
+    kept = [(a, b) for a in range(4) for b in range(4) if (a in (0, 2)) == (b in (0, 2))]
+    assert len(kept) == 8
     for _ in range(5):
         rho = qcore.random_density(4, rng)
-        got = channels.pauli_component_mask(rho, channels.DEPHASE_Y_MASK)
-        want = 0.5 * (rho + yy @ rho @ yy)
+        want = np.zeros((4, 4), dtype=complex)
+        for a, b in kept:
+            basis = np.kron(paulis[a], paulis[b])
+            want += np.trace(basis @ rho) / 4.0 * basis
+        got = channels.pauli_component_mask(rho)
         assert qcore.trace_norm(got - want) < 1e-13
 
 
 def test_pauli_mask_shape_check(rng):
     with pytest.raises(ValueError):
-        channels.pauli_component_mask(qcore.random_density(8, rng), channels.DEPHASE_Y_MASK)
+        channels.pauli_component_mask(qcore.random_density(8, rng))

@@ -76,6 +76,18 @@ def test_field_tc_suffix(tmp_path):
     assert data[-1, 0] == pytest.approx(2 * 2 * math.pi / 0.2)
 
 
+def test_field_tc_at_zero_spread(tmp_path, capsys):
+    # t_c = 2 pi / sigma is infinite at sigma = 0: no grid in its units, "inf" in the sidecar
+    assert cli.main(["field", "--sigma", "0", "--tmax", "4tc"]) == 1
+    assert "t_c is infinite" in capsys.readouterr().err
+    code, _ = _run(tmp_path, "field", "--sigma", "0", "--tmax", "5", "--steps", "3")
+    assert code == 0
+    assert json.loads((tmp_path / "out.meta.json").read_text())["derived"]["t_c"] == "inf"
+    # only the field experiment has a dephasing time
+    assert cli.main(["cnot", "--tmax", "2tc"]) == 1
+    assert "only makes sense for field runs" in capsys.readouterr().err
+
+
 def test_metadata_written_next_to_csv(tmp_path):
     code, out = _run(tmp_path, "field", "--n", "3", "--steps", "4", "--tmax", "1.0")
     assert code == 0
@@ -494,3 +506,18 @@ def test_no_unused_imports():
                 if name not in read:
                     unused.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+def test_no_tolerance_literal_outside_qcore():
+    # qcore owns every numeric tolerance: a float literal below 1e-6 in
+    # magnitude anywhere else in the package is a tolerance without a name
+    small = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if not name.endswith(".py") or name == "qcore.py":
+            continue
+        tree = ast.parse(open(os.path.join(SRC_DIR, name), encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                if 0.0 < abs(node.value) < 1e-6:
+                    small.append(f"{name}:{node.lineno}: {node.value!r}")
+    assert not small, small

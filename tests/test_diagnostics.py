@@ -213,8 +213,7 @@ def test_total_dephasing_equal_marginal():
 
 
 def test_pce_mask_equal_marginal():
-    chan = lambda rho: channels.pauli_component_mask(rho, channels.DEPHASE_Y_MASK)
-    rep = diagnostics.equal_marginal_check(chan, 2, samples=10, seed=4)
+    rep = diagnostics.equal_marginal_check(channels.pauli_component_mask, 2, samples=10, seed=4)
     assert rep.holds
     # induced map keeps only the y component: dephasing along y
     assert np.allclose(rep.induced_linear, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
