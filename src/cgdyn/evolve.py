@@ -13,8 +13,8 @@ that structure, not the spec's class:
   the chain at g = 0, the second-qubit rotation, any two-body ZZ graph.
   Product inputs then have exact closed-form marginals at any site count.
 * statevector: any other Hamiltonian with a pure effective input keeps
-  2^n amplitudes instead of 4^n matrix entries. Above 12 qubits each grid
-  point is a Krylov step (`expm_multiply`) from the previous one.
+  2^n amplitudes instead of 4^n matrix entries. One eigh (n <= 12) or Krylov
+  steps (`expm_multiply`): a cost model in 2^n, grid length and |H| t decides.
 * dense: everything else. Build the full 2^n state and conjugate by
   exp(-i H t) via a Hermitian eigendecomposition computed once per sweep.
   A diagonal H (any other z-only sum, or a forced method="dense") needs no
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -38,6 +39,12 @@ from .coarse_grain import apply_cg
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
 DENSE_ISING_MIXED_MAX = 8
+# Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
+# (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
+# per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
+# plus work on the d (n + 1) stored entries of H.
+_EIGH_CUBE, _EIGH_POINT = 1.1, 1.6
+_KRYLOV_POINT, _KRYLOV_TRAVEL, _KRYLOV_ENTRIES = 1.1e6, 1.6e5, 9300.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +304,16 @@ def _effective_from_state(psi, cg):
     return out
 
 
+def _statevector_engine(spec, times):
+    """(modelled ns, "eigh" or "krylov") of the cheaper engine; eigh up to the cap."""
+    d, steps = 2 ** spec.n, len(times)
+    travel = sum(abs(c) for c, _ in spec.terms()) * (times[-1] - min(times[0], 0.0))
+    products = steps * _KRYLOV_POINT + travel * _KRYLOV_TRAVEL
+    krylov = products * (1.0 + d * (spec.n + 1) / _KRYLOV_ENTRIES), "krylov"
+    eigh = d ** 3 * _EIGH_CUBE + steps * d ** 2 * _EIGH_POINT, "eigh"
+    return min(krylov, eigh) if spec.n <= DENSE_MAX_QUBITS else krylov
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 
@@ -348,8 +365,8 @@ def gamma_t(rho_eff, cg, spec, t):
 def trajectory(rho_eff, cg, spec, times, method="auto"):
     """Effective trajectory over a time grid, one assignment for the sweep.
 
-    The grid must be nonempty and strictly increasing. The heavy pieces
-    (lambda solve, Hamiltonian eigendecomposition) are computed once.
+    The grid must be nonempty and strictly increasing. The lambda solve and any
+    eigh of H run once; a pure input skips eigh where Krylov steps cost less.
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
@@ -379,12 +396,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
     else:  # statevector
         site = _pure_site_vector(assigned.direction)
-        psi0 = site
-        for _ in range(spec.n - 1):
-            psi0 = np.kron(psi0, site)
-        if spec.n <= DENSE_MAX_QUBITS:
-            h = build_hamiltonian(spec)
-            evals, evecs = qcore.eigensystem(h)
+        psi0 = reduce(np.kron, [site] * spec.n)
+        if _statevector_engine(spec, times)[1] == "eigh":
+            evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
             coeff = evecs.conj().T @ psi0
             for i, t in enumerate(times):
                 psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
@@ -405,8 +419,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
     # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
     # exactly the PSD_FLOOR policy expressed on the Bloch ball
     if (radii_sq > (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).any():
-        worst = float(np.sqrt(radii_sq.max()))
-        raise qcore.PositivityError(f"effective Bloch radius {worst} left the ball")
+        i = int(np.argmax(radii_sq))
+        raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
+                                    f"ball at time index {i} (t = {times[i]}) on the {route} route")
     purity = 0.5 * (1.0 + radii_sq)
 
     lam = assigned.solution.lam

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -541,6 +542,16 @@ def _read_radius(r, direction):
     return float(np.linalg.norm(qcore.bloch_from_density(qcore.density_from_bloch(r * direction))))
 
 
+def _last_mixed_radius(direction):
+    # the largest input radius along direction that the assignment reads as mixed
+    r = qcore.PURE_RADIUS
+    while _read_radius(r, direction) >= qcore.PURE_RADIUS:
+        r = np.nextafter(r, 0.0)
+    while _read_radius(np.nextafter(r, 2.0), direction) < qcore.PURE_RADIUS:
+        r = np.nextafter(r, 2.0)
+    return r
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_cut_cases(), shrink=st.floats(0.2, 0.5))
 def test_trajectory_continuous_across_zero_radius(case, shrink):
@@ -563,11 +574,7 @@ def test_pure_radius_jump_is_bounded(case):
     # effective Bloch vector moves by at most the same amount. The output is
     # not continuous across this cut: the bound is all that holds.
     spec, cg, direction, times = case
-    r = qcore.PURE_RADIUS
-    while _read_radius(r, direction) >= qcore.PURE_RADIUS:
-        r = np.nextafter(r, 0.0)
-    while _read_radius(np.nextafter(r, 2.0), direction) < qcore.PURE_RADIUS:
-        r = np.nextafter(r, 2.0)
+    r = _last_mixed_radius(direction)
     below, above = (
         evolve.trajectory(qcore.density_from_bloch(x * direction), cg, spec, times)
         for x in (r, np.nextafter(r, 2.0))
@@ -577,3 +584,141 @@ def test_pure_radius_jump_is_bounded(case):
     move = np.linalg.norm(above.bloch - below.bloch, axis=1).max()
     # 1e-12 absorbs the two routes' rounding, far below the bound's 1e-9 scale
     assert move <= bound + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The state-vector engines: dense against eigh and Krylov on random Pauli sums,
+# the cost model that picks between them, and the positivity report
+
+
+@dataclass(frozen=True)
+class _PauliSum:
+    """Any Pauli sum, given as its (coeff, ((site, axis), ...)) terms."""
+
+    n: int
+    strings: tuple
+
+    def terms(self):
+        return iter(self.strings)
+
+
+@st.composite
+def _pauli_sum_cases(draw):
+    """x/y/z strings on 1-3 distinct sites of n <= 6, supports drawn again to
+    repeat them; weights with values near 1e-7, and zeros for mixed inputs; a
+    mixed, pure or just-mixed input; a strictly increasing grid that may
+    start before t = 0."""
+    n = draw(st.integers(2, 6))
+    pool = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
+                         min_size=1, max_size=4))
+    coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+    strings = []
+    for _ in range(draw(st.integers(1, 7))):
+        sites = draw(st.sampled_from(pool))
+        axes = draw(st.lists(st.sampled_from(qcore.AXES), min_size=len(sites), max_size=len(sites)))
+        strings.append((draw(coeff), tuple(zip(sites, axes))))
+    kind = draw(st.sampled_from(["pure", "mixed", "just-mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probs = rng.dirichlet(np.ones(n))
+    probs[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = draw(st.floats(5e-8, 2e-7))
+    if kind == "mixed":  # a pure input needs every weight positive
+        probs[draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+        if probs.sum() == 0.0:
+            probs[0] = 1.0
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    radius = {"pure": 1.0, "mixed": draw(st.floats(0.05, 0.95))}.get(kind)
+    if radius is None:
+        radius = _last_mixed_radius(direction)
+    steps = draw(st.lists(st.floats(0.05, 1.5), max_size=4))
+    times = draw(st.sampled_from([0.0, 0.4, -0.9])) + np.cumsum([0.0] + steps)
+    return _PauliSum(n, tuple(strings)), custom(probs / probs.sum()), direction, radius, times
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_pauli_sum_cases())
+def test_dense_and_statevector_engines_agree(case):
+    spec, cg, direction, radius, times = case
+    dense = evolve.trajectory(qcore.density_from_bloch(radius * direction), cg, spec, times,
+                              method="dense").bloch
+    outputs = [dense]
+    if radius > 0.95:  # pure or just mixed: the engines run on the pure snap
+        engines = {}
+        for engine in ("eigh", "krylov"):
+            # the selector returns (modelled ns, engine); trajectory reads the engine
+            with mock.patch.object(evolve, "_statevector_engine", lambda *_: (0.0, engine)):
+                engines[engine] = evolve.trajectory(qcore.density_from_bloch(direction), cg, spec,
+                                                    times, method="statevector").bloch
+        assert np.abs(engines["eigh"] - engines["krylov"]).max() <= 1e-10
+        # a just-mixed input sits at most (1 - r)/p_min from its pure snap
+        # (test_pure_radius_jump_is_bounded); a pure one is its own snap
+        bound = 0.0 if radius == 1.0 else (1.0 - _read_radius(radius, direction)) / cg.probs.min()
+        for bloch in engines.values():
+            assert np.abs(bloch - dense).max() <= bound + 1e-10
+        outputs += engines.values()
+    for bloch in outputs:
+        assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= 1.0 + qcore.BLOCH_SLACK
+
+
+def _engine(spec, times):
+    return evolve._statevector_engine(spec, np.asarray(times, dtype=float))[1]
+
+
+def test_statevector_engine_keeps_eigh_where_configs_run():
+    # ising-sweep-transverse: the n = 4 chain at one point, t = 0.9
+    assert _engine(evolve.IsingChain(4, J=1.0, g=0.5), [0.9]) == "eigh"
+    # diagnostics-swap's pure probes: one point at pi/2, 25-point grids up to 2 pi
+    grid = np.linspace(math.pi / 25, math.pi, 25)
+    swap = evolve.Swap(omega=1.0)
+    assert all(_engine(swap, g) == "eigh" for g in [[math.pi / 2], grid, *(grid + s for s in grid)])
+    # and any grid on four sites or fewer: Krylov's per-point overhead alone
+    # exceeds a 16 x 16 eigh
+    for n in (2, 3, 4):
+        for steps in (1, 10, 101, 1001):
+            for span in (0.1, 2.0, 200.0):
+                assert _engine(evolve.IsingChain(n, J=1.0, g=0.5), np.linspace(0.0, span, steps)) == "eigh"
+
+
+def test_statevector_engine_weighs_grid_length_and_span():
+    chain = evolve.IsingChain(10, J=1.0, g=0.5)
+    # the benchmark's statevector.n10 case: Krylov 0.02-0.04 s, eigh 1.1-1.4 s
+    assert _engine(chain, np.linspace(0.0, 2.0, 10)) == "krylov"
+    # a long span: Krylov 1.4-1.8 s over [0, 400], eigh still 1.1-1.2 s
+    assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "eigh"
+    # the span counts from t = 0, where the Krylov steps start
+    assert _engine(chain, np.linspace(-398.0, 2.0, 10)) == "eigh"
+    # n = 8 crosses over: Krylov with 10 points on [0, 2], eigh with 101
+    small = evolve.IsingChain(8, J=1.0, g=0.5)
+    assert _engine(small, np.linspace(0.0, 2.0, 10)) == "krylov"
+    assert _engine(small, np.linspace(0.0, 2.0, 101)) == "eigh"
+
+
+def test_statevector_engine_cost_rises_with_n():
+    for span in (0.0, 2.0, 200.0):
+        for steps in (1, 10, 101):
+            times = np.linspace(span / steps, span, steps)
+            costs = [evolve._statevector_engine(evolve.IsingChain(n, J=1.0, g=0.5), times)
+                     for n in range(2, evolve.STATEVECTOR_MAX_SPINS + 1)]
+            assert all(b[0] >= a[0] for a, b in zip(costs, costs[1:])), (span, steps)
+            # no eigh above the dense cap, where the Hamiltonian is never built
+            assert {e for n, (_, e) in enumerate(costs, start=2) if n > evolve.DENSE_MAX_QUBITS} == {"krylov"}
+    # not even when H is zero and the grid a single point at t = 0
+    idle = evolve.IsingChain(evolve.DENSE_MAX_QUBITS + 1, J=0.0, g=0.0)
+    assert _engine(idle, [0.0]) == "krylov"
+
+
+@pytest.mark.parametrize("method, stage", [("statevector", "_effective_from_state"), ("dense", "apply_cg")])
+def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage):
+    # the exchange model keeps a symmetric pure product state pure, so every
+    # effective radius is 1; inflating the third marginal pushes it off the ball
+    real, calls = getattr(evolve, stage), []
+
+    def inflated(state, cg):
+        calls.append(state)
+        return real(state, cg) * (1.0 + 1e-6 if len(calls) == 3 else 1.0)
+
+    monkeypatch.setattr(evolve, stage, inflated)
+    rho = qcore.density_from_bloch(_bloch(0.8, 0.3))
+    with pytest.raises(qcore.PositivityError, match=rf"time index 2 \(t = 1\.5\) on the {method} route"):
+        evolve.trajectory(rho, preferential(2, 0.7), evolve.Swap(omega=1.0), [0.5, 1.0, 1.5, 2.0],
+                          method=method)
