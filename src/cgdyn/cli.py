@@ -5,7 +5,8 @@ Conventions shared by all subcommands:
     `kappa,rate`), floats at 17 significant digits, '\n' line endings,
     so identical config + seed reproduces byte-identical files;
   * a metadata JSON next to the CSV with the fully resolved config, the
-    seed, the library version and derived quantities;
+    seed, the library version and derived quantities; the library returns
+    typed values and this module alone turns them into JSON;
   * each subcommand's flags are its config keys: `--` plus the key with
     `_` spelled `-` (`-o` is short for `--output`), as listed with their
     defaults in `EXPERIMENTS`;
@@ -204,6 +205,18 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _model_facts(cg, spec=None):
+    """The sidecar's `distribution` entry, and its `spec` entry given a model."""
+    facts = {"distribution": {"n": cg.n, "probs": cg.probs}}
+    if spec is not None:
+        # vars holds exactly the fields (asdict would deep-copy a 10^4-site
+        # field's frequencies); the field's site count is implicit, so add it
+        facts["spec"] = {"kind": type(spec).__name__, **vars(spec)}
+        if "omegas" in facts["spec"]:
+            facts["spec"]["n"] = spec.n
+    return facts
+
+
 def _write_metadata(res, experiment, derived):
     path = res["metadata"]
     if path is None:
@@ -229,11 +242,14 @@ def _run_trajectory(row, res):
     traj = evolve.trajectory(rho0, cg, spec, _time_grid(res))
     b = traj.bloch
     columns = {"t": traj.times, "rx": b[:, 0], "ry": b[:, 1], "rz": b[:, 2], "purity": traj.purity}
-    derived = traj.metadata
+    derived = {
+        **_model_facts(cg, spec), "initial_bloch": qcore.bloch_from_density(rho0),
+        "method": traj.route, "lambda": "inf" if traj.solution.is_pure else traj.solution.lam,
+    }
     if row.extra is not None:
         more, facts = row.extra(res, cg, bloch0, rho0, traj)
         columns.update(more)
-        derived = dict(derived, **facts)
+        derived.update(facts)
     _write(res["output"], _csv(columns, zip(*columns.values())))
     return derived
 
@@ -247,10 +263,10 @@ def _kappa_bloch(res):
 
 def _kappa_rate(res, cg, bloch0, rho0, traj):
     # kappa divides by the parsed input radius, not one read back from rho0
-    r1, r2 = maxent.assign(rho0, cg).solution.per_particle_r
+    r1, r2 = traj.solution.per_particle_r
     kappa = np.linalg.norm(traj.bloch, axis=1) / float(np.linalg.norm(bloch0))
     rate = channels.swap_rate(traj.times, cg, r1, r2, omega=res["omega"])
-    return {"kappa": kappa, "rate": rate}, {"per_particle_r": [float(r1), float(r2)]}
+    return {"kappa": kappa, "rate": rate}, {"per_particle_r": traj.solution.per_particle_r}
 
 
 def _field_facts(res, cg, bloch0, rho0, traj):
@@ -333,7 +349,7 @@ def _run_diagnostics(res):
         cg = preferential(spec.n, res["p1"]) if preferred else non_preferential(spec.n)
         if target == "linear-nm" and not res["omega"]:
             raise ValueError("the linear-nm target probes t = pi/omega, so omega must be nonzero")
-        derived = {"spec": evolve.spec_to_dict(spec), "distribution": cg.to_dict()}
+        derived = _model_facts(cg, spec)
         dyn = _pipeline_closure(spec, cg)
         lin = diagnostics.linearity_probe(dyn, t_probe, samples=samples, seed=seed)
         mk = diagnostics.semigroup_gap(dyn, grid, grid, probes=8, seed=seed)
@@ -364,7 +380,7 @@ def _run_diagnostics(res):
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = dataclasses.asdict(eq)
         cg = non_preferential(n)
-        derived = {"distribution": cg.to_dict()}
+        derived = _model_facts(cg)
         lin = diagnostics.linearity_probe(
             _static_closure(channel, cg), 0.0, samples=samples, seed=seed
         )
@@ -418,11 +434,7 @@ def _run_sweep(res):
 
     header = ["state", "theta", "phi", "t", "rx", "ry", "rz", "purity"]
     _write(res["output"], _csv(header, rows))
-    return {
-        "spec": evolve.spec_to_dict(spec),
-        "distribution": cg.to_dict(),
-        "states": int(states.shape[0]),
-    }
+    return {**_model_facts(cg, spec), "states": int(states.shape[0])}
 
 
 # ---------------------------------------------------------------------------

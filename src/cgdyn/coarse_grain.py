@@ -7,7 +7,8 @@ The map averages single-qubit marginals with a probability weight per site:
 which is the same as first swapping site k to the front and tracing the
 rest. It is completely positive and trace preserving for every weight
 vector, and linear in rho by construction. The weights are the knob that
-makes the induced effective dynamics linear or not.
+makes the induced effective dynamics linear or not. A `CoarseGraining` is a
+plain value; the CLI writes it into run metadata.
 """
 
 from __future__ import annotations
@@ -36,18 +37,14 @@ class CoarseGraining:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.n,):
             raise ValueError(f"expected {self.n} weights, got shape {p.shape}")
-        if (p < 0).any():
-            raise ValueError("weights must be nonnegative")
+        if not (p >= 0).all():  # NaN fails too; an infinity fails the sum
+            raise ValueError("weights must be finite and nonnegative")
         if abs(p.sum() - 1.0) > qcore.WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {p.sum()}, expected 1 within {qcore.WEIGHT_SUM_TOL}")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "probs", p)
-
-    def to_dict(self):
-        """The weights as JSON-friendly run metadata."""
-        return {"n": self.n, "probs": [float(p) for p in self.probs]}
 
 
 def non_preferential(n):

@@ -23,6 +23,8 @@ that structure, not the spec's class:
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
+`trajectory` returns it with the route that ran and the lambda solution;
+the CLI alone turns those into run metadata.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class FieldAllToAll:
 
 def sample_field(n, mu=1.5, sigma=0.2, seed=0, include_interaction=False):
     """Draw site frequencies from normal(mu, sigma) with the given seed."""
-    if sigma < 0:
-        raise ValueError("frequency spread must be nonnegative")
+    if not (math.isfinite(mu) and 0.0 <= sigma < math.inf):
+        raise ValueError(f"need a finite mean and a finite nonnegative spread, got {mu}, {sigma}")
     rng = np.random.default_rng(seed)
     omegas = rng.normal(mu, sigma, size=n)
     return FieldAllToAll(omegas=tuple(omegas), include_interaction=include_interaction)
@@ -187,17 +189,6 @@ class LocalZSecond:
 
     def terms(self):
         yield 0.5 * self.omega, ((2, "z"),)
-
-
-def spec_to_dict(spec):
-    """JSON-friendly description of a Hamiltonian spec (for run metadata)."""
-    # the instance dict holds exactly the fields; asdict would deep-copy a
-    # 10^4-site field's frequencies
-    d = {"kind": type(spec).__name__, **vars(spec)}
-    if "omegas" in d:
-        # the field's site count is implicit in its frequencies; record it
-        d["n"] = spec.n
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +338,22 @@ def _route(spec, pure_input, method, strings):
 
 @dataclass
 class Trajectory:
-    """Effective-state history: Bloch vector and purity per time point."""
+    """Effective-state history: Bloch vector and purity per time point, the
+    route that ran and the assignment's lambda solution."""
 
     times: np.ndarray
     bloch: np.ndarray
     purity: np.ndarray
-    metadata: dict
-
-
-def gamma_t(rho_eff, cg, spec, t):
-    """One step of the effective dynamics at time t."""
-    traj = trajectory(rho_eff, cg, spec, [t])
-    # trajectory already policed the radius at the positivity floor
-    return qcore.bloch_operator(traj.bloch[0])
+    route: str
+    solution: maxent.LagrangeSolution
 
 
 def trajectory(rho_eff, cg, spec, times, method="auto"):
     """Effective trajectory over a time grid, one assignment for the sweep.
 
-    The grid must be nonempty and strictly increasing. The lambda solve and any
-    eigh of H run once; a pure input skips eigh where Krylov steps cost less.
+    The grid must be nonempty, finite and strictly increasing. The lambda solve
+    and any eigh of H run once; a pure input skips eigh where Krylov steps cost
+    less. A NaN or out-of-ball effective radius raises PositivityError.
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
@@ -417,19 +404,10 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     radii_sq = np.sum(bloch * bloch, axis=1)
     # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
-    # exactly the PSD_FLOOR policy expressed on the Bloch ball
-    if (radii_sq > (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).any():
+    # exactly the PSD_FLOOR policy expressed on the Bloch ball; a NaN fails it
+    if not (radii_sq <= (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).all():
         i = int(np.argmax(radii_sq))
         raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
                                     f"ball at time index {i} (t = {times[i]}) on the {route} route")
     purity = 0.5 * (1.0 + radii_sq)
-
-    lam = assigned.solution.lam
-    metadata = {
-        "spec": spec_to_dict(spec),
-        "distribution": cg.to_dict(),
-        "method": route,
-        "lambda": ("inf" if math.isinf(lam) else float(lam)),
-        "initial_bloch": [float(x) for x in qcore.bloch_from_density(np.asarray(rho_eff))],
-    }
-    return Trajectory(times=times, bloch=bloch, purity=purity, metadata=metadata)
+    return Trajectory(times, bloch, purity, route, assigned.solution)

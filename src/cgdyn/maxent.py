@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qcore
 
-_BISECT_ITERS = 200
+_BISECT_ITERS = 1100  # [0, 1] halves down to the smallest subnormal in 1075 steps
 _DIRECTION_Z = np.array([0.0, 0.0, 1.0])
 
 
@@ -67,8 +67,8 @@ def solve_lambda(r_ef, cg):
     """Solve sum_k p_k tanh(p_k lambda) = r_ef for lambda >= 0.
 
     r_ef is the Bloch radius of the effective state, in [0, 1]. The
-    bracket is grown geometrically from [0, 1] and then bisected to
-    machine precision (at most 200 iterations).
+    bracket is grown geometrically from [0, 1] and then bisected until it
+    collapses to adjacent floats, even for a subnormal root.
     """
     r_ef = float(r_ef)
     if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:

@@ -212,8 +212,8 @@ def density_from_bloch(r):
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_SLACK:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    if not norm <= 1.0 + BLOCH_SLACK:  # NaN fails too
+        raise ValueError(f"Bloch vector norm {norm} is not at most 1")
     return bloch_operator(r)
 
 
@@ -249,10 +249,12 @@ def assert_density_matrix(rho, name="state"):
 
 
 def time_grid(values, name="time grid"):
-    """values as a float array; ValueError unless nonempty, 1-d and strictly increasing."""
+    """values as a float array; ValueError unless nonempty, 1-d, finite and strictly increasing."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} must hold finite values")
     if not (np.diff(grid) > 0).all():
         raise ValueError(f"{name} must be strictly increasing")
     return grid

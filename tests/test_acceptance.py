@@ -22,6 +22,11 @@ def _bloch(theta, phi=0.0):
     )
 
 
+def _gamma_t(rho, cg, spec, t):
+    # one point of the effective dynamics as a 2x2 state
+    return qcore.bloch_operator(evolve.trajectory(rho, cg, spec, [t]).bloch[0])
+
+
 def test_criterion_1_swap_oracle(rng, acceptance_report):
     spec = evolve.Swap(omega=1.0)
     t0 = time.perf_counter()
@@ -34,7 +39,7 @@ def test_criterion_1_swap_oracle(rng, acceptance_report):
         sol = maxent.assign(rho, cg).solution
         r1, r2 = sol.per_particle_r
         r0 = float(np.linalg.norm(qcore.bloch_from_density(rho)))
-        got = evolve.gamma_t(rho, cg, spec, t)
+        got = _gamma_t(rho, cg, spec, t)
         if r0 < 1e-15:
             want = rho
         else:
@@ -96,12 +101,12 @@ def test_criterion_3_cnot_quarter_period(rng, acceptance_report):
             + cg.probs[0] * dephase_general(f1, x2, "z")
             + cg.probs[1] * dephase_general(f2, z1, "x")
         )
-        worst = max(worst, qcore.trace_norm(evolve.gamma_t(rho, cg, spec, t) - want))
+        worst = max(worst, qcore.trace_norm(_gamma_t(rho, cg, spec, t) - want))
 
     fixed_worst = 0.0
     for state in (qcore.density_from_bloch([0.0, 0.0, 1.0]), qcore.IDENTITY_2 / 2):
         for p1 in (0.5, 0.7):
-            out = evolve.gamma_t(state, preferential(2, p1), spec, t)
+            out = _gamma_t(state, preferential(2, p1), spec, t)
             fixed_worst = max(fixed_worst, qcore.trace_norm(out - state))
     acceptance_report(
         3, "conditional-flip matches state-keyed dephasing mixture",

@@ -12,7 +12,7 @@ import shlex
 import numpy as np
 import pytest
 
-from cgdyn import channels, cli, coarse_grain, evolve, qcore
+from cgdyn import channels, cli, coarse_grain, evolve, maxent, qcore
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -47,8 +47,6 @@ def test_swap_kappa_matches_analytic(tmp_path):
     code, out = _run(tmp_path, "swap-kappa", "--p1", "0.7", "--steps", "40")
     assert code == 0
     _, data = _read_csv(out)
-    from cgdyn import maxent
-
     cg = cli.preferential(2, 0.7)
     rho0 = qcore.density_from_bloch([0.6, 0.0, 0.3])
     r1, r2 = maxent.assign(rho0, cg).solution.per_particle_r
@@ -100,6 +98,66 @@ def test_metadata_written_next_to_csv(tmp_path):
     assert meta["derived"]["t_c"] == pytest.approx(2 * math.pi / 0.2)
     assert "lambda" in meta["derived"]
     assert "assumptions" in meta["derived"]
+
+
+def test_sidecar_derived_facts(tmp_path):
+    # the whole derived dict of a fast, a dense and a state-vector run
+    argv = ["field", "--n", "3", "--bloch", "0.3,0,0", "--tmax", "1", "--steps", "2"]
+    assert _run(tmp_path, *argv)[0] == 0
+    cg = coarse_grain.preferential(3, 0.5)
+    assert json.loads((tmp_path / "out.meta.json").read_text())["derived"] == {
+        "spec": {
+            "kind": "FieldAllToAll", "omegas": list(evolve.sample_field(3, seed=0).omegas),
+            "include_interaction": False, "n": 3,
+        },
+        "distribution": {"n": 3, "probs": [0.5, 0.25, 0.25]},
+        "method": "fast",
+        "lambda": maxent.solve_lambda(0.3, cg).lam,
+        "initial_bloch": [0.3, 0.0, 0.0],
+        "t_c": 2.0 * math.pi / 0.2,
+        "assumptions": {
+            "remainder_weights": "(1 - p1)/(n - 1) spread over sites 2..n",
+            "rotation_angle": "omega_1 * t",
+        },
+    }
+
+    assert _run(tmp_path, "swap-kappa", "--steps", "3")[0] == 0
+    cg = coarse_grain.preferential(2, 0.7)
+    rho0 = qcore.density_from_bloch([0.6, 0.0, 0.3])
+    sol = maxent.assign(rho0, cg).solution
+    assert math.isfinite(sol.lam)
+    assert json.loads((tmp_path / "out.meta.json").read_text())["derived"] == {
+        "spec": {"kind": "Swap", "omega": 1.0},
+        "distribution": {"n": 2, "probs": cg.probs.tolist()},
+        "method": "dense",
+        "lambda": sol.lam,
+        "initial_bloch": qcore.bloch_from_density(rho0).tolist(),
+        "per_particle_r": sol.per_particle_r.tolist(),
+    }
+
+    argv = ["ising", "--n-spins", "3", "--g", "0.5", "--bloch", "1,0,0", "--t", "0.3"]
+    assert _run(tmp_path, *argv)[0] == 0
+    assert json.loads((tmp_path / "out.meta.json").read_text())["derived"] == {
+        "spec": {"kind": "IsingChain", "n_spins": 3, "J": 1.0, "g": 0.5, "boundary": "closed"},
+        "distribution": {"n": 3, "probs": [1.0 / 3.0] * 3},
+        "method": "statevector",
+        "lambda": "inf",
+        "initial_bloch": [1.0, 0.0, 0.0],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["cnot", "--t", "nan"],
+    ["swap-kappa", "--probs", "nan,1"],
+    ["field", "--mu", "nan", "--tmax", "2"],
+    ["cnot", "--bloch", "nan,0,0"],
+])
+def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
+    # NaN fails every comparison, so each check is written to fail it
+    code, out = _run(tmp_path, *argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("cgdyn: ")
+    assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -521,3 +579,19 @@ def test_no_tolerance_literal_outside_qcore():
                 if 0.0 < abs(node.value) < 1e-6:
                     small.append(f"{name}:{node.lineno}: {node.value!r}")
     assert not small, small
+
+
+def test_only_cli_serializes():
+    # cli alone turns library values into JSON: no other module defines a
+    # *to_dict function or writes infinity as the string "inf"
+    found = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        tree = ast.parse(open(os.path.join(SRC_DIR, name), encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("to_dict"):
+                found.append(f"{name}:{node.lineno}: def {node.name}")
+            if isinstance(node, ast.Constant) and node.value == "inf":
+                found.append(f"{name}:{node.lineno}: 'inf'")
+    assert not found, found

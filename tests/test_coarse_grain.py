@@ -50,6 +50,13 @@ def test_custom_allows_zeros_and_validates():
         custom([1.2, -0.2])
 
 
+def test_weights_must_be_finite():
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        custom([np.nan, 1.0])
+    with pytest.raises(ValueError, match="sum to inf"):
+        CoarseGraining(2, np.array([np.inf, 0.0]))
+
+
 def test_constructor_validates():
     with pytest.raises(ValueError):
         CoarseGraining(1, np.array([1.0]))

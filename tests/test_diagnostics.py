@@ -132,12 +132,12 @@ def test_semigroup_gap_rejects_bad_grids(t_grid, s_grid):
 
 @pytest.mark.parametrize("spec", [evolve.Swap(omega=1.0), evolve.Cnot(omega=1.0)])
 def test_grid_probes_match_point_loop(spec):
-    # the grid calls reproduce a loop of one-point gamma_t calls bit for bit
+    # the grid calls reproduce a loop of one-point trajectory calls bit for bit
     cg = preferential(2, 0.7)
     grid = np.linspace(0.3, 2.1, 5)
 
     def gamma(rho, t):
-        return evolve.gamma_t(rho, cg, spec, t)
+        return qcore.bloch_operator(evolve.trajectory(rho, cg, spec, [t]).bloch[0])
 
     rng = np.random.default_rng(4)
     gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None

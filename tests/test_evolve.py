@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdyn import evolve, qcore
+from cgdyn import evolve, maxent, qcore
 from cgdyn.coarse_grain import custom, non_preferential, preferential
 
 
@@ -163,15 +163,6 @@ def test_ising_translation_symmetric_marginals():
         assert qcore.trace_norm(m - marginals[0]) < 1e-10
 
 
-def test_gamma_t_matches_trajectory(rng):
-    rho0 = qcore.random_density(2, rng)
-    cg = preferential(2, 0.7)
-    spec = evolve.Swap(omega=1.0)
-    traj = evolve.trajectory(rho0, cg, spec, np.array([0.0, 0.4, 0.8]))
-    g = evolve.gamma_t(rho0, cg, spec, 0.8)
-    assert np.allclose(qcore.bloch_from_density(g), traj.bloch[2], atol=1e-13)
-
-
 def test_trajectory_validation(rng):
     rho0 = qcore.random_density(2, rng)
     spec = evolve.Swap(omega=1.0)
@@ -192,24 +183,34 @@ def test_trajectory_purity_column(rng):
     assert np.allclose(traj.purity, want, atol=1e-14)
 
 
-def test_trajectory_metadata(rng):
-    spec = evolve.sample_field(3, seed=5)
-    traj = evolve.trajectory(
-        qcore.density_from_bloch([0.3, 0.0, 0.0]), non_preferential(3), spec, [0.0, 1.0]
-    )
-    md = traj.metadata
-    assert md["method"] == "fast"
-    assert md["spec"] == {
-        "kind": "FieldAllToAll", "omegas": spec.omegas, "include_interaction": False, "n": 3,
-    }
-    # the dephasing time t_c is a fact of the CLI's field experiment, not of a trajectory
-    assert set(md) == {"spec", "distribution", "method", "lambda", "initial_bloch"}
-    assert isinstance(md["lambda"], float)
-    # pure input records the sentinel as a string
-    traj2 = evolve.trajectory(
-        qcore.density_from_bloch([0.0, 0.0, 1.0]), non_preferential(3), spec, [0.0]
-    )
-    assert traj2.metadata["lambda"] == "inf"
+def test_trajectory_route_and_solution():
+    spec, cg = evolve.sample_field(3, seed=5), non_preferential(3)
+    traj = evolve.trajectory(qcore.density_from_bloch([0.3, 0.0, 0.0]), cg, spec, [0.0, 1.0])
+    assert traj.route == "fast"
+    # the solution is the assignment's own lambda solve
+    want = maxent.solve_lambda(0.3, cg)
+    assert traj.solution.lam == want.lam
+    assert np.array_equal(traj.solution.per_particle_r, want.per_particle_r)
+    # a pure input carries the infinite sentinel
+    traj2 = evolve.trajectory(qcore.density_from_bloch([0.0, 0.0, 1.0]), cg, spec, [0.0])
+    assert traj2.solution.lam == math.inf
+
+
+def test_non_finite_times_and_outputs_raise():
+    rho = qcore.density_from_bloch([0.3, 0.1, 0.2])
+    cg = preferential(2, 0.7)
+    # an infinite time is refused, naming the grid, instead of giving a NaN row
+    with pytest.raises(ValueError, match="time grid must hold finite values"):
+        evolve.trajectory(rho, cg, evolve.Swap(), [0.0, np.inf])
+    # a NaN effective radius fails the ball check instead of reaching the caller
+    with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
+        evolve.trajectory(rho, cg, evolve.FieldAllToAll((math.nan, 1.0)), [0.0, 1.0])
+
+
+def test_sample_field_rejects_non_finite():
+    for mu, sigma in ((math.nan, 0.2), (math.inf, 0.2), (1.5, math.nan), (1.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            evolve.sample_field(3, mu=mu, sigma=sigma)
 
 
 def test_route_caps():
@@ -327,7 +328,7 @@ def test_auto_route_follows_structure():
         cg = preferential(spec.n, 0.6)
         for rho0, want in ((pure, want_pure), (mixed, want_mixed)):
             traj = evolve.trajectory(rho0, cg, spec, [0.0, 0.7])
-            assert traj.metadata["method"] == want, (spec, want)
+            assert traj.route == want, (spec, want)
     # the mixed-input cap binds non-diagonal Hamiltonians only
     field = evolve.sample_field(9, seed=4)
     evolve.trajectory(mixed, non_preferential(9), field, [0.5], method="dense")
@@ -343,7 +344,7 @@ def test_pure_two_qubit_statevector_vs_dense():
     for spec in (evolve.Swap(omega=1.2), evolve.Cnot(omega=0.9), evolve.CnotInteraction(omega=1.0)):
         sv = evolve.trajectory(rho0, cg, spec, times)
         dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
-        assert sv.metadata["method"] == "statevector"
+        assert sv.route == "statevector"
         assert np.abs(sv.bloch - dense.bloch).max() < 1e-12
 
 
@@ -389,7 +390,7 @@ def test_krylov_steps_match_per_point_oracle():
     spec = evolve.IsingChain(n_spins=n, J=1.0, g=0.5)
     cg = preferential(n, 0.3)
     traj = evolve.trajectory(qcore.density_from_bloch(direction), cg, spec, times)
-    assert traj.metadata["method"] == "statevector"
+    assert traj.route == "statevector"
 
     site = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.3j)])
     psi0 = site
@@ -470,12 +471,12 @@ def test_fast_route_matches_diagonal_dense(case):
     dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
     auto = evolve.trajectory(rho0, cg, spec, times)
     if _shares_two_sites(spec.strings):
-        assert auto.metadata["method"] == "dense"
+        assert auto.route == "dense"
         assert np.array_equal(auto.bloch, dense.bloch)
         with pytest.raises(ValueError, match="share two or more sites"):
             evolve.trajectory(rho0, cg, spec, times, method="fast")
     else:
-        assert auto.metadata["method"] == "fast"
+        assert auto.route == "fast"
         assert np.abs(auto.bloch - dense.bloch).max() < 1e-12
 
 
@@ -560,7 +561,7 @@ def test_trajectory_continuous_across_zero_radius(case, shrink):
         evolve.trajectory(qcore.density_from_bloch(r * direction), cg, spec, times)
         for r in (qcore.ZERO_RADIUS * (1.0 - shrink), qcore.ZERO_RADIUS * (1.0 + shrink))
     )
-    assert below.metadata["lambda"] == 0.0 < above.metadata["lambda"]
+    assert below.solution.lam == 0.0 < above.solution.lam
     assert np.abs(below.bloch - above.bloch).max() <= 1e-12
 
 
@@ -579,7 +580,7 @@ def test_pure_radius_jump_is_bounded(case):
         evolve.trajectory(qcore.density_from_bloch(x * direction), cg, spec, times)
         for x in (r, np.nextafter(r, 2.0))
     )
-    assert math.isfinite(below.metadata["lambda"]) and above.metadata["lambda"] == "inf"
+    assert math.isfinite(below.solution.lam) and above.solution.lam == math.inf
     bound = (1.0 - _read_radius(r, direction)) / cg.probs.min()
     move = np.linalg.norm(above.bloch - below.bloch, axis=1).max()
     # 1e-12 absorbs the two routes' rounding, far below the bound's 1e-9 scale

@@ -41,6 +41,14 @@ def test_lambda_residual(rng):
         assert abs(resid) < 1e-12
 
 
+def test_lambda_at_tiny_radii():
+    # the bisection runs until its bracket collapses, however small the root
+    for cg in (preferential(3, 0.6), non_preferential(2), custom([0.1, 0.2, 0.7])):
+        for r in (1e-60, 1e-100, 1e-300):
+            got = float(np.dot(cg.probs, maxent.solve_lambda(r, cg).per_particle_r))
+            assert abs(got - r) <= 1e-12 * r, (cg.probs, r, got)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     r_lo=st.floats(0.01, 0.9),

@@ -178,6 +178,19 @@ def test_density_from_bloch_rejects_outside_ball():
         qcore.density_from_bloch([1.0, 0.5, 0.0])
 
 
+def test_density_from_bloch_rejects_non_finite():
+    # a NaN norm fails every comparison, so the check is written to fail it
+    for r in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="is not at most 1"):
+            qcore.density_from_bloch(r)
+
+
+def test_time_grid_rejects_non_finite():
+    for grid in ([np.nan], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="t_grid must hold finite values"):
+            qcore.time_grid(grid, "t_grid")
+
+
 def test_trace_norm_is_abs_eigenvalue_sum(rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = h + h.conj().T
