@@ -6,20 +6,19 @@ The composite map
 
 is evaluated along one of three routes. Each Hamiltonian spec declares
 itself as a sum of Pauli strings (`terms()`); the automatic route reads
-that structure, not the spec's class:
+that structure alone, not the spec's class or the input:
 
 * fast: any z-only sum whose strings pairwise share at most one site once
   equal supports are merged: the field with or without the n-body term,
   the chain at g = 0, the second-qubit rotation, any two-body ZZ graph.
   Product inputs then have exact closed-form marginals at any site count.
-* statevector: any other Hamiltonian with a pure effective input keeps
-  2^n amplitudes instead of 4^n matrix entries. One eigh (n <= 12) or Krylov
-  steps (`expm_multiply`): a cost model in 2^n, grid length and |H| t decides.
-* dense: everything else. Build the full 2^n state and conjugate by
-  exp(-i H t) via a Hermitian eigendecomposition computed once per sweep.
-  A diagonal H (any other z-only sum, or a forced method="dense") needs no
-  eigendecomposition: its energies come straight from the z-only terms and
-  each step is O(4^n) elementwise work.
+* dense: any other z-only sum. Its energies come straight from the terms
+  and each step is O(4^n) elementwise work on the joint state.
+* statevector: every non-diagonal Hamiltonian. The assigned product state
+  evolves as columns: one for a pure input, its product purification
+  (up to 2^n columns) for a mixed one. One column takes one eigh (n <= 12)
+  or Krylov steps (`expm_multiply`), whichever a cost model in 2^n, grid
+  length and |H| t rates cheaper; a purification always takes eigh.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -40,7 +39,7 @@ from .coarse_grain import apply_cg
 
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
-DENSE_ISING_MIXED_MAX = 8
+MIXED_MAX_SPINS = 8
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
@@ -272,7 +271,7 @@ def _fast_coherences(invariants, t):
 
 
 # ---------------------------------------------------------------------------
-# State-vector route for pure symmetric inputs
+# State-vector route: a pure product state, or a mixed one's product purification
 
 
 def _pure_site_vector(direction):
@@ -286,11 +285,12 @@ def _pure_site_vector(direction):
 
 
 def _effective_from_state(psi, cg):
-    """C(|psi><psi|): the weighted single-site marginals of a pure state."""
-    n, out = cg.n, np.zeros((2, 2), dtype=complex)
+    """C(psi psi^dag): the weighted single-site marginals of a state given
+    as columns, a single one when pure."""
+    out = np.zeros((2, 2), dtype=complex)
     for k, p in enumerate(cg.probs, start=1):
         if p:
-            a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
+            a = psi.reshape(2 ** (k - 1), 2, -1)
             out += p * np.einsum("aib,ajb->ij", a, a.conj())
     return out
 
@@ -310,29 +310,28 @@ def _statevector_engine(spec, times):
 
 
 def _route(spec, pure_input, method, strings):
-    """The route that runs, given the merged z strings (None unless H is
-    diagonal); ValueError when the chosen route cannot run this case."""
+    """The route that runs: the automatic one reads only the merged z strings
+    (None unless H is diagonal); ValueError when the chosen route cannot run
+    this case."""
     if method not in ("auto", "dense", "fast", "statevector"):
         raise ValueError(f"unknown method {method!r}")
     fast_ok = strings is not None and _fast_exact(strings)
     route = method
     if method == "auto":
-        route = "fast" if fast_ok else "statevector" if pure_input and strings is None else "dense"
+        route = "fast" if fast_ok else "statevector" if strings is None else "dense"
     if route == "fast" and not fast_ok:
         raise ValueError("fast route needs z-only strings of which no two share two or more sites")
     if route == "statevector":
-        if not pure_input:
-            raise ValueError("statevector route requires a pure effective input")
         if spec.n > STATEVECTOR_MAX_SPINS:
             raise ValueError(f"statevector route capped at {STATEVECTOR_MAX_SPINS} spins")
+        if not pure_input and spec.n > MIXED_MAX_SPINS:
+            raise ValueError(f"mixed effective inputs on the statevector route are capped at "
+                             f"{MIXED_MAX_SPINS} sites; use a pure input")
     if route == "dense":
+        if strings is None:
+            raise ValueError("dense route needs a z-only Hamiltonian; use statevector")
         if spec.n > DENSE_MAX_QUBITS:
             raise ValueError(f"dense route capped at {DENSE_MAX_QUBITS} qubits")
-        if not pure_input and spec.n > DENSE_ISING_MIXED_MAX and strings is None:
-            raise ValueError(
-                f"mixed effective inputs under a non-diagonal Hamiltonian are capped at "
-                f"{DENSE_ISING_MIXED_MAX} sites; use a pure input"
-            )
     return route
 
 
@@ -353,8 +352,13 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     The grid must be nonempty, finite and strictly increasing. The lambda solve
     and any eigh of H run once; a pure input skips eigh where Krylov steps cost
-    less. A NaN or out-of-ball effective radius raises PositivityError.
+    less, a mixed one's product purification always takes eigh. A NaN or
+    infinite scalar field of the spec raises ValueError; a NaN or out-of-ball
+    effective radius raises PositivityError.
     """
+    for name, value in vars(spec).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {value}")
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
     times = qcore.time_grid(times)
@@ -365,13 +369,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     bloch = np.empty((times.size, 3))
     if route == "dense":
-        if strings is not None:
-            evals, evecs = qcore.pauli_diagonal(spec.terms(), spec.n), None
-        else:
-            evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
-        rho0 = assigned.to_matrix()
+        evals, rho0 = qcore.pauli_diagonal(spec.terms(), spec.n), assigned.to_matrix()
         for i, t in enumerate(times):
-            rho_t = qcore.propagate(evals, evecs, rho0, t)
+            rho_t = qcore.propagate(evals, None, rho0, t)
             bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
     elif route == "fast":
         probs = cg.probs
@@ -382,13 +382,16 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             eff_coh = complex(np.dot(probs, coh))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
     else:  # statevector
-        site = _pure_site_vector(assigned.direction)
-        psi0 = reduce(np.kron, [site] * spec.n)
-        if _statevector_engine(spec, times)[1] == "eigh":
+        # site k contributes the columns sqrt((1 +- r_k)/2) e+-, zero weights dropped
+        poles = [_pure_site_vector(s * assigned.direction) for s in (1.0, -1.0)]
+        blocks = [[math.sqrt(w) * e for w, e in zip(((1 + r) / 2, (1 - r) / 2), poles) if w]
+                  for r in assigned.solution.per_particle_r]
+        psi0 = reduce(np.kron, [np.stack(b, axis=1) for b in blocks])
+        if psi0.shape[1] > 1 or _statevector_engine(spec, times)[1] == "eigh":
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
             coeff = evecs.conj().T @ psi0
             for i, t in enumerate(times):
-                psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
+                psi_t = evecs @ (np.exp(-1j * evals * t)[:, None] * coeff)
                 bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
         else:
             from scipy.sparse.linalg import expm_multiply

@@ -101,7 +101,8 @@ def test_metadata_written_next_to_csv(tmp_path):
 
 
 def test_sidecar_derived_facts(tmp_path):
-    # the whole derived dict of a fast, a dense and a state-vector run
+    # the whole derived dict of a fast run and two state-vector runs, the
+    # first with a mixed input (evolved as its product purification)
     argv = ["field", "--n", "3", "--bloch", "0.3,0,0", "--tmax", "1", "--steps", "2"]
     assert _run(tmp_path, *argv)[0] == 0
     cg = coarse_grain.preferential(3, 0.5)
@@ -129,7 +130,7 @@ def test_sidecar_derived_facts(tmp_path):
     assert json.loads((tmp_path / "out.meta.json").read_text())["derived"] == {
         "spec": {"kind": "Swap", "omega": 1.0},
         "distribution": {"n": 2, "probs": cg.probs.tolist()},
-        "method": "dense",
+        "method": "statevector",
         "lambda": sol.lam,
         "initial_bloch": qcore.bloch_from_density(rho0).tolist(),
         "per_particle_r": sol.per_particle_r.tolist(),
@@ -158,6 +159,17 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
     assert code == 1
     assert capsys.readouterr().err.startswith("cgdyn: ")
     assert not out.exists()
+
+
+def test_non_finite_coefficients_name_the_field(tmp_path, capsys):
+    # refused where trajectory first reads the spec, before any engine runs
+    for argv, field in ((["ising", "--g", "nan"], "IsingChain.g must be finite, got nan"),
+                        (["cnot", "--omega", "nan"], "Cnot.omega must be finite, got nan"),
+                        (["swap-kappa", "--omega", "inf"], "Swap.omega must be finite, got inf")):
+        code, out = _run(tmp_path, *argv)
+        assert code == 1, argv
+        assert capsys.readouterr().err == f"cgdyn: {field}\n"
+        assert not out.exists()
 
 
 def test_byte_identical_reruns(tmp_path):

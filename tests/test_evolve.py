@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgdyn import evolve, maxent, qcore
-from cgdyn.coarse_grain import custom, non_preferential, preferential
+from cgdyn.coarse_grain import apply_cg, custom, non_preferential, preferential
 
 
 def _bloch(theta, phi=0.0):
@@ -97,17 +97,6 @@ def test_local_z_fast_vs_dense():
     fast = evolve.trajectory(rho0, cg, spec, times, method="fast")
     dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
     assert np.abs(fast.bloch - dense.bloch).max() < 1e-12
-
-
-def test_ising_statevector_vs_dense():
-    # pure product input, transverse field on: two different integrators
-    times = np.linspace(0.0, 1.8, 7)
-    rho0 = qcore.density_from_bloch(_bloch(0.7, 0.2))
-    spec = evolve.IsingChain(n_spins=4, J=1.0, g=0.5, boundary="closed")
-    cg = non_preferential(4)
-    sv = evolve.trajectory(rho0, cg, spec, times, method="statevector")
-    dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
-    assert np.abs(sv.bloch - dense.bloch).max() < 1e-10
 
 
 def test_ising_g0_n_independence():
@@ -202,6 +191,9 @@ def test_non_finite_times_and_outputs_raise():
     # an infinite time is refused, naming the grid, instead of giving a NaN row
     with pytest.raises(ValueError, match="time grid must hold finite values"):
         evolve.trajectory(rho, cg, evolve.Swap(), [0.0, np.inf])
+    # an infinite coupling is refused, naming the spec's field, before any route runs
+    with pytest.raises(ValueError, match="IsingChain.J must be finite, got inf"):
+        evolve.trajectory(rho, non_preferential(3), evolve.IsingChain(3, J=math.inf), [0.0, 1.0])
     # a NaN effective radius fails the ball check instead of reaching the caller
     with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
         evolve.trajectory(rho, cg, evolve.FieldAllToAll((math.nan, 1.0)), [0.0, 1.0])
@@ -222,7 +214,7 @@ def test_route_caps():
     big_field = evolve.sample_field(13, seed=1, include_interaction=True)
     with pytest.raises(ValueError):
         evolve.trajectory(rho0, non_preferential(13), big_field, [0.0], method="dense")
-    # mixed input with a transverse field has no fast or statevector route
+    # a mixed input's purification under a transverse field is capped
     mixed_big = evolve.IsingChain(n_spins=9, J=1.0, g=0.5, boundary="closed")
     with pytest.raises(ValueError):
         evolve.trajectory(rho0, non_preferential(9), mixed_big, [0.0])
@@ -230,16 +222,17 @@ def test_route_caps():
         evolve.trajectory(rho0, non_preferential(2), evolve.Swap(omega=1.0), [0.0], method="fast")
 
 
-def test_statevector_route_requires_pure(rng):
-    spec = evolve.IsingChain(n_spins=3, J=1.0, g=0.3, boundary="closed")
-    with pytest.raises(ValueError):
-        evolve.trajectory(
-            qcore.density_from_bloch([0.5, 0.0, 0.0]),
-            non_preferential(3),
-            spec,
-            [0.0, 1.0],
-            method="statevector",
-        )
+def test_mixed_statevector_cap_and_dense_needs_diagonal():
+    mixed = qcore.density_from_bloch([0.5, 0.0, 0.0])
+    # a mixed input runs its 2^n-column purification up to MIXED_MAX_SPINS sites
+    chain = evolve.IsingChain(n_spins=evolve.MIXED_MAX_SPINS + 1, J=1.0, g=0.3)
+    with pytest.raises(ValueError, match=f"capped at {evolve.MIXED_MAX_SPINS} sites; use a pure input"):
+        evolve.trajectory(mixed, non_preferential(chain.n), chain, [0.0, 1.0], method="statevector")
+    # a forced dense route takes diagonal Hamiltonians only
+    spec = evolve.IsingChain(n_spins=3, J=1.0, g=0.3)
+    for rho in (mixed, qcore.density_from_bloch([1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="z-only"):
+            evolve.trajectory(rho, non_preferential(3), spec, [0.0, 1.0], method="dense")
 
 
 def test_fast_coherences_match_dense(rng):
@@ -316,36 +309,23 @@ def test_auto_route_follows_structure():
     pure = qcore.density_from_bloch(_bloch(0.7, 0.3))
     # (spec, route for a pure input, route for a mixed input)
     cases = [
-        (evolve.Swap(omega=1.0), "statevector", "dense"),
-        (evolve.Cnot(omega=1.0), "statevector", "dense"),
-        (evolve.CnotInteraction(omega=1.0), "statevector", "dense"),
+        (evolve.Swap(omega=1.0), "statevector", "statevector"),
+        (evolve.Cnot(omega=1.0), "statevector", "statevector"),
+        (evolve.CnotInteraction(omega=1.0), "statevector", "statevector"),
         (evolve.LocalZSecond(omega=1.0), "fast", "fast"),
         (evolve.sample_field(3, seed=4, include_interaction=True), "fast", "fast"),
         (evolve.IsingChain(n_spins=3, J=1.0, g=0.0), "fast", "fast"),
-        (evolve.IsingChain(n_spins=3, J=1.0, g=0.5), "statevector", "dense"),
+        (evolve.IsingChain(n_spins=3, J=1.0, g=0.5), "statevector", "statevector"),
     ]
     for spec, want_pure, want_mixed in cases:
         cg = preferential(spec.n, 0.6)
         for rho0, want in ((pure, want_pure), (mixed, want_mixed)):
             traj = evolve.trajectory(rho0, cg, spec, [0.0, 0.7])
             assert traj.route == want, (spec, want)
-    # the mixed-input cap binds non-diagonal Hamiltonians only
-    field = evolve.sample_field(9, seed=4)
-    evolve.trajectory(mixed, non_preferential(9), field, [0.5], method="dense")
-    chain = evolve.IsingChain(n_spins=9, J=1.0, g=0.5)
-    with pytest.raises(ValueError):
-        evolve.trajectory(mixed, non_preferential(9), chain, [0.5], method="dense")
-
-
-def test_pure_two_qubit_statevector_vs_dense():
-    times = np.linspace(0.0, 4.0, 9)
-    rho0 = qcore.density_from_bloch(_bloch(1.1, 0.6))
-    cg = preferential(2, 0.7)
-    for spec in (evolve.Swap(omega=1.2), evolve.Cnot(omega=0.9), evolve.CnotInteraction(omega=1.0)):
-        sv = evolve.trajectory(rho0, cg, spec, times)
-        dense = evolve.trajectory(rho0, cg, spec, times, method="dense")
-        assert sv.route == "statevector"
-        assert np.abs(sv.bloch - dense.bloch).max() < 1e-12
+    # the mixed-input cap binds the statevector route only: a diagonal H runs
+    # a mixed input on dense past it
+    field = evolve.sample_field(evolve.MIXED_MAX_SPINS + 1, seed=4)
+    evolve.trajectory(mixed, non_preferential(field.n), field, [0.5], method="dense")
 
 
 def test_krylov_field_vs_fast():
@@ -588,8 +568,9 @@ def test_pure_radius_jump_is_bounded(case):
 
 
 # ---------------------------------------------------------------------------
-# The state-vector engines: dense against eigh and Krylov on random Pauli sums,
-# the cost model that picks between them, and the positivity report
+# The state-vector engines: a joint-density oracle against eigh and Krylov on
+# random Pauli sums, the cost model that picks between them, and the
+# positivity report
 
 
 @dataclass(frozen=True)
@@ -636,14 +617,27 @@ def _pauli_sum_cases(draw):
     return _PauliSum(n, tuple(strings)), custom(probs / probs.sum()), direction, radius, times
 
 
+def _joint_density_oracle(rho0, cg, spec, times):
+    # C(U rho U^dag) on the assigned 2^n x 2^n joint state, U from one eigh of H
+    evals, evecs = qcore.eigensystem(qcore.pauli_sum(spec.terms(), spec.n))
+    joint = maxent.assign(rho0, cg).to_matrix()
+    return np.array([qcore.bloch_from_density(apply_cg(qcore.propagate(evals, evecs, joint, t), cg))
+                     for t in times])
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=_pauli_sum_cases())
 def test_dense_and_statevector_engines_agree(case):
     spec, cg, direction, radius, times = case
-    dense = evolve.trajectory(qcore.density_from_bloch(radius * direction), cg, spec, times,
-                              method="dense").bloch
-    outputs = [dense]
-    if radius > 0.95:  # pure or just mixed: the engines run on the pure snap
+    rho0 = qcore.density_from_bloch(radius * direction)
+    oracle = _joint_density_oracle(rho0, cg, spec, times)
+    # every input, a mixed one as its product purification
+    outputs = [evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch]
+    if evolve._z_strings(spec) is not None:  # a diagonal H also runs on dense
+        outputs.append(evolve.trajectory(rho0, cg, spec, times, method="dense").bloch)
+    for bloch in outputs:
+        assert np.abs(bloch - oracle).max() <= 1e-10
+    if radius > 0.95:  # pure or just mixed: both engines on the pure snap
         engines = {}
         for engine in ("eigh", "krylov"):
             # the selector returns (modelled ns, engine); trajectory reads the engine
@@ -655,7 +649,7 @@ def test_dense_and_statevector_engines_agree(case):
         # (test_pure_radius_jump_is_bounded); a pure one is its own snap
         bound = 0.0 if radius == 1.0 else (1.0 - _read_radius(radius, direction)) / cg.probs.min()
         for bloch in engines.values():
-            assert np.abs(bloch - dense).max() <= bound + 1e-10
+            assert np.abs(bloch - oracle).max() <= bound + 1e-10
         outputs += engines.values()
     for bloch in outputs:
         assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= 1.0 + qcore.BLOCH_SLACK
@@ -710,7 +704,8 @@ def test_statevector_engine_cost_rises_with_n():
 
 @pytest.mark.parametrize("method, stage", [("statevector", "_effective_from_state"), ("dense", "apply_cg")])
 def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage):
-    # the exchange model keeps a symmetric pure product state pure, so every
+    # the exchange model keeps a symmetric pure product state pure, and a
+    # z-pure product state is an eigenstate of the diagonal chain, so every
     # effective radius is 1; inflating the third marginal pushes it off the ball
     real, calls = getattr(evolve, stage), []
 
@@ -719,7 +714,8 @@ def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage)
         return real(state, cg) * (1.0 + 1e-6 if len(calls) == 3 else 1.0)
 
     monkeypatch.setattr(evolve, stage, inflated)
-    rho = qcore.density_from_bloch(_bloch(0.8, 0.3))
+    spec, bloch = {"statevector": (evolve.Swap(omega=1.0), _bloch(0.8, 0.3)),
+                   "dense": (evolve.IsingChain(n_spins=2, J=1.0), _bloch(0.0))}[method]
     with pytest.raises(qcore.PositivityError, match=rf"time index 2 \(t = 1\.5\) on the {method} route"):
-        evolve.trajectory(rho, preferential(2, 0.7), evolve.Swap(omega=1.0), [0.5, 1.0, 1.5, 2.0],
-                          method=method)
+        evolve.trajectory(qcore.density_from_bloch(bloch), preferential(2, 0.7), spec,
+                          [0.5, 1.0, 1.5, 2.0], method=method)
