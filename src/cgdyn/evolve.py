@@ -14,11 +14,11 @@ that structure alone, not the spec's class or the input:
   Product inputs then have exact closed-form marginals at any site count.
 * dense: any other z-only sum. Its energies come straight from the terms
   and each step is O(4^n) elementwise work on the joint state.
-* statevector: every non-diagonal Hamiltonian. The assigned product state
-  evolves as columns: one for a pure input, its product purification
-  (up to 2^n columns) for a mixed one. One column takes one eigh (n <= 12)
-  or Krylov steps (`expm_multiply`), whichever a cost model in 2^n, grid
-  length and |H| t rates cheaper; a purification always takes eigh.
+* statevector: every non-diagonal Hamiltonian. A pure input keeps 2^n
+  amplitudes: one eigh (n <= 12) or Krylov steps (`expm_multiply`),
+  whichever a cost model in 2^n, grid length and |H| t rates cheaper. A
+  mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
+  Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -35,7 +35,7 @@ from functools import reduce
 import numpy as np
 
 from . import maxent, qcore
-from .coarse_grain import apply_cg
+from .coarse_grain import apply_cg, fuzzy_operator
 
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
@@ -271,7 +271,7 @@ def _fast_coherences(invariants, t):
 
 
 # ---------------------------------------------------------------------------
-# State-vector route: a pure product state, or a mixed one's product purification
+# State-vector route: pure inputs as amplitudes, mixed ones in the Heisenberg form
 
 
 def _pure_site_vector(direction):
@@ -285,18 +285,17 @@ def _pure_site_vector(direction):
 
 
 def _effective_from_state(psi, cg):
-    """C(psi psi^dag): the weighted single-site marginals of a state given
-    as columns, a single one when pure."""
-    out = np.zeros((2, 2), dtype=complex)
+    """C(|psi><psi|): the weighted single-site marginals of a pure state."""
+    n, out = cg.n, np.zeros((2, 2), dtype=complex)
     for k, p in enumerate(cg.probs, start=1):
         if p:
-            a = psi.reshape(2 ** (k - 1), 2, -1)
+            a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
             out += p * np.einsum("aib,ajb->ij", a, a.conj())
     return out
 
 
 def _statevector_engine(spec, times):
-    """(modelled ns, "eigh" or "krylov") of the cheaper engine; eigh up to the cap."""
+    """(modelled ns, "eigh" or "krylov") of a pure input's cheaper engine; eigh up to the cap."""
     d, steps = 2 ** spec.n, len(times)
     travel = sum(abs(c) for c, _ in spec.terms()) * (times[-1] - min(times[0], 0.0))
     products = steps * _KRYLOV_POINT + travel * _KRYLOV_TRAVEL
@@ -310,9 +309,8 @@ def _statevector_engine(spec, times):
 
 
 def _route(spec, pure_input, method, strings):
-    """The route that runs: the automatic one reads only the merged z strings
-    (None unless H is diagonal); ValueError when the chosen route cannot run
-    this case."""
+    """The route that runs, chosen from the merged z strings alone (None unless
+    H is diagonal); ValueError when the chosen route cannot run this case."""
     if method not in ("auto", "dense", "fast", "statevector"):
         raise ValueError(f"unknown method {method!r}")
     fast_ok = strings is not None and _fast_exact(strings)
@@ -325,8 +323,7 @@ def _route(spec, pure_input, method, strings):
         if spec.n > STATEVECTOR_MAX_SPINS:
             raise ValueError(f"statevector route capped at {STATEVECTOR_MAX_SPINS} spins")
         if not pure_input and spec.n > MIXED_MAX_SPINS:
-            raise ValueError(f"mixed effective inputs on the statevector route are capped at "
-                             f"{MIXED_MAX_SPINS} sites; use a pure input")
+            raise ValueError(f"mixed inputs capped at {MIXED_MAX_SPINS} sites; use a pure input")
     if route == "dense":
         if strings is None:
             raise ValueError("dense route needs a z-only Hamiltonian; use statevector")
@@ -352,13 +349,13 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     The grid must be nonempty, finite and strictly increasing. The lambda solve
     and any eigh of H run once; a pure input skips eigh where Krylov steps cost
-    less, a mixed one's product purification always takes eigh. A NaN or
-    infinite scalar field of the spec raises ValueError; a NaN or out-of-ball
-    effective radius raises PositivityError.
+    less. A NaN or infinite float in a spec field raises ValueError; a NaN or
+    out-of-ball effective radius raises PositivityError.
     """
     for name, value in vars(spec).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {value}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {v}")
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
     times = qcore.time_grid(times)
@@ -382,16 +379,20 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             eff_coh = complex(np.dot(probs, coh))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
     else:  # statevector
-        # site k contributes the columns sqrt((1 +- r_k)/2) e+-, zero weights dropped
-        poles = [_pure_site_vector(s * assigned.direction) for s in (1.0, -1.0)]
-        blocks = [[math.sqrt(w) * e for w, e in zip(((1 + r) / 2, (1 - r) / 2), poles) if w]
-                  for r in assigned.solution.per_particle_r]
-        psi0 = reduce(np.kron, [np.stack(b, axis=1) for b in blocks])
-        if psi0.shape[1] > 1 or _statevector_engine(spec, times)[1] == "eigh":
+        engine = _statevector_engine(spec, times)[1] if assigned.solution.is_pure else "heisenberg"
+        if engine != "krylov":
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
+        psi0 = reduce(np.kron, [_pure_site_vector(assigned.direction)] * spec.n)
+        if engine == "heisenberg":
+            # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's eigenbasis
+            rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
+            g_bar = np.conj([evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES])
+            for i, t in enumerate(times):
+                bloch[i] = np.tensordot(g_bar, qcore.propagate(evals, None, rho_hat, t)).real
+        elif engine == "eigh":
             coeff = evecs.conj().T @ psi0
             for i, t in enumerate(times):
-                psi_t = evecs @ (np.exp(-1j * evals * t)[:, None] * coeff)
+                psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
                 bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
         else:
             from scipy.sparse.linalg import expm_multiply

@@ -102,7 +102,7 @@ def test_metadata_written_next_to_csv(tmp_path):
 
 def test_sidecar_derived_facts(tmp_path):
     # the whole derived dict of a fast run and two state-vector runs, the
-    # first with a mixed input (evolved as its product purification)
+    # first with a mixed input (evolved in the Heisenberg form)
     argv = ["field", "--n", "3", "--bloch", "0.3,0,0", "--tmax", "1", "--steps", "2"]
     assert _run(tmp_path, *argv)[0] == 0
     cg = coarse_grain.preferential(3, 0.5)

@@ -194,9 +194,13 @@ def test_non_finite_times_and_outputs_raise():
     # an infinite coupling is refused, naming the spec's field, before any route runs
     with pytest.raises(ValueError, match="IsingChain.J must be finite, got inf"):
         evolve.trajectory(rho, non_preferential(3), evolve.IsingChain(3, J=math.inf), [0.0, 1.0])
-    # a NaN effective radius fails the ball check instead of reaching the caller
-    with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
+    # so is a non-finite entry of a tuple field
+    with pytest.raises(ValueError, match="FieldAllToAll.omegas must be finite, got nan"):
         evolve.trajectory(rho, cg, evolve.FieldAllToAll((math.nan, 1.0)), [0.0, 1.0])
+    # a NaN effective radius fails the ball check instead of reaching the caller
+    with mock.patch.object(evolve, "_effective_from_state", lambda psi, cg: np.full((2, 2), np.nan)):
+        with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
+            evolve.trajectory(qcore.density_from_bloch(_bloch(0.8, 0.3)), cg, evolve.Swap(), [0.0, 1.0])
 
 
 def test_sample_field_rejects_non_finite():
@@ -207,16 +211,17 @@ def test_sample_field_rejects_non_finite():
 
 def test_route_caps():
     rho0 = qcore.density_from_bloch([0.5, 0.0, 0.0])
-    big = evolve.IsingChain(n_spins=13, J=1.0, g=0.5, boundary="closed")
-    with pytest.raises(ValueError):
-        evolve.trajectory(rho0, non_preferential(13), big, [0.0], method="dense")
-    # the diagonal dense route builds no matrix but keeps the same cap
+    n_big = evolve.STATEVECTOR_MAX_SPINS + 1
+    big = evolve.IsingChain(n_spins=n_big, J=1.0, g=0.5, boundary="closed")
+    with pytest.raises(ValueError, match=f"statevector route capped at {n_big - 1} spins"):
+        evolve.trajectory(rho0, non_preferential(n_big), big, [0.0], method="statevector")
+    # the diagonal dense route builds no matrix but keeps the dense cap
     big_field = evolve.sample_field(13, seed=1, include_interaction=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"dense route capped at {evolve.DENSE_MAX_QUBITS} qubits"):
         evolve.trajectory(rho0, non_preferential(13), big_field, [0.0], method="dense")
-    # a mixed input's purification under a transverse field is capped
+    # a mixed input under a transverse field is capped on the automatic route too
     mixed_big = evolve.IsingChain(n_spins=9, J=1.0, g=0.5, boundary="closed")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mixed inputs capped at 8 sites"):
         evolve.trajectory(rho0, non_preferential(9), mixed_big, [0.0])
     with pytest.raises(ValueError):
         evolve.trajectory(rho0, non_preferential(2), evolve.Swap(omega=1.0), [0.0], method="fast")
@@ -224,7 +229,7 @@ def test_route_caps():
 
 def test_mixed_statevector_cap_and_dense_needs_diagonal():
     mixed = qcore.density_from_bloch([0.5, 0.0, 0.0])
-    # a mixed input runs its 2^n-column purification up to MIXED_MAX_SPINS sites
+    # a mixed input's 2^n x 2^n eigenbasis state is held up to MIXED_MAX_SPINS sites
     chain = evolve.IsingChain(n_spins=evolve.MIXED_MAX_SPINS + 1, J=1.0, g=0.3)
     with pytest.raises(ValueError, match=f"capped at {evolve.MIXED_MAX_SPINS} sites; use a pure input"):
         evolve.trajectory(mixed, non_preferential(chain.n), chain, [0.0, 1.0], method="statevector")
@@ -568,9 +573,9 @@ def test_pure_radius_jump_is_bounded(case):
 
 
 # ---------------------------------------------------------------------------
-# The state-vector engines: a joint-density oracle against eigh and Krylov on
-# random Pauli sums, the cost model that picks between them, and the
-# positivity report
+# The state-vector engines: a joint-density oracle against eigh, Krylov and
+# the Heisenberg form on random Pauli sums, the cost model that picks between
+# eigh and Krylov, and the positivity report
 
 
 @dataclass(frozen=True)
@@ -631,7 +636,7 @@ def test_dense_and_statevector_engines_agree(case):
     spec, cg, direction, radius, times = case
     rho0 = qcore.density_from_bloch(radius * direction)
     oracle = _joint_density_oracle(rho0, cg, spec, times)
-    # every input, a mixed one as its product purification
+    # every input: a pure one as amplitudes, a mixed one in the Heisenberg form
     outputs = [evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch]
     if evolve._z_strings(spec) is not None:  # a diagonal H also runs on dense
         outputs.append(evolve.trajectory(rho0, cg, spec, times, method="dense").bloch)
