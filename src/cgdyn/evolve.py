@@ -5,8 +5,9 @@ The composite map
     Gamma_t = C o U(t) . U(t)^dag o A
 
 is evaluated along one of three routes. Each Hamiltonian spec declares
-itself as a sum of Pauli strings (`terms()`); the automatic route reads
-that structure alone, not the spec's class or the input:
+itself as a sum of Pauli strings (`terms()`) and refuses a non-finite
+coefficient when built; the automatic route reads that structure alone,
+not the spec's class or the input:
 
 * fast: any z-only sum whose strings pairwise share at most one site once
   equal supports are merged: the field with or without the n-body term,
@@ -55,15 +56,26 @@ _KRYLOV_POINT, _KRYLOV_TRAVEL, _KRYLOV_ENTRIES = 1.1e6, 1.6e5, 9300.0
 # a generator so that a large field never holds its whole term list.
 
 
+def _check_finite(spec, name, *values):
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
-class Swap:
-    """H = (omega/2) (XX + YY + ZZ); two qubits, swap gate at t = pi/(2 omega)."""
+class _TwoQubit:
+    """A two-qubit spec with one frequency, omega."""
 
     omega: float = 1.0
+    n = 2
 
-    @property
-    def n(self):
-        return 2
+    def __post_init__(self):
+        _check_finite(self, "omega", self.omega)
+
+
+@dataclass(frozen=True)
+class Swap(_TwoQubit):
+    """H = (omega/2) (XX + YY + ZZ); two qubits, swap gate at t = pi/(2 omega)."""
 
     def terms(self):
         for a in qcore.AXES:
@@ -71,14 +83,8 @@ class Swap:
 
 
 @dataclass(frozen=True)
-class Cnot:
+class Cnot(_TwoQubit):
     """H = -(omega/2)(Z x I + I x X - Z x X); cnot (up to phase) at t = pi/(2 omega)."""
-
-    omega: float = 1.0
-
-    @property
-    def n(self):
-        return 2
 
     def terms(self):
         yield -0.5 * self.omega, ((1, "z"),)
@@ -87,14 +93,8 @@ class Cnot:
 
 
 @dataclass(frozen=True)
-class CnotInteraction:
+class CnotInteraction(_TwoQubit):
     """The interaction term alone: H = (omega/2) Z x X. Period 2 pi at omega = 1."""
-
-    omega: float = 1.0
-
-    @property
-    def n(self):
-        return 2
 
     def terms(self):
         yield 0.5 * self.omega, ((1, "z"), (2, "x"))
@@ -114,6 +114,7 @@ class FieldAllToAll:
         w = tuple(float(x) for x in np.atleast_1d(np.asarray(self.omegas, dtype=float)))
         if len(w) < 2:
             raise ValueError("field model needs at least two sites")
+        _check_finite(self, "omegas", *w)
         object.__setattr__(self, "omegas", w)
 
     @property
@@ -155,6 +156,8 @@ class IsingChain:
             raise ValueError(f"chain needs at least two spins, got {self.n_spins}")
         if self.boundary not in ("closed", "open"):
             raise ValueError(f"boundary must be 'closed' or 'open', got {self.boundary!r}")
+        _check_finite(self, "J", self.J)
+        _check_finite(self, "g", self.g)
         object.__setattr__(self, "n_spins", int(self.n_spins))
 
     @property
@@ -177,14 +180,8 @@ class IsingChain:
 
 
 @dataclass(frozen=True)
-class LocalZSecond:
+class LocalZSecond(_TwoQubit):
     """H = (omega/2) I x Z: nothing happens to qubit 1, qubit 2 precesses."""
-
-    omega: float = 1.0
-
-    @property
-    def n(self):
-        return 2
 
     def terms(self):
         yield 0.5 * self.omega, ((2, "z"),)
@@ -274,14 +271,16 @@ def _fast_coherences(invariants, t):
 # State-vector route: pure inputs as amplitudes, mixed ones in the Heisenberg form
 
 
-def _pure_site_vector(direction):
+def _product_vector(direction, n):
+    """The 2^n amplitudes of n copies of the pure qubit along direction."""
     direction = direction / float(np.linalg.norm(direction))
     theta = math.acos(min(1.0, max(-1.0, float(direction[2]))))
     phi = math.atan2(float(direction[1]), float(direction[0]))
-    return np.array(
+    site = np.array(
         [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))],
         dtype=complex,
     )
+    return reduce(np.kron, [site] * n)
 
 
 def _effective_from_state(psi, cg):
@@ -349,13 +348,9 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     The grid must be nonempty, finite and strictly increasing. The lambda solve
     and any eigh of H run once; a pure input skips eigh where Krylov steps cost
-    less. A NaN or infinite float in a spec field raises ValueError; a NaN or
+    less. Built-in specs reject non-finite coefficients when built; a NaN or
     out-of-ball effective radius raises PositivityError.
     """
-    for name, value in vars(spec).items():
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{type(spec).__name__}.{name} must be finite, got {v}")
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
     times = qcore.time_grid(times)
@@ -382,7 +377,6 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         engine = _statevector_engine(spec, times)[1] if assigned.solution.is_pure else "heisenberg"
         if engine != "krylov":
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
-        psi0 = reduce(np.kron, [_pure_site_vector(assigned.direction)] * spec.n)
         if engine == "heisenberg":
             # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's eigenbasis
             rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
@@ -390,7 +384,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             for i, t in enumerate(times):
                 bloch[i] = np.tensordot(g_bar, qcore.propagate(evals, None, rho_hat, t)).real
         elif engine == "eigh":
-            coeff = evecs.conj().T @ psi0
+            coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
             for i, t in enumerate(times):
                 psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
                 bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
@@ -399,7 +393,7 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
             a = -1j * _sparse_hamiltonian(spec)
             # step from the previous grid point; the state starts at t = 0
-            psi_t, t_prev = psi0, 0.0
+            psi_t, t_prev = _product_vector(assigned.direction, spec.n), 0.0
             for i, t in enumerate(times):
                 if t != t_prev:
                     psi_t = expm_multiply(a * (t - t_prev), psi_t)

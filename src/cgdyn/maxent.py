@@ -27,6 +27,7 @@ from . import qcore
 
 _BISECT_ITERS = 1100  # [0, 1] halves down to the smallest subnormal in 1075 steps
 _DIRECTION_Z = np.array([0.0, 0.0, 1.0])
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,16 @@ def _radius_sum(lam, probs):
 def solve_lambda(r_ef, cg):
     """Solve sum_k p_k tanh(p_k lambda) = r_ef for lambda >= 0.
 
-    r_ef is the Bloch radius of the effective state, in [0, 1]. The
-    bracket is grown geometrically from [0, 1] and then bisected until it
-    collapses to adjacent floats, even for a subnormal root.
+    r_ef is the Bloch radius of the effective state, 0 or in [tiny, 1]
+    with tiny the smallest normal float: below it p_k lambda underflows in
+    the radius sum. The bracket is grown geometrically from [0, 1] and then
+    bisected until it collapses to adjacent floats.
     """
     r_ef = float(r_ef)
     if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:
         raise ValueError(f"effective radius must lie in [0, 1], got {r_ef}")
+    if 0.0 < r_ef < _TINY:
+        raise ValueError(f"effective radius {r_ef} is below the smallest normal radius {_TINY}")
     probs = cg.probs
 
     if r_ef >= qcore.PURE_RADIUS:

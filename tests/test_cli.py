@@ -162,10 +162,13 @@ def test_non_finite_inputs_exit_1(tmp_path, capsys, argv):
 
 
 def test_non_finite_coefficients_name_the_field(tmp_path, capsys):
-    # refused where trajectory first reads the spec, before any engine runs
+    # refused when the spec is built, before a period hook turns a NaN
+    # coupling into a default tmax or any engine runs
     for argv, field in ((["ising", "--g", "nan"], "IsingChain.g must be finite, got nan"),
                         (["cnot", "--omega", "nan"], "Cnot.omega must be finite, got nan"),
-                        (["swap-kappa", "--omega", "inf"], "Swap.omega must be finite, got inf")):
+                        (["swap-kappa", "--omega", "inf"], "Swap.omega must be finite, got inf"),
+                        (["ising", "--J", "nan"], "IsingChain.J must be finite, got nan"),
+                        (["linear-nm", "--omega", "nan"], "LocalZSecond.omega must be finite, got nan")):
         code, out = _run(tmp_path, *argv)
         assert code == 1, argv
         assert capsys.readouterr().err == f"cgdyn: {field}\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 from unittest import mock
@@ -191,7 +192,7 @@ def test_non_finite_times_and_outputs_raise():
     # an infinite time is refused, naming the grid, instead of giving a NaN row
     with pytest.raises(ValueError, match="time grid must hold finite values"):
         evolve.trajectory(rho, cg, evolve.Swap(), [0.0, np.inf])
-    # an infinite coupling is refused, naming the spec's field, before any route runs
+    # an infinite coupling is refused when the spec is built, naming its field
     with pytest.raises(ValueError, match="IsingChain.J must be finite, got inf"):
         evolve.trajectory(rho, non_preferential(3), evolve.IsingChain(3, J=math.inf), [0.0, 1.0])
     # so is a non-finite entry of a tuple field
@@ -201,6 +202,22 @@ def test_non_finite_times_and_outputs_raise():
     with mock.patch.object(evolve, "_effective_from_state", lambda psi, cg: np.full((2, 2), np.nan)):
         with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
             evolve.trajectory(qcore.density_from_bloch(_bloch(0.8, 0.3)), cg, evolve.Swap(), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("spec, name", [
+    (evolve.Swap(), "omega"), (evolve.Cnot(), "omega"), (evolve.CnotInteraction(), "omega"),
+    (evolve.LocalZSecond(), "omega"), (evolve.IsingChain(3, g=0.5), "J"),
+    (evolve.IsingChain(3, g=0.5), "g"), (evolve.FieldAllToAll((1.0, 2.0)), "omegas"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_specs_reject_non_finite_coefficients_when_built(spec, name, bad):
+    value = (1.0, bad) if name == "omegas" else bad
+    want = f"{type(spec).__name__}.{name} must be finite, got {bad}"
+    for build in (lambda: type(spec)(**{**vars(spec), name: value}),
+                  lambda: dataclasses.replace(spec, **{name: value})):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == want
 
 
 def test_sample_field_rejects_non_finite():

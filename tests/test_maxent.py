@@ -49,6 +49,19 @@ def test_lambda_at_tiny_radii():
             assert abs(got - r) <= 1e-12 * r, (cg.probs, r, got)
 
 
+def test_lambda_refuses_subnormal_radii():
+    # below the smallest normal float p_k lambda underflows in the radius sum:
+    # these two once gave lambda = 0 and a relative error of 4.9e-4
+    tiny = np.finfo(float).tiny
+    for cg, r in ((custom([1e-9, 1.0 - 1e-9]), 5e-324), (custom([0.1, 0.2, 0.7]), 1e-320)):
+        with pytest.raises(ValueError) as exc:
+            maxent.solve_lambda(r, cg)
+        assert str(exc.value) == f"effective radius {r} is below the smallest normal radius {tiny}"
+        # the smallest normal radius itself is still solved
+        got = float(np.dot(cg.probs, maxent.solve_lambda(tiny, cg).per_particle_r))
+        assert abs(got - tiny) <= 1e-12 * tiny, (cg.probs, got)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     r_lo=st.floats(0.01, 0.9),
