@@ -387,7 +387,10 @@ def _run_diagnostics(res):
         report["linearity"] = dataclasses.asdict(lin)
     else:  # dyson
         rho0 = qcore.density_from_bloch(_parse_bloch(res))
-        ns = list(range(2, int(res["n_max"]) + 1))
+        n_max = int(res["n_max"])
+        if n_max < 2:
+            raise ValueError(f"n_max must be at least 2, got {n_max}")
+        ns = list(range(2, n_max + 1))
         norms = diagnostics.dyson_decay([non_preferential(n) for n in ns], rho0)
         report["dyson"] = {
             "n": ns,

@@ -181,6 +181,8 @@ def equal_marginal_check(channel, n, samples=20, seed=0):
     """
     if n < 2:
         raise ValueError("need at least two sites")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     linear, shift = _induced_map_from_products(channel, n)
     rng = np.random.default_rng(seed)
 

@@ -13,8 +13,8 @@ not the spec's class or the input:
   equal supports are merged: the field with or without the n-body term,
   the chain at g = 0, the second-qubit rotation, any two-body ZZ graph.
   Product inputs then have exact closed-form marginals at any site count.
-* dense: any other z-only sum. Its energies come straight from the terms
-  and each step is O(4^n) elementwise work on the joint state.
+* dense: any other z-only sum. Its energies come from the same merged z
+  strings and each step is O(4^n) elementwise work on the joint state.
 * statevector: every non-diagonal Hamiltonian. A pure input keeps 2^n
   amplitudes: one eigh (n <= 12) or Krylov steps (`expm_multiply`),
   whichever a cost model in 2^n, grid length and |H| t rates cheaper. A
@@ -223,6 +223,16 @@ def _z_strings(spec):
     return groups
 
 
+def _z_energies(groups, n):
+    """The 2^n energies sum_S c_S prod_{k in S} z_k of the merged strings."""
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 1 leftmost
+    z = 1.0 - 2.0 * bits
+    energies = np.zeros(2 ** n)
+    for sites, coeffs in groups:
+        energies += z[:, sites - 1].prod(axis=2) @ coeffs
+    return energies
+
+
 def _fast_exact(groups):
     """No two strings share two or more sites, so for every site k the other
     sites of the strings containing k are disjoint and the fast route's
@@ -253,8 +263,8 @@ def _fast_invariants(factors, groups):
 
 
 def _fast_coherences(invariants, t):
-    """Per-site (pop0, evolved coherence) at time t on the fast route."""
-    pop0, coh, steps = invariants
+    """Per-site evolved coherence at time t on the fast route."""
+    _, coh, steps = invariants
     out = coh.copy()
     for sites, coeffs, others in steps:
         if others is None:
@@ -264,7 +274,7 @@ def _fast_coherences(invariants, t):
             factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * others
         # scalar rounding, each site's factors in (size, support) order
         np.multiply.at(out, sites, factor.ravel())
-    return pop0, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +371,17 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
 
     bloch = np.empty((times.size, 3))
     if route == "dense":
-        evals, rho0 = qcore.pauli_diagonal(spec.terms(), spec.n), assigned.to_matrix()
+        evals, rho0 = _z_energies(strings, spec.n), assigned.to_matrix()
         for i, t in enumerate(times):
             rho_t = qcore.propagate(evals, None, rho0, t)
             bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
     elif route == "fast":
         probs = cg.probs
         invariants = _fast_invariants(assigned.factors, strings)
+        rz = 2 * float(np.dot(probs, invariants[0])) - 1.0  # populations are conserved
         for i, t in enumerate(times):
-            pop0, coh = _fast_coherences(invariants, t)
-            eff_pop0 = float(np.dot(probs, pop0))
-            eff_coh = complex(np.dot(probs, coh))
-            bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, 2 * eff_pop0 - 1.0]
+            eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
+            bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]
     else:  # statevector
         engine = _statevector_engine(spec, times)[1] if assigned.solution.is_pure else "heisenberg"
         if engine != "krylov":

@@ -85,13 +85,16 @@ def _parity(v, n):
     return v & 1
 
 
-def _pauli_blocks(terms, n):
-    """(basis indices, {xmask: values}) of a Pauli sum; see `pauli_sum`.
+def pauli_sum(terms, n, sparse=False):
+    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
 
-    The block at xmask 0 is the diagonal.
+    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
+    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
+    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
+    one xmask fill the same entries and are summed in declaration order.
     """
-    b = np.arange(2 ** n)
-    blocks = {}
+    dim = 2 ** n
+    b, blocks = np.arange(dim), {}
     for coeff, ops in terms:
         xmask = zmask = ny = 0
         for site, axis in ops:
@@ -112,21 +115,8 @@ def _pauli_blocks(terms, n):
         if ny % 2:
             vals = 1j * vals
         if xmask not in blocks:
-            blocks[xmask] = np.zeros(b.size, dtype=complex)
+            blocks[xmask] = np.zeros(dim, dtype=complex)
         blocks[xmask] += vals
-    return b, blocks
-
-
-def pauli_sum(terms, n, sparse=False):
-    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
-
-    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
-    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
-    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
-    one xmask fill the same entries and are summed in declaration order.
-    """
-    b, blocks = _pauli_blocks(terms, n)
-    dim = b.size
     if not sparse:
         h = np.zeros((dim, dim), dtype=complex)
         for xmask, vals in blocks.items():
@@ -141,18 +131,6 @@ def pauli_sum(terms, n, sparse=False):
     h = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
     h.sort_indices()
     return h
-
-
-def pauli_diagonal(terms, n):
-    """The 2^n energies of a sum of z-only strings: the diagonal, as a vector.
-
-    Equal entry by entry to the diagonal of `pauli_sum(terms, n)`. A string
-    with an x or y factor raises ValueError.
-    """
-    b, blocks = _pauli_blocks(terms, n)
-    if set(blocks) - {0}:
-        raise ValueError("Pauli sum has x or y factors; its matrix is not diagonal")
-    return blocks[0].real if blocks else np.zeros(b.size)
 
 
 def partial_trace(rho, keep, n):

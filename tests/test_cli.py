@@ -213,6 +213,10 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["diagnostics", "--steps", "0"]) == 1
     assert cli.main(["diagnostics", "--tmax", "-1"]) == 1
     assert cli.main(["diagnostics", "--target", "dyson", "--tmax", "-1"]) == 1
+    # the dyson decay starts at n = 2, so a smaller n_max leaves nothing to report
+    for n_max in ("1", "0"):
+        assert cli.main(["diagnostics", "--target", "dyson", "--n-max", n_max]) == 1
+        assert "n_max must be at least 2" in capsys.readouterr().err
     # the linear-nm target probes t = pi/omega
     assert cli.main(["diagnostics", "--target", "linear-nm", "--omega", "0"]) == 1
     assert "omega" in capsys.readouterr().err

@@ -74,6 +74,12 @@ def test_linearity_probe_needs_samples():
         diagnostics.linearity_probe(lambda r, t: r, 0.1, samples=0)
 
 
+def test_equal_marginal_check_needs_samples():
+    # zero samples would report holds=True with nothing compared
+    with pytest.raises(ValueError, match="at least one sample"):
+        diagnostics.equal_marginal_check(channels.total_dephasing, 3, samples=0)
+
+
 # ---------------------------------------------------------------------------
 # Semigroup structure
 

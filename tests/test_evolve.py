@@ -269,13 +269,30 @@ def test_fast_coherences_match_dense(rng):
     for spec in cases:
         factors = np.array([qcore.random_density(2, rng) for _ in range(spec.n)])
         invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
-        pop0, coh = evolve._fast_coherences(invariants, t)
+        pop0, coh = invariants[0], evolve._fast_coherences(invariants, t)
         h = evolve.build_hamiltonian(spec)
         rho_t = qcore.propagate(*qcore.eigensystem(h), qcore.kron(factors), t)
         for k in range(spec.n):
             want = qcore.partial_trace(rho_t, [k + 1], spec.n)
             got = np.array([[pop0[k], coh[k]], [np.conj(coh[k]), 1.0 - pop0[k]]])
             assert qcore.trace_norm(got - want) < 1e-12
+
+
+def test_z_energies_match_pauli_sum(rng):
+    # the dense route's energies come from the merged strings: pauli_sum's
+    # diagonal less the identity strings, which are a global phase
+    for n in (1, 2, 3, 5):
+        pool = [tuple(rng.choice(np.arange(1, n + 1), size=k, replace=False))
+                for k in rng.integers(0, n + 1, size=3)]
+        for size in (0, 1, 8):  # supports repeat, in any site order
+            terms = [(float(rng.normal()), tuple((int(s), "z") for s in rng.permutation(pool[i])))
+                     for i in rng.integers(0, len(pool), size=size)]
+            got = evolve._z_energies(evolve._z_strings(_PauliSum(n, tuple(terms))), n)
+            want = np.diag(qcore.pauli_sum(terms, n)).real - sum(c for c, ops in terms if not ops)
+            scale = sum(abs(c) for c, _ in terms)
+            assert got.shape == (2 ** n,) and np.abs(got - want).max() <= 1e-12 * scale
+    for axis in ("x", "y"):
+        assert evolve._z_strings(_PauliSum(2, ((1.0, ((1, "z"),)), (1.0, ((2, axis),))))) is None
 
 
 def _reference_hamiltonian(spec):
@@ -491,7 +508,7 @@ def test_fast_chain_keeps_scalar_rounding(rng):
         spec = evolve.IsingChain(n_spins=n, J=0.9, g=0.0, boundary=boundary)
         factors = np.array([qcore.random_density(2, rng) for _ in range(n)])
         invariants = evolve._fast_invariants(factors, evolve._z_strings(spec))
-        _, got = evolve._fast_coherences(invariants, t)
+        got = evolve._fast_coherences(invariants, t)
         zval = np.array([(f[0, 0] - f[1, 1]).real for f in factors])
         want = np.array([f[0, 1] for f in factors], dtype=complex)
         for j in range(1, n + 1):

@@ -80,21 +80,6 @@ def test_pauli_sum_rejects_bad_strings():
             qcore.pauli_sum([(1.0, ops)], 2)
 
 
-def test_pauli_diagonal_matches_pauli_sum(rng):
-    for n in (1, 2, 3, 5):
-        strings = [tuple((s, "z") for s in sorted(rng.choice(np.arange(1, n + 1), size=k,
-                                                              replace=False)))
-                   for k in rng.integers(1, n + 1, size=6)]
-        terms = [(float(rng.normal()), ops) for ops in strings]
-        got = qcore.pauli_diagonal(terms, n)
-        assert got.dtype == float
-        assert np.array_equal(got, np.diag(qcore.pauli_sum(terms, n)))
-    assert np.array_equal(qcore.pauli_diagonal([], 2), np.zeros(4))
-    for axis in ("x", "y"):
-        with pytest.raises(ValueError):
-            qcore.pauli_diagonal([(1.0, ((1, "z"),)), (1.0, ((2, axis),))], 2)
-
-
 def test_pauli_sum_csr_drops_cancelled_entries():
     # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
     terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
