@@ -17,8 +17,9 @@ not the spec's class or the input:
   strings and each step is O(4^n) elementwise work on the joint state.
 * statevector: every non-diagonal Hamiltonian. A pure input keeps 2^n
   amplitudes: one eigh (n <= 12) or Krylov steps (`expm_multiply`),
-  whichever a cost model in 2^n, grid length and |H| t rates cheaper. A
-  mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
+  whichever a cost model in 2^n, grid length and |H| t rates cheaper; Krylov
+  steps an H unchanged by site rotation in its momentum-zero sector, ~2^n/n.
+  A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H.
 
 The effective trajectory is generally nonlinear in the input state
@@ -198,8 +199,38 @@ def build_hamiltonian(spec):
     return qcore.pauli_sum(spec.terms(), spec.n)
 
 
-def _sparse_hamiltonian(spec):
-    return qcore.pauli_sum(spec.terms(), spec.n, sparse=True)
+def _rotation_sector(spec):
+    """None unless H's strings, merged by (site, axis), are exactly unchanged when every
+    site k moves to k mod n + 1. Else the momentum-zero sector: orbit representatives r
+    (the least of n bit rotations, ascending), every basis state's r and the lengths L_r."""
+    merged, n = {}, spec.n
+    for coeff, ops in spec.terms():
+        merged[tuple(sorted(ops))] = merged.get(tuple(sorted(ops)), 0.0) + coeff
+    if merged != {tuple(sorted((k % n + 1, a) for k, a in key)): c for key, c in merged.items()}:
+        return None
+    b = np.arange(2 ** n)
+    rep, fixed, r = b.copy(), np.zeros(2 ** n, dtype=int), b
+    for _ in range(n):
+        r = (r >> 1) | ((r & 1) << (n - 1))
+        np.minimum(rep, r, out=rep)
+        fixed += r == b  # L_r is n over the number of rotations that fix r
+    return b[rep == b], rep, n // fixed[rep == b]
+
+
+def _sparse_hamiltonian(terms, n, sector=None):
+    """CSR of a Pauli sum on the 2^n basis states or, for a sum that commutes with
+    the rotation T, on the orbits |R> = L_r^-1/2 sum_k T^k |r> of a sector: there
+    each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s) at (S, R)."""
+    if sector is None:
+        return qcore.pauli_sum(terms, n, sparse=True)
+    from scipy import sparse as sp
+
+    reps, rep, lengths = sector
+    blocks = qcore._pauli_blocks(terms, n, reps)
+    rows = np.searchsorted(reps, rep[np.concatenate([reps ^ xmask for xmask in blocks])])
+    cols = np.tile(np.arange(reps.size), len(blocks))
+    data = np.concatenate(list(blocks.values())) * np.sqrt(lengths[cols] / lengths[rows])
+    return sp.csr_matrix((data, (rows, cols)), shape=(reps.size, reps.size))
 
 
 def _z_strings(spec):
@@ -400,14 +431,20 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         else:
             from scipy.sparse.linalg import expm_multiply
 
-            a = -1j * _sparse_hamiltonian(spec)
+            n, sector = spec.n, _rotation_sector(spec)
+            a = -1j * _sparse_hamiltonian(spec.terms(), n, sector)
             # step from the previous grid point; the state starts at t = 0
-            psi_t, t_prev = _product_vector(assigned.direction, spec.n), 0.0
+            psi_t, t_prev = _product_vector(assigned.direction, n), 0.0
+            if sector is not None:  # every site marginal is (1/n) <sum_j sigma_j>
+                psi_t = psi_t[sector[0]] * np.sqrt(sector[2])  # psi_s[r] = sqrt(L_r) psi(r)
+                spins = [_sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, sector)
+                         for ax in qcore.AXES]
             for i, t in enumerate(times):
                 if t != t_prev:
                     psi_t = expm_multiply(a * (t - t_prev), psi_t)
                     t_prev = t
-                bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
+                bloch[i] = (qcore.bloch_from_density(_effective_from_state(psi_t, cg)) if sector is None
+                            else [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins])
 
     radii_sq = np.sum(bloch * bloch, axis=1)
     # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is

@@ -89,12 +89,30 @@ def pauli_sum(terms, n, sparse=False):
     """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
 
     Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
-    axes "x", "y", "z". A string maps |b> to i^#Y (-1)^popcount(b & zmask)
-    |b ^ xmask>, where X and Y flip bits and Z and Y sign them. Terms with
-    one xmask fill the same entries and are summed in declaration order.
+    axes "x", "y", "z". Terms with one xmask fill the same entries and are
+    summed in declaration order.
     """
     dim = 2 ** n
-    b, blocks = np.arange(dim), {}
+    b = np.arange(dim)
+    blocks = _pauli_blocks(terms, n, b)
+    if not sparse:
+        h = np.zeros((dim, dim), dtype=complex)
+        for xmask, vals in blocks.items():
+            h[b ^ xmask, b] = vals
+        return h
+    from scipy import sparse as sp
+
+    rows = np.concatenate([b ^ xmask for xmask in blocks])
+    cols = np.tile(b, len(blocks))
+    data = np.concatenate(list(blocks.values()))
+    keep = data != 0  # building the CSR sums the entries, which leaves its indices sorted
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+
+
+def _pauli_blocks(terms, n, states):
+    """{xmask: the sum's values in the columns of the given basis states}: a string
+    maps |b> to i^#Y (-1)^popcount(b & zmask) |b ^ xmask>; X, Y flip and Z, Y sign."""
+    blocks = {}
     for coeff, ops in terms:
         xmask = zmask = ny = 0
         for site, axis in ops:
@@ -111,26 +129,11 @@ def pauli_sum(terms, n, sparse=False):
                 ny += 1
         # i^ny: a real sign times one factor of i when ny is odd
         scale = coeff if ny % 4 < 2 else -coeff
-        vals = scale * (1.0 - 2.0 * _parity(b & zmask, n))
+        vals = scale * (1.0 - 2.0 * _parity(states & zmask, n))
         if ny % 2:
             vals = 1j * vals
-        if xmask not in blocks:
-            blocks[xmask] = np.zeros(dim, dtype=complex)
-        blocks[xmask] += vals
-    if not sparse:
-        h = np.zeros((dim, dim), dtype=complex)
-        for xmask, vals in blocks.items():
-            h[b ^ xmask, b] = vals
-        return h
-    from scipy import sparse as sp
-
-    rows = np.concatenate([b ^ xmask for xmask in blocks])
-    cols = np.tile(b, len(blocks))
-    data = np.concatenate(list(blocks.values()))
-    keep = data != 0
-    h = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
-    h.sort_indices()
-    return h
+        blocks[xmask] = blocks.get(xmask, 0j) + vals
+    return blocks
 
 
 def partial_trace(rho, keep, n):

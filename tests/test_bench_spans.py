@@ -48,19 +48,27 @@ def test_traced_trajectories_record_the_benchmark_spans(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     tracer.active = True
+    cases = [
+        (mixed, preferential(4, 0.4), field, [0.0, 0.5, 1.0], "dense"),
+        (mixed, preferential(4, 0.4), evolve.IsingChain(4, g=0.5), [0.0, 0.5, 1.0]),
+        # Krylov on the closed chain's momentum-zero sector and on the open chain's full space
+        (pure, non_preferential(10), evolve.IsingChain(10, g=0.5), np.linspace(0.0, 2.0, 10)),
+        (pure, non_preferential(10), evolve.IsingChain(10, g=0.5, boundary="open"), np.linspace(0.0, 2.0, 10)),
+        (mixed, preferential(6, 0.4), evolve.IsingChain(6), [0.0, 0.5, 1.0]),
+    ]
+    runs = []
     try:
-        runs = [
-            evolve.trajectory(mixed, preferential(4, 0.4), field, [0.0, 0.5, 1.0], method="dense"),
-            evolve.trajectory(mixed, preferential(4, 0.4), evolve.IsingChain(4, g=0.5), [0.0, 0.5, 1.0]),
-            evolve.trajectory(pure, non_preferential(10), evolve.IsingChain(10, g=0.5),
-                              np.linspace(0.0, 2.0, 10)),
-            evolve.trajectory(mixed, preferential(6, 0.4), evolve.IsingChain(6), [0.0, 0.5, 1.0]),
-        ]
+        for case in cases:
+            tracer.op = len(runs)
+            runs.append(evolve.trajectory(*case))
     finally:
         tracer.active = False
         tracer.uninstall()
-    assert [r.route for r in runs] == ["dense", "statevector", "statevector", "fast"]
+    assert [r.route for r in runs] == ["dense", "statevector", "statevector", "statevector", "fast"]
     expected = _expected_spans()
     names = {s[1] for s in tracer.spans}
     missing = (expected["joint-state"] | expected["large-n"]) - names
     assert not missing, missing
+    for op in (2, 3):
+        krylov = {"evolve.sparse_build", "evolve.krylov_step"} - {s[1] for s in tracer.spans if s[6] == op}
+        assert not krylov, (op, krylov)

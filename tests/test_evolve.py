@@ -340,7 +340,7 @@ def test_specs_match_kron_formulas():
     for spec in specs:
         want = _reference_hamiltonian(spec)
         assert np.array_equal(evolve.build_hamiltonian(spec), want), spec
-        assert np.array_equal(evolve._sparse_hamiltonian(spec).toarray(), want), spec
+        assert np.array_equal(evolve._sparse_hamiltonian(spec.terms(), spec.n).toarray(), want), spec
 
 
 def test_auto_route_follows_structure():
@@ -626,10 +626,12 @@ class _PauliSum:
 @st.composite
 def _pauli_sum_cases(draw):
     """x/y/z strings on 1-3 distinct sites of n <= 6, supports drawn again to
-    repeat them; weights with values near 1e-7, and zeros for mixed inputs; a
-    mixed, pure or just-mixed input; a strictly increasing grid that may
-    start before t = 0."""
+    repeat them, and in a rotation-closed sum each string with all n of its
+    rotations at one coefficient; weights with values near 1e-7, and zeros
+    for mixed inputs; a mixed, pure or just-mixed input; a strictly
+    increasing grid that may start before t = 0."""
     n = draw(st.integers(2, 6))
+    closed = draw(st.booleans())
     pool = draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True),
                          min_size=1, max_size=4))
     coeff = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
@@ -637,7 +639,9 @@ def _pauli_sum_cases(draw):
     for _ in range(draw(st.integers(1, 7))):
         sites = draw(st.sampled_from(pool))
         axes = draw(st.lists(st.sampled_from(qcore.AXES), min_size=len(sites), max_size=len(sites)))
-        strings.append((draw(coeff), tuple(zip(sites, axes))))
+        c = draw(coeff)
+        for k in range(n if closed else 1):
+            strings.append((c, tuple(((j + k - 1) % n + 1, a) for j, a in zip(sites, axes))))
     kind = draw(st.sampled_from(["pure", "mixed", "just-mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     probs = rng.dirichlet(np.ones(n))
@@ -653,7 +657,7 @@ def _pauli_sum_cases(draw):
         radius = _last_mixed_radius(direction)
     steps = draw(st.lists(st.floats(0.05, 1.5), max_size=4))
     times = draw(st.sampled_from([0.0, 0.4, -0.9])) + np.cumsum([0.0] + steps)
-    return _PauliSum(n, tuple(strings)), custom(probs / probs.sum()), direction, radius, times
+    return _PauliSum(n, tuple(strings)), custom(probs / probs.sum()), direction, radius, times, closed
 
 
 def _joint_density_oracle(rho0, cg, spec, times):
@@ -667,7 +671,9 @@ def _joint_density_oracle(rho0, cg, spec, times):
 @settings(max_examples=120, deadline=None)
 @given(case=_pauli_sum_cases())
 def test_dense_and_statevector_engines_agree(case):
-    spec, cg, direction, radius, times = case
+    spec, cg, direction, radius, times, closed = case
+    if closed:  # forced Krylov then steps the momentum-zero sector
+        assert evolve._rotation_sector(spec) is not None
     rho0 = qcore.density_from_bloch(radius * direction)
     oracle = _joint_density_oracle(rho0, cg, spec, times)
     # every input: a pure one as amplitudes, a mixed one in the Heisenberg form
@@ -692,6 +698,119 @@ def test_dense_and_statevector_engines_agree(case):
         outputs += engines.values()
     for bloch in outputs:
         assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= 1.0 + qcore.BLOCH_SLACK
+
+
+# ---------------------------------------------------------------------------
+# The momentum-zero sector: Krylov steps a rotation-invariant H on the orbits
+# of its basis states under site rotation, and a pure closed-chain input's
+# trajectory cannot depend on the weights
+
+
+def _forced(engine):
+    # the selector returns (modelled ns, engine); trajectory reads the engine
+    return mock.patch.object(evolve, "_statevector_engine", lambda *_: (0.0, engine))
+
+
+def _ulp_chain(n):
+    # the closed chain with one bond's coefficient moved by one ulp
+    terms = list(evolve.IsingChain(n, J=1.0, g=0.6).terms())
+    terms[1] = (np.nextafter(terms[1][0], 0.0), terms[1][1])
+    return _PauliSum(n, tuple(terms))
+
+
+@pytest.mark.parametrize("spec", [
+    *(evolve.IsingChain(n, J=1.0, g=g) for n in range(2, 7) for g in (0.0, 0.6)),  # n = 2: the doubled bond
+    evolve.Swap(omega=1.3),
+], ids=repr)
+def test_rotation_sector_detects_invariant_sums(spec):
+    assert evolve._rotation_sector(spec) is not None
+
+
+@pytest.mark.parametrize("spec", [
+    evolve.IsingChain(5, J=1.0, g=0.6, boundary="open"),
+    evolve.Cnot(omega=0.7),
+    evolve.FieldAllToAll((1.0, 1.0, 1.5)),
+    _ulp_chain(5),
+], ids=["open-chain", "cnot", "unequal-field", "ulp-chain"])
+def test_rotation_sector_refuses_other_sums(spec):
+    assert evolve._rotation_sector(spec) is None
+
+
+def test_nearly_invariant_sum_runs_on_the_full_space():
+    spec, times = _ulp_chain(6), np.linspace(0.0, 2.0, 5)
+    rho0, cg = qcore.density_from_bloch(_bloch(0.8, 0.3)), preferential(6, 0.3)
+    with _forced("eigh"):
+        want = evolve.trajectory(rho0, cg, spec, times).bloch
+    real = evolve._sparse_hamiltonian
+
+    def full_space(terms, n, sector=None):
+        assert sector is None
+        return real(terms, n)
+
+    with _forced("krylov"), mock.patch.object(evolve, "_sparse_hamiltonian", full_space):
+        got = evolve.trajectory(rho0, cg, spec, times).bloch
+    assert np.abs(got - want).max() <= 1e-10
+
+
+def test_rotation_sector_basis():
+    # about 2^n / n orbits, whose lengths add up to 2^n
+    for n, dim in ((4, 6), (6, 14), (10, 108), (13, 632), (14, 1182), (15, 2192), (16, 4116)):
+        reps, rep, lengths = evolve._rotation_sector(evolve.IsingChain(n, J=1.0, g=0.5))
+        assert reps.size == dim and lengths.sum() == 2 ** n
+    # each state's representative is the least of its rotations, and an orbit
+    # is as long as the number of distinct rotations
+    n = 6
+    reps, rep, lengths = evolve._rotation_sector(evolve.IsingChain(n, J=1.0, g=0.5))
+    for b in range(2 ** n):
+        orbit = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
+        assert rep[b] == min(orbit)
+        if b == min(orbit):
+            assert lengths[list(reps).index(b)] == len(orbit)
+
+
+def test_sector_operator_is_the_invariant_block():
+    # Q^T H Q, Q's columns the normalised orbit sums L_r^-1/2 sum_k T^k |r>
+    specs = [evolve.IsingChain(6, J=1.0, g=0.6), evolve.IsingChain(2, J=0.7, g=0.4), evolve.Swap(omega=1.3),
+             _PauliSum(4, tuple((0.3, ((k, "x"), (k % 4 + 1, "y"), ((k + 1) % 4 + 1, "z"))) for k in range(1, 5)))]
+    for spec in specs:
+        sector = evolve._rotation_sector(spec)
+        reps, rep, lengths = sector
+        q = np.zeros((2 ** spec.n, reps.size))
+        q[np.arange(2 ** spec.n), np.searchsorted(reps, rep)] = 1.0
+        q /= np.sqrt(lengths)
+        want = q.T @ evolve.build_hamiltonian(spec) @ q
+        assert np.abs(evolve._sparse_hamiltonian(spec.terms(), spec.n, sector).toarray() - want).max() <= 1e-14, spec
+
+
+def test_sector_matches_full_space_krylov():
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 2.0, 10)
+    for n in (10, 11, 12):
+        spec, cg = evolve.IsingChain(n, J=1.0, g=0.5), custom(rng.dirichlet(np.ones(n)))
+        direction = rng.normal(size=3)
+        rho0 = qcore.density_from_bloch(direction / np.linalg.norm(direction))
+        with _forced("krylov"):
+            got = evolve.trajectory(rho0, cg, spec, times).bloch
+            with mock.patch.object(evolve, "_rotation_sector", lambda spec: None):
+                want = evolve.trajectory(rho0, cg, spec, times).bloch
+        assert np.abs(got - want).max() <= 1e-12, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 9), g=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+       start=st.sampled_from([0.0, 0.4, -0.9]), steps=st.lists(st.floats(0.05, 1.5), max_size=4))
+def test_pure_closed_chain_ignores_the_weights(n, g, seed, start, steps):
+    # n copies of one pure qubit under a rotation-invariant H stay
+    # rotation-invariant, so every site marginal is the same
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    rho0 = qcore.density_from_bloch(direction / np.linalg.norm(direction))
+    spec, times = evolve.IsingChain(n, J=1.0, g=g), start + np.cumsum([0.0] + steps)
+    weights = [non_preferential(n), custom(rng.dirichlet(np.ones(n))), preferential(n, 0.9)]
+    for engine in ("eigh", "krylov"):
+        with _forced(engine):
+            runs = [evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch for cg in weights]
+        assert max(np.abs(run - runs[0]).max() for run in runs) <= 1e-12, engine
 
 
 def _engine(spec, times):
