@@ -105,7 +105,10 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
     """sup over (t, s, probe) of || dyn(rho, t+s) - dyn(dyn(rho, s), t) ||_1.
 
     Both grids must be nonempty and strictly increasing. Each probe costs
-    one call on s_grid and, per s, one on t_grid + s and one on t_grid.
+    one call on s_grid, one on the sorted distinct sums t + s and one on
+    t_grid per s. A closure whose values depend on the grid, such as
+    Krylov steps from the previous point, sees that union grid and not
+    t_grid + s.
     """
     t_grid = qcore.time_grid(t_grid, "t_grid")
     s_grid = qcore.time_grid(s_grid, "s_grid")
@@ -116,12 +119,14 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
         probe_states = [np.asarray(p, dtype=complex) for p in probes]
     if not probe_states:
         raise ValueError("need at least one probe state")
+    sums, where = np.unique(np.add.outer(s_grid, t_grid), return_inverse=True)
+    where = where.reshape(s_grid.size, t_grid.size)
 
     gap, arg_t, arg_s, wit = -1.0, float("nan"), float("nan"), None
     for rho in probe_states:
         mids = dynamics(rho, s_grid)
-        for s, mid in zip(s_grid, mids):
-            direct = dynamics(rho, t_grid + s)
+        directs = np.asarray(dynamics(rho, sums))[where]
+        for s, mid, direct in zip(s_grid, mids, directs):
             composed = dynamics(mid, t_grid)
             for t, d, c in zip(t_grid, direct, composed):
                 g = qcore.trace_norm(d - c)

@@ -418,11 +418,13 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         if engine != "krylov":
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
         if engine == "heisenberg":
-            # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's eigenbasis
+            # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's eigenbasis:
+            # one (3, d^2) matrix-vector product per point
             rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
-            g_bar = np.conj([evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES])
+            g_flat = np.conj([evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES])
+            g_flat = g_flat.reshape(3, -1)
             for i, t in enumerate(times):
-                bloch[i] = np.tensordot(g_bar, qcore.propagate(evals, None, rho_hat, t)).real
+                bloch[i] = (g_flat @ qcore.propagate(evals, None, rho_hat, t).ravel()).real
         elif engine == "eigh":
             coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
             for i, t in enumerate(times):

@@ -7,10 +7,13 @@ factors whose Bloch radii follow a tanh profile in the site weights:
     rho_k = (I + tanh(p_k lambda) nhat . sigma) / 2,
     sum_k p_k tanh(p_k lambda) = r_ef.
 
-lambda is found by bracketed bisection; the map F(lambda) is strictly
+lambda is found by a bracketed solve: the map F(lambda) is strictly
 increasing with F(0) = 0 and F(inf) = 1, so the root is unique. Newton
 is deliberately avoided: for very small p_k the derivative underflows
-and the iteration stalls, while bisection converges unconditionally.
+and the iteration stalls. Illinois false-position steps narrow the
+bracket to a few ulps and bisection collapses it to adjacent floats,
+the same lambda a bisection alone finds, in a quarter of its
+evaluations of F.
 
 Composing coarse-graining after assignment is the identity on effective
 states; assignment after coarse-graining is not (information loss).
@@ -26,6 +29,8 @@ import numpy as np
 from . import qcore
 
 _BISECT_ITERS = 1100  # [0, 1] halves down to the smallest subnormal in 1075 steps
+_SECANT_STEPS = 20  # false-position steps at most; the bisection finishes in any case
+_SECANT_ULPS = 4  # how far a false-position point keeps off each end of the bracket
 _DIRECTION_Z = np.array([0.0, 0.0, 1.0])
 _TINY = float(np.finfo(float).tiny)
 
@@ -69,8 +74,13 @@ def solve_lambda(r_ef, cg):
 
     r_ef is the Bloch radius of the effective state, 0 or in [tiny, 1]
     with tiny the smallest normal float: below it p_k lambda underflows in
-    the radius sum. The bracket is grown geometrically from [0, 1] and then
-    bisected until it collapses to adjacent floats.
+    the radius sum. lambda is (lo + hi) / 2 for the adjacent floats lo < hi
+    with F(lo) < r_ef <= F(hi), F the radius sum. F increases, so that is
+    the pair a bisection from [0, 1] reaches (unless rounding leaves F
+    uneven within an ulp of r_ef; another such pair then solves it as well).
+    The bracket starts at Jensen's lower bound atanh(r_ef) / sum p^2, grows
+    geometrically and narrows by Illinois false-position steps, and
+    bisection collapses it: about 14 evaluations of F instead of 55.
     """
     r_ef = float(r_ef)
     if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:
@@ -85,11 +95,30 @@ def solve_lambda(r_ef, cg):
     if r_ef == 0.0:
         return LagrangeSolution(0.0, np.zeros(cg.n))
 
-    lo, hi = 0.0, 1.0
-    while _radius_sum(hi, probs) < r_ef:
-        hi *= 2.0
+    # tanh is concave, so F(lam) <= tanh(lam sum p^2): the root is at least atanh(r_ef) / sum p^2
+    lo, f_lo, hi = 0.0, -r_ef, math.atanh(r_ef) / float(np.dot(probs, probs))
+    while (f_hi := _radius_sum(hi, probs) - r_ef) < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > 1e18:
             raise ValueError(f"radius constraint {r_ef} not reachable; bracket blew up")
+    # each point keeps a few ulps off both ends, so once the secant estimate is that
+    # close to the root the next point lands on its far side and closes the bracket
+    kept = 0  # -1 after a step that kept hi, +1 after one that kept lo
+    for _ in range(_SECANT_STEPS):
+        step = _SECANT_ULPS * math.ulp(hi)
+        if hi - lo <= 2.0 * step:
+            break
+        lam = min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo + step), hi - step)
+        f = _radius_sum(lam, probs) - r_ef
+        if f < 0.0:
+            if kept < 0:
+                f_hi *= 0.5  # Illinois: hi kept twice in a row
+            lo, f_lo, kept = lam, f, -1
+        else:
+            if kept > 0:
+                f_lo *= 0.5
+            hi, f_hi, kept = lam, f, 1
+
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -261,7 +261,7 @@ def propagate(evals, evecs, rho, t):
     """
     phases = np.exp(-1j * evals * t)
     if evecs is None:
-        return rho * np.outer(phases, phases.conj())
+        return rho * (phases[:, None] * phases.conj())
     u = (evecs * phases) @ evecs.conj().T
     return u @ rho @ u.conj().T
 

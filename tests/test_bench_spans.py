@@ -72,3 +72,30 @@ def test_traced_trajectories_record_the_benchmark_spans(monkeypatch):
     for op in (2, 3):
         krylov = {"evolve.sparse_build", "evolve.krylov_step"} - {s[1] for s in tracer.spans if s[6] == op}
         assert not krylov, (op, krylov)
+
+
+def test_traced_cli_runs_record_the_configs_spans(monkeypatch, tmp_path):
+    # three small CLI runs reach every span the configs workload expects: the
+    # diagnostics battery, the fast field route and the two-qubit Heisenberg form
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+
+    from cgdyn import cli
+
+    argvs = [
+        ["diagnostics", "--target", "swap", "--samples", "2", "--steps", "3"],
+        ["field", "--n", "4", "--interaction", "--steps", "5"],
+        ["cnot", "--steps", "5"],
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        for k, argv in enumerate(argvs):
+            tracer.op = k
+            assert cli.main(argv + ["--output", str(tmp_path / f"run{k}.out")]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    missing = _expected_spans()["configs"] - {s[1] for s in tracer.spans}
+    assert not missing, missing

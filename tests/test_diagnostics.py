@@ -177,8 +177,58 @@ def test_grid_probes_match_point_loop(spec):
     }
 
 
+def _per_s_semigroup_gap(dynamics, t_grid, s_grid, probe_states):
+    """The semigroup gap with one call on t_grid + s per s, as it was computed before
+    the union grid; (gap, argmax_t, argmax_s, witness_bloch)."""
+    gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
+    for rho in probe_states:
+        for s, mid in zip(s_grid, dynamics(rho, s_grid)):
+            direct, composed = dynamics(rho, t_grid + s), dynamics(mid, t_grid)
+            for t, d, c in zip(t_grid, direct, composed):
+                g = qcore.trace_norm(d - c)
+                if g > gap:
+                    gap, arg_t, arg_s = g, float(t), float(s)
+                    wit = [float(x) for x in qcore.bloch_from_density(rho)]
+    return gap, arg_t, arg_s, wit
+
+
+CLI_GRID = np.linspace(math.pi / 25, math.pi, 25)
+
+
+@pytest.mark.parametrize("t_grid, s_grid, distinct", [
+    (CLI_GRID, CLI_GRID, 86),  # 625 sums, 86 distinct
+    (np.array([0.11, 0.37, 0.83, 1.29]), np.array([0.05, 0.61, 1.47]), 12),  # no two sums collide
+])
+def test_semigroup_gap_asks_for_the_union_grid(t_grid, s_grid, distinct):
+    # per probe: the s grid, then every distinct t + s once in increasing order, then
+    # the t grid once per s; the report is the per-s loop's, bit for bit
+    cg = preferential(2, 0.7)
+    pipeline = _pipeline(evolve.Swap(omega=1.0), cg)
+    calls = []
+
+    def recorded(rho, times):
+        calls.append(np.array(times))
+        return pipeline(rho, times)
+
+    rng = np.random.default_rng(6)
+    probes = [qcore.random_density(2, rng) for _ in range(3)]
+    rep = diagnostics.semigroup_gap(recorded, t_grid, s_grid, probes=probes)
+    union = calls[1]
+    assert union.size == distinct and (np.diff(union) > 0).all()
+    assert set(union.tolist()) == set(np.add.outer(s_grid, t_grid).ravel().tolist())
+    per_probe = 2 + s_grid.size
+    assert len(calls) == len(probes) * per_probe
+    for k in range(len(probes)):
+        got = calls[k * per_probe:(k + 1) * per_probe]
+        assert np.array_equal(got[0], s_grid) and np.array_equal(got[1], union)
+        assert all(np.array_equal(c, t_grid) for c in got[2:])
+    want = _per_s_semigroup_gap(pipeline, t_grid, s_grid, probes)
+    assert (rep.gap, rep.argmax_t, rep.argmax_s, rep.witness_bloch) == want
+
+
 def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
-    # 3 calls per linearity sample; per probe, one on the s grid and two per s
+    # 3 calls per linearity sample; per probe, one on the s grid, one on the union
+    # of the sums t + s and one on the t grid per s
     calls = []
     inner = evolve.trajectory
 
@@ -190,7 +240,7 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
     argv = ["diagnostics", "--target", "swap", "--samples", "5", "--steps", "4",
             "--output", str(tmp_path / "swap.json")]
     assert cli.main(argv) == 0
-    assert len(calls) == 3 * 5 + 8 * (1 + 2 * 4)
+    assert len(calls) == 3 * 5 + 8 * (2 + 4)
 
 
 def test_negative_rate_intervals():

@@ -62,6 +62,69 @@ def test_lambda_refuses_subnormal_radii():
         assert abs(got - tiny) <= 1e-12 * tiny, (cg.probs, got)
 
 
+def _bisection_lambda(r_ef, probs):
+    """The plain bisection solve_lambda replays: [0, 1] grown by doubling, then halved
+    until adjacent floats; its lambda is the oracle for the bracketed solve."""
+    def radius_sum(lam):
+        return float(np.dot(probs, np.tanh(probs * lam)))
+
+    lo, hi = 0.0, 1.0
+    while radius_sum(hi) < r_ef:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return 0.5 * (lo + hi)
+        if radius_sum(mid) < r_ef:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _radius_draws(rng, count):
+    """Effective radii from the smallest normal float up to just below PURE_RADIUS: a
+    third log-uniform, a third uniform and a third with 1 - r from 1e-9 up to 1e-2."""
+    tiny, top = np.finfo(float).tiny, np.nextafter(qcore.PURE_RADIUS, 0.0)
+    out = [tiny, top]
+    for k in range(count - 2):
+        if k % 3 == 0:
+            r = math.exp(rng.uniform(math.log(tiny), math.log(top)))
+        elif k % 3 == 1:
+            r = rng.uniform(0.0, top)
+        else:
+            r = 1.0 - math.exp(rng.uniform(math.log(1.0 - top), math.log(1e-2)))
+        out.append(min(max(float(r), tiny), top))
+    return out
+
+
+def test_lambda_is_the_bisection_root(rng):
+    # the same lambda as the plain bisection, bit for bit, however skewed the weights
+    for r in _radius_draws(rng, 1000):
+        n = int(rng.integers(2, 31))
+        probs = rng.dirichlet(np.full(n, math.exp(rng.uniform(math.log(0.05), math.log(3.0)))))
+        cg = custom(probs)
+        assert maxent.solve_lambda(r, cg).lam == _bisection_lambda(r, cg.probs), (r, cg.probs)
+
+
+def test_lambda_solve_evaluation_count(rng, monkeypatch):
+    # perfbench counts maxent._radius_sum; the bisection alone needs about 55 calls
+    calls = []
+    inner = maxent._radius_sum
+
+    def counted(lam, probs):
+        calls.append(lam)
+        return inner(lam, probs)
+
+    monkeypatch.setattr(maxent, "_radius_sum", counted)
+    for cg in (preferential(2, 0.7), non_preferential(4)):
+        counts = []
+        for r in _radius_draws(rng, 300):
+            calls.clear()
+            maxent.solve_lambda(r, cg)
+            counts.append(len(calls))
+        assert np.median(counts) <= 16, (cg.probs, np.median(counts))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     r_lo=st.floats(0.01, 0.9),
