@@ -178,8 +178,8 @@ def test_grid_probes_match_point_loop(spec):
 
 
 def _per_s_semigroup_gap(dynamics, t_grid, s_grid, probe_states):
-    """The semigroup gap with one call on t_grid + s per s, as it was computed before
-    the union grid; (gap, argmax_t, argmax_s, witness_bloch)."""
+    """The semigroup gap with one call on t_grid + s per s, the reference the union
+    grid must reproduce; (gap, argmax_t, argmax_s, witness_bloch)."""
     gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
     for rho in probe_states:
         for s, mid in zip(s_grid, dynamics(rho, s_grid)):

@@ -63,8 +63,8 @@ def test_lambda_refuses_subnormal_radii():
 
 
 def _bisection_lambda(r_ef, probs):
-    """The plain bisection solve_lambda replays: [0, 1] grown by doubling, then halved
-    until adjacent floats; its lambda is the oracle for the bracketed solve."""
+    """The plain bisection: [0, 1] grown by doubling, then halved until adjacent
+    floats; its lambda is the oracle for the bracketed solve."""
     def radius_sum(lam):
         return float(np.dot(probs, np.tanh(probs * lam)))
 
