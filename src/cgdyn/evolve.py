@@ -15,10 +15,12 @@ not the spec's class or the input:
   Product inputs then have exact closed-form marginals at any site count.
 * dense: any other z-only sum. Its energies come from the same merged z
   strings and each step is O(4^n) elementwise work on the joint state.
-* statevector: every non-diagonal Hamiltonian. A pure input keeps 2^n
-  amplitudes: one eigh (n <= 12) or Krylov steps (`expm_multiply`),
-  whichever a cost model in 2^n, grid length and |H| t rates cheaper; Krylov
-  steps an H unchanged by site rotation in its momentum-zero sector, ~2^n/n.
+* statevector: every non-diagonal Hamiltonian. A pure input is one column
+  of amplitudes: one eigh (n <= 12) on the 2^n basis states, or Krylov steps
+  (`expm_multiply`) on orbits of basis states, the ~2^n/n of the
+  momentum-zero sector when site rotation leaves H unchanged, else the 2^n
+  states themselves. A cost model in those counts, grid length and |H| t
+  picks the cheaper.
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H.
 
@@ -45,7 +47,7 @@ MIXED_MAX_SPINS = 8
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
-# plus work on the d (n + 1) stored entries of H.
+# plus work on the n + 1 stored entries of H per orbit stepped.
 _EIGH_CUBE, _EIGH_POINT = 1.1, 1.6
 _KRYLOV_POINT, _KRYLOV_TRAVEL, _KRYLOV_ENTRIES = 1.1e6, 1.6e5, 9300.0
 
@@ -199,16 +201,18 @@ def build_hamiltonian(spec):
     return qcore.pauli_sum(spec.terms(), spec.n)
 
 
-def _rotation_sector(spec):
-    """None unless H's strings, merged by (site, axis), are exactly unchanged when every
-    site k moves to k mod n + 1. Else the momentum-zero sector: orbit representatives r
-    (the least of n bit rotations, ascending), every basis state's r and the lengths L_r."""
+def _orbits(spec):
+    """The basis Krylov steps a pure input on: orbit representatives r (ascending),
+    every basis state's r and the orbit lengths L_r. When H's strings, merged by
+    (site, axis), are exactly unchanged as every site k moves to k mod n + 1, these
+    are the rotation orbits (r the least of n bit rotations), the momentum-zero
+    sector, ~2^n/n of them. Otherwise each basis state is its own orbit."""
     merged, n = {}, spec.n
     for coeff, ops in spec.terms():
         merged[tuple(sorted(ops))] = merged.get(tuple(sorted(ops)), 0.0) + coeff
-    if merged != {tuple(sorted((k % n + 1, a) for k, a in key)): c for key, c in merged.items()}:
-        return None
     b = np.arange(2 ** n)
+    if merged != {tuple(sorted((k % n + 1, a) for k, a in key)): c for key, c in merged.items()}:
+        return b, b, np.ones(2 ** n, dtype=int)
     rep, fixed, r = b.copy(), np.zeros(2 ** n, dtype=int), b
     for _ in range(n):
         r = (r >> 1) | ((r & 1) << (n - 1))
@@ -217,20 +221,21 @@ def _rotation_sector(spec):
     return b[rep == b], rep, n // fixed[rep == b]
 
 
-def _sparse_hamiltonian(terms, n, sector=None):
-    """CSR of a Pauli sum on the 2^n basis states or, for a sum that commutes with
-    the rotation T, on the orbits |R> = L_r^-1/2 sum_k T^k |r> of a sector: there
-    each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s) at (S, R)."""
-    if sector is None:
-        return qcore.pauli_sum(terms, n, sparse=True)
+def _sparse_hamiltonian(terms, n, orbits):
+    """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_k T^k |r> of
+    `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the rotation
+    T on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s) at
+    (S, R); entries that cancel are dropped."""
     from scipy import sparse as sp
 
-    reps, rep, lengths = sector
+    reps, rep, lengths = orbits
+    orbit = (np.cumsum(rep == np.arange(2 ** n)) - 1)[rep]  # each state's orbit; reps ascend
     blocks = qcore._pauli_blocks(terms, n, reps)
-    rows = np.searchsorted(reps, rep[np.concatenate([reps ^ xmask for xmask in blocks])])
-    cols = np.tile(np.arange(reps.size), len(blocks))
-    data = np.concatenate(list(blocks.values())) * np.sqrt(lengths[cols] / lengths[rows])
-    return sp.csr_matrix((data, (rows, cols)), shape=(reps.size, reps.size))
+    rows = [orbit[reps ^ xmask] for xmask in blocks]
+    data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
+    rows, cols = np.concatenate(rows), np.tile(np.arange(reps.size), len(blocks))
+    keep = data != 0  # building the CSR sums the entries, which leaves its indices sorted
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(reps.size, reps.size))
 
 
 def _z_strings(spec):
@@ -321,7 +326,7 @@ def _product_vector(direction, n):
         [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))],
         dtype=complex,
     )
-    return reduce(np.kron, [site] * n)
+    return reduce(np.multiply.outer, [site] * n).ravel()
 
 
 def _effective_from_state(psi, cg):
@@ -334,12 +339,14 @@ def _effective_from_state(psi, cg):
     return out
 
 
-def _statevector_engine(spec, times):
-    """(modelled ns, "eigh" or "krylov") of a pure input's cheaper engine; eigh up to the cap."""
+def _statevector_engine(spec, times, orbits):
+    """(modelled ns, "eigh" or "krylov") of a pure input: eigh on 2^n states, up to the cap,
+    or Krylov on the given number of orbits, whichever is cheaper."""
     d, steps = 2 ** spec.n, len(times)
-    travel = sum(abs(c) for c, _ in spec.terms()) * (times[-1] - min(times[0], 0.0))
+    # Krylov steps 0 -> t0 -> ... -> t_last
+    travel = sum(abs(c) for c, _ in spec.terms()) * (abs(times[0]) + times[-1] - times[0])
     products = steps * _KRYLOV_POINT + travel * _KRYLOV_TRAVEL
-    krylov = products * (1.0 + d * (spec.n + 1) / _KRYLOV_ENTRIES), "krylov"
+    krylov = products * (1.0 + orbits * (spec.n + 1) / _KRYLOV_ENTRIES), "krylov"
     eigh = d ** 3 * _EIGH_CUBE + steps * d ** 2 * _EIGH_POINT, "eigh"
     return min(krylov, eigh) if spec.n <= DENSE_MAX_QUBITS else krylov
 
@@ -414,7 +421,8 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
             eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
             bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]
     else:  # statevector
-        engine = _statevector_engine(spec, times)[1] if assigned.solution.is_pure else "heisenberg"
+        orbits = _orbits(spec) if assigned.solution.is_pure else None
+        engine = "heisenberg" if orbits is None else _statevector_engine(spec, times, orbits[0].size)[1]
         if engine != "krylov":
             evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
         if engine == "heisenberg":
@@ -433,19 +441,18 @@ def trajectory(rho_eff, cg, spec, times, method="auto"):
         else:
             from scipy.sparse.linalg import expm_multiply
 
-            n, sector = spec.n, _rotation_sector(spec)
-            a = -1j * _sparse_hamiltonian(spec.terms(), n, sector)
-            # step from the previous grid point; the state starts at t = 0
-            psi_t, t_prev = _product_vector(assigned.direction, n), 0.0
-            if sector is not None:  # every site marginal is (1/n) <sum_j sigma_j>
-                psi_t = psi_t[sector[0]] * np.sqrt(sector[2])  # psi_s[r] = sqrt(L_r) psi(r)
-                spins = [_sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, sector)
-                         for ax in qcore.AXES]
+            n, (reps, _, lengths) = spec.n, orbits
+            a = -1j * _sparse_hamiltonian(spec.terms(), n, orbits)
+            # step from the previous grid point; at t = 0 orbit R holds sqrt(L_r) psi(r)
+            psi_t, t_prev = _product_vector(assigned.direction, n)[reps] * np.sqrt(lengths), 0.0
+            # in a sector every site marginal is (1/n) <sum_j sigma_j>
+            spins = [_sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, orbits)
+                     for ax in qcore.AXES] if reps.size < 2 ** n else None
             for i, t in enumerate(times):
                 if t != t_prev:
                     psi_t = expm_multiply(a * (t - t_prev), psi_t)
                     t_prev = t
-                bloch[i] = (qcore.bloch_from_density(_effective_from_state(psi_t, cg)) if sector is None
+                bloch[i] = (qcore.bloch_from_density(_effective_from_state(psi_t, cg)) if spins is None
                             else [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins])
 
     radii_sq = np.sum(bloch * bloch, axis=1)

@@ -85,8 +85,8 @@ def _parity(v, n):
     return v & 1
 
 
-def pauli_sum(terms, n, sparse=False):
-    """Dense (or scipy CSR) matrix of sum coeff * string on n qubits.
+def pauli_sum(terms, n):
+    """Dense matrix of sum coeff * string on n qubits.
 
     Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
     axes "x", "y", "z". Terms with one xmask fill the same entries and are
@@ -94,19 +94,10 @@ def pauli_sum(terms, n, sparse=False):
     """
     dim = 2 ** n
     b = np.arange(dim)
-    blocks = _pauli_blocks(terms, n, b)
-    if not sparse:
-        h = np.zeros((dim, dim), dtype=complex)
-        for xmask, vals in blocks.items():
-            h[b ^ xmask, b] = vals
-        return h
-    from scipy import sparse as sp
-
-    rows = np.concatenate([b ^ xmask for xmask in blocks])
-    cols = np.tile(b, len(blocks))
-    data = np.concatenate(list(blocks.values()))
-    keep = data != 0  # building the CSR sums the entries, which leaves its indices sorted
-    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+    h = np.zeros((dim, dim), dtype=complex)
+    for xmask, vals in _pauli_blocks(terms, n, b).items():
+        h[b ^ xmask, b] = vals
+    return h
 
 
 def _pauli_blocks(terms, n, states):

@@ -340,7 +340,8 @@ def test_specs_match_kron_formulas():
     for spec in specs:
         want = _reference_hamiltonian(spec)
         assert np.array_equal(evolve.build_hamiltonian(spec), want), spec
-        assert np.array_equal(evolve._sparse_hamiltonian(spec.terms(), spec.n).toarray(), want), spec
+        csr = evolve._sparse_hamiltonian(spec.terms(), spec.n, _basis_orbits(spec.n))
+        assert np.array_equal(csr.toarray(), want), spec
 
 
 def test_auto_route_follows_structure():
@@ -415,7 +416,7 @@ def test_krylov_steps_match_per_point_oracle():
     psi0 = site
     for _ in range(n - 1):
         psi0 = np.kron(psi0, site)
-    h = qcore.pauli_sum(spec.terms(), n, sparse=True)
+    h = evolve._sparse_hamiltonian(spec.terms(), n, _basis_orbits(n))
     for t, got in zip(times, traj.bloch):
         psi = expm_multiply(-1j * t * h, psi0)
         eff = np.zeros((2, 2), dtype=complex)
@@ -673,7 +674,7 @@ def _joint_density_oracle(rho0, cg, spec, times):
 def test_dense_and_statevector_engines_agree(case):
     spec, cg, direction, radius, times, closed = case
     if closed:  # forced Krylov then steps the momentum-zero sector
-        assert evolve._rotation_sector(spec) is not None
+        assert evolve._orbits(spec)[0].size < 2 ** spec.n
     rho0 = qcore.density_from_bloch(radius * direction)
     oracle = _joint_density_oracle(rho0, cg, spec, times)
     # every input: a pure one as amplitudes, a mixed one in the Heisenberg form
@@ -711,6 +712,12 @@ def _forced(engine):
     return mock.patch.object(evolve, "_statevector_engine", lambda *_: (0.0, engine))
 
 
+def _basis_orbits(n):
+    # what evolve._orbits returns for a sum that site rotation changes
+    b = np.arange(2 ** n)
+    return b, b, np.ones(2 ** n, dtype=int)
+
+
 def _ulp_chain(n):
     # the closed chain with one bond's coefficient moved by one ulp
     terms = list(evolve.IsingChain(n, J=1.0, g=0.6).terms())
@@ -723,7 +730,7 @@ def _ulp_chain(n):
     evolve.Swap(omega=1.3),
 ], ids=repr)
 def test_rotation_sector_detects_invariant_sums(spec):
-    assert evolve._rotation_sector(spec) is not None
+    assert evolve._orbits(spec)[0].size < 2 ** spec.n
 
 
 @pytest.mark.parametrize("spec", [
@@ -733,7 +740,8 @@ def test_rotation_sector_detects_invariant_sums(spec):
     _ulp_chain(5),
 ], ids=["open-chain", "cnot", "unequal-field", "ulp-chain"])
 def test_rotation_sector_refuses_other_sums(spec):
-    assert evolve._rotation_sector(spec) is None
+    got, want = evolve._orbits(spec), _basis_orbits(spec.n)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_nearly_invariant_sum_runs_on_the_full_space():
@@ -743,9 +751,9 @@ def test_nearly_invariant_sum_runs_on_the_full_space():
         want = evolve.trajectory(rho0, cg, spec, times).bloch
     real = evolve._sparse_hamiltonian
 
-    def full_space(terms, n, sector=None):
-        assert sector is None
-        return real(terms, n)
+    def full_space(terms, n, orbits):
+        assert all(np.array_equal(a, b) for a, b in zip(orbits, _basis_orbits(n)))
+        return real(terms, n, orbits)
 
     with _forced("krylov"), mock.patch.object(evolve, "_sparse_hamiltonian", full_space):
         got = evolve.trajectory(rho0, cg, spec, times).bloch
@@ -755,12 +763,12 @@ def test_nearly_invariant_sum_runs_on_the_full_space():
 def test_rotation_sector_basis():
     # about 2^n / n orbits, whose lengths add up to 2^n
     for n, dim in ((4, 6), (6, 14), (10, 108), (13, 632), (14, 1182), (15, 2192), (16, 4116)):
-        reps, rep, lengths = evolve._rotation_sector(evolve.IsingChain(n, J=1.0, g=0.5))
+        reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
         assert reps.size == dim and lengths.sum() == 2 ** n
     # each state's representative is the least of its rotations, and an orbit
     # is as long as the number of distinct rotations
     n = 6
-    reps, rep, lengths = evolve._rotation_sector(evolve.IsingChain(n, J=1.0, g=0.5))
+    reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
     for b in range(2 ** n):
         orbit = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
         assert rep[b] == min(orbit)
@@ -773,7 +781,7 @@ def test_sector_operator_is_the_invariant_block():
     specs = [evolve.IsingChain(6, J=1.0, g=0.6), evolve.IsingChain(2, J=0.7, g=0.4), evolve.Swap(omega=1.3),
              _PauliSum(4, tuple((0.3, ((k, "x"), (k % 4 + 1, "y"), ((k + 1) % 4 + 1, "z"))) for k in range(1, 5)))]
     for spec in specs:
-        sector = evolve._rotation_sector(spec)
+        sector = evolve._orbits(spec)
         reps, rep, lengths = sector
         q = np.zeros((2 ** spec.n, reps.size))
         q[np.arange(2 ** spec.n), np.searchsorted(reps, rep)] = 1.0
@@ -791,7 +799,7 @@ def test_sector_matches_full_space_krylov():
         rho0 = qcore.density_from_bloch(direction / np.linalg.norm(direction))
         with _forced("krylov"):
             got = evolve.trajectory(rho0, cg, spec, times).bloch
-            with mock.patch.object(evolve, "_rotation_sector", lambda spec: None):
+            with mock.patch.object(evolve, "_orbits", lambda spec: _basis_orbits(spec.n)):
                 want = evolve.trajectory(rho0, cg, spec, times).bloch
         assert np.abs(got - want).max() <= 1e-12, n
 
@@ -814,7 +822,8 @@ def test_pure_closed_chain_ignores_the_weights(n, g, seed, start, steps):
 
 
 def _engine(spec, times):
-    return evolve._statevector_engine(spec, np.asarray(times, dtype=float))[1]
+    # rated on the orbits that Krylov would step
+    return evolve._statevector_engine(spec, np.asarray(times, dtype=float), evolve._orbits(spec)[0].size)[1]
 
 
 def test_statevector_engine_keeps_eigh_where_configs_run():
@@ -836,8 +845,11 @@ def test_statevector_engine_weighs_grid_length_and_span():
     chain = evolve.IsingChain(10, J=1.0, g=0.5)
     # the benchmark's statevector.n10 case: Krylov 0.02-0.04 s, eigh 1.1-1.4 s
     assert _engine(chain, np.linspace(0.0, 2.0, 10)) == "krylov"
-    # a long span: Krylov 1.4-1.8 s over [0, 400], eigh still 1.1-1.2 s
-    assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "eigh"
+    # a long span on the open chain's 2^n states: Krylov 1.3-1.4 s over [0, 400],
+    # eigh 0.85-0.97 s; on the closed chain's 108 orbits Krylov takes 0.67-0.74 s
+    open_chain = evolve.IsingChain(10, J=1.0, g=0.5, boundary="open")
+    assert _engine(open_chain, np.linspace(0.0, 400.0, 10)) == "eigh"
+    assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "krylov"
     # the span counts from t = 0, where the Krylov steps start
     assert _engine(chain, np.linspace(-398.0, 2.0, 10)) == "eigh"
     # n = 8 crosses over: Krylov with 10 points on [0, 2], eigh with 101
@@ -847,17 +859,28 @@ def test_statevector_engine_weighs_grid_length_and_span():
 
 
 def test_statevector_engine_cost_rises_with_n():
+    chains = [evolve.IsingChain(n, J=1.0, g=0.5) for n in range(2, evolve.STATEVECTOR_MAX_SPINS + 1)]
+    orbits = [evolve._orbits(spec)[0].size for spec in chains]
     for span in (0.0, 2.0, 200.0):
         for steps in (1, 10, 101):
             times = np.linspace(span / steps, span, steps)
-            costs = [evolve._statevector_engine(evolve.IsingChain(n, J=1.0, g=0.5), times)
-                     for n in range(2, evolve.STATEVECTOR_MAX_SPINS + 1)]
+            costs = [evolve._statevector_engine(spec, times, m) for spec, m in zip(chains, orbits)]
             assert all(b[0] >= a[0] for a, b in zip(costs, costs[1:])), (span, steps)
             # no eigh above the dense cap, where the Hamiltonian is never built
             assert {e for n, (_, e) in enumerate(costs, start=2) if n > evolve.DENSE_MAX_QUBITS} == {"krylov"}
     # not even when H is zero and the grid a single point at t = 0
     idle = evolve.IsingChain(evolve.DENSE_MAX_QUBITS + 1, J=0.0, g=0.0)
     assert _engine(idle, [0.0]) == "krylov"
+
+
+def test_krylov_travel_counts_the_step_to_the_first_point():
+    # Krylov steps 0 -> t0 -> ... -> t_last: [-1, 0, 1] and [1, 2, 3] both
+    # travel 3 over three points; above the dense cap the model rates Krylov alone
+    spec = evolve.IsingChain(evolve.DENSE_MAX_QUBITS + 1, J=1.0, g=0.5)
+    m = evolve._orbits(spec)[0].size
+    grids = ([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+    before, after = (evolve._statevector_engine(spec, np.array(g), m) for g in grids)
+    assert before == after and before[1] == "krylov"
 
 
 @pytest.mark.parametrize("method, stage", [("statevector", "_effective_from_state"), ("dense", "apply_cg")])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cgdyn import qcore
+from cgdyn import evolve, qcore
 
 
 def test_pauli_algebra():
@@ -58,6 +58,12 @@ def _random_string(rng, n, n_y=None):
     return tuple(zip(sites, axes))
 
 
+def _basis_orbits(n):
+    # what evolve._orbits returns for a sum that site rotation changes
+    b = np.arange(2 ** n)
+    return b, b, np.ones(2 ** n, dtype=int)
+
+
 def test_pauli_sum_matches_kron_sums(rng):
     for n in (1, 2, 3, 4):
         for _ in range(20):
@@ -69,7 +75,8 @@ def test_pauli_sum_matches_kron_sums(rng):
             terms = [(float(rng.normal()), ops) for ops in strings]
             want = _kron_sum(terms, n)
             assert np.array_equal(qcore.pauli_sum(terms, n), want)
-            got = qcore.pauli_sum(iter(terms), n, sparse=True)
+            # the Krylov engine's CSR on the 2^n one-state orbits
+            got = evolve._sparse_hamiltonian(iter(terms), n, _basis_orbits(n))
             assert got.has_sorted_indices
             assert np.array_equal(got.toarray(), want)
 
@@ -83,7 +90,7 @@ def test_pauli_sum_rejects_bad_strings():
 def test_pauli_sum_csr_drops_cancelled_entries():
     # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
     terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
-    csr = qcore.pauli_sum(terms, 2, sparse=True)
+    csr = evolve._sparse_hamiltonian(terms, 2, _basis_orbits(2))
     assert csr.nnz == 2
     assert np.array_equal(csr.toarray(), _kron_sum(terms, 2))
 
