@@ -24,6 +24,7 @@ from .evolve import (
     Swap,
     Trajectory,
     build_hamiltonian,
+    dynamics,
     sample_field,
     trajectory,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "density_from_bloch",
     "dephase",
     "depolarize",
+    "dynamics",
     "dyson_decay",
     "ellipse_params",
     "equal_marginal_check",

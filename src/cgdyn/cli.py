@@ -306,8 +306,9 @@ def _ising_bloch(res):
 
 
 def _pipeline_closure(spec, cg):
-    # through the module attribute, so a rebound evolve.trajectory is the one called
-    return lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
+    # one map for every probe input, so H is built and diagonalized once per run
+    dyn = evolve.dynamics(cg, spec)
+    return lambda rho, times: qcore.bloch_operator(dyn(rho, times).bloch)
 
 
 def _static_closure(channel, cg):
@@ -429,9 +430,9 @@ def _run_sweep(res):
         res["t"] = None
     times = _time_grid(res)
     states = _sweep_states(res)
-    rows = []
+    dyn, rows = evolve.dynamics(cg, spec), []
     for idx, (th, ph) in enumerate(states):
-        traj = evolve.trajectory(qcore.density_from_bloch(_polar(th, ph)), cg, spec, times)
+        traj = dyn(qcore.density_from_bloch(_polar(th, ph)), times)
         for t, b, p in zip(times, traj.bloch, traj.purity):
             rows.append((idx, th, ph, t, b[0], b[1], b[2], p))
 

@@ -13,6 +13,7 @@ plain value; the CLI writes it into run metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ class CoarseGraining:
     probs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 2:
             raise ValueError(f"coarse graining needs n >= 2 sites, got {self.n}")
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (self.n,):

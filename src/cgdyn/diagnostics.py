@@ -5,8 +5,9 @@ same machinery applies to pipeline trajectories, closed-form predictors, or
 any user-supplied map. `times` is a nonempty, strictly increasing 1-d grid,
 and the closure returns one 2x2 output per grid point, stacked along the
 first axis: the shape `evolve.trajectory` produces from one assignment. A
-probe asks for whole grids where it can, so a pipeline closure assigns,
-builds and diagonalizes once per (input, grid), not once per time point.
+probe asks for whole grids where it can, so a pipeline closure over
+`evolve.dynamics` assigns once per (input, grid), not once per time point,
+and builds and diagonalizes H once per closure, not once per input.
 Random states are drawn Hilbert-Schmidt (mixed) from an explicit seed, and
 each report stores the witness that achieved its extremal value so a run
 can be replayed from the report alone.

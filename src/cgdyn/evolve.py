@@ -26,7 +26,12 @@ not the spec's class or the input:
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
-`trajectory` returns it with the route that ran and the lambda solution;
+`dynamics(cg, spec)` is the map of one (H, weights) pair, fed one input at a
+time: what depends on H and the weights alone (the energies, the Krylov
+orbits and sparse -iH, the eigh of H and the fuzzy operators in its
+eigenbasis) is built on first use and kept, so the diagnostics and sweeps pay
+for it once per map, not once per input. `trajectory` is its one-shot form.
+Each returns the trajectory with the route that ran and the lambda solution;
 the CLI alone turns those into run metadata.
 """
 
@@ -155,7 +160,7 @@ class IsingChain:
     boundary: str = "closed"
 
     def __post_init__(self):
-        if int(self.n_spins) != self.n_spins or self.n_spins < 2:
+        if not math.isfinite(self.n_spins) or int(self.n_spins) != self.n_spins or self.n_spins < 2:
             raise ValueError(f"chain needs at least two spins, got {self.n_spins}")
         if self.boundary not in ("closed", "open"):
             raise ValueError(f"boundary must be 'closed' or 'open', got {self.boundary!r}")
@@ -339,12 +344,12 @@ def _effective_from_state(psi, cg):
     return out
 
 
-def _statevector_engine(spec, times, orbits):
+def _statevector_engine(spec, times, orbits, norm):
     """(modelled ns, "eigh" or "krylov") of a pure input: eigh on 2^n states, up to the cap,
-    or Krylov on the given number of orbits, whichever is cheaper."""
+    or Krylov on the given number of orbits, whichever is cheaper. norm is sum |coeff|."""
     d, steps = 2 ** spec.n, len(times)
     # Krylov steps 0 -> t0 -> ... -> t_last
-    travel = sum(abs(c) for c, _ in spec.terms()) * (abs(times[0]) + times[-1] - times[0])
+    travel = norm * (abs(times[0]) + times[-1] - times[0])
     products = steps * _KRYLOV_POINT + travel * _KRYLOV_TRAVEL
     krylov = products * (1.0 + orbits * (spec.n + 1) / _KRYLOV_ENTRIES), "krylov"
     eigh = d ** 3 * _EIGH_CUBE + steps * d ** 2 * _EIGH_POINT, "eigh"
@@ -358,8 +363,6 @@ def _statevector_engine(spec, times, orbits):
 def _route(spec, pure_input, method, strings):
     """The route that runs, chosen from the merged z strings alone (None unless
     H is diagonal); ValueError when the chosen route cannot run this case."""
-    if method not in ("auto", "dense", "fast", "statevector"):
-        raise ValueError(f"unknown method {method!r}")
     fast_ok = strings is not None and _fast_exact(strings)
     route = method
     if method == "auto":
@@ -391,76 +394,107 @@ class Trajectory:
     solution: maxent.LagrangeSolution
 
 
+def dynamics(cg, spec, method="auto"):
+    """The effective map of one (H, weights) pair, as `dyn(rho_eff, times) -> Trajectory`.
+
+    The site counts and the method are checked and H's merged z strings parsed
+    here, once. What depends on H and the weights alone is built on the first
+    input that needs it and kept for the rest: the diagonal energies, sum |coeff|,
+    the Krylov orbits with sparse -iH and the sector spin operators, and the eigh
+    of H with the fuzzy operators in its eigenbasis, so a run that only steps
+    Krylov never diagonalizes. Each call assigns its input, picks the route and
+    engine, steps the grid and checks the Bloch ball, as `trajectory` does.
+    """
+    if spec.n != cg.n:
+        raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
+    if method not in ("auto", "dense", "fast", "statevector"):
+        raise ValueError(f"unknown method {method!r}")
+    strings, kept = _z_strings(spec), {}
+
+    def keep(name, build):
+        if name not in kept:
+            kept[name] = build()
+        return kept[name]
+
+    def dyn(rho_eff, times):
+        times = qcore.time_grid(times)
+        assigned = maxent.assign(rho_eff, cg)
+        route = _route(spec, assigned.solution.is_pure, method, strings)
+
+        bloch = np.empty((times.size, 3))
+        if route == "dense":
+            evals, rho0 = keep("energies", lambda: _z_energies(strings, spec.n)), assigned.to_matrix()
+            for i, t in enumerate(times):
+                rho_t = qcore.propagate(evals, None, rho0, t)
+                bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
+        elif route == "fast":
+            probs = cg.probs
+            invariants = _fast_invariants(assigned.factors, strings)
+            rz = 2 * float(np.dot(probs, invariants[0])) - 1.0  # populations are conserved
+            for i, t in enumerate(times):
+                eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
+                bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]
+        else:  # statevector
+            orbits = keep("orbits", lambda: _orbits(spec)) if assigned.solution.is_pure else None
+            engine = "heisenberg"
+            if orbits is not None:
+                norm = keep("norm", lambda: sum(abs(c) for c, _ in spec.terms()))
+                engine = _statevector_engine(spec, times, orbits[0].size, norm)[1]
+            if engine != "krylov":
+                evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
+            if engine == "heisenberg":
+                # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's
+                # eigenbasis: one (3, d^2) matrix-vector product per point
+                rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
+                g_flat = keep("g_flat", lambda: np.conj([
+                    evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES]).reshape(3, -1))
+                for i, t in enumerate(times):
+                    bloch[i] = (g_flat @ qcore.propagate(evals, None, rho_hat, t).ravel()).real
+            elif engine == "eigh":
+                coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
+                for i, t in enumerate(times):
+                    psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
+                    bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
+            else:
+                from scipy.sparse.linalg import expm_multiply
+
+                n, (reps, _, lengths) = spec.n, orbits
+                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
+                # step from the previous grid point; at t = 0 orbit R holds sqrt(L_r) psi(r)
+                psi_t, t_prev = _product_vector(assigned.direction, n)[reps] * np.sqrt(lengths), 0.0
+                # in a sector every site marginal is (1/n) <sum_j sigma_j>
+                spins = keep("spins", lambda: [
+                    _sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, orbits)
+                    for ax in qcore.AXES] if reps.size < 2 ** n else None)
+                for i, t in enumerate(times):
+                    if t != t_prev:
+                        psi_t = expm_multiply(a * (t - t_prev), psi_t)
+                        t_prev = t
+                    if spins is None:
+                        bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
+                    else:
+                        bloch[i] = [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins]
+
+        radii_sq = np.sum(bloch * bloch, axis=1)
+        # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
+        # exactly the PSD_FLOOR policy expressed on the Bloch ball; a NaN fails it
+        if not (radii_sq <= (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).all():
+            i = int(np.argmax(radii_sq))
+            raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
+                                        f"ball at time index {i} (t = {times[i]}) on the {route} route")
+        purity = 0.5 * (1.0 + radii_sq)
+        return Trajectory(times, bloch, purity, route, assigned.solution)
+
+    return dyn
+
+
 def trajectory(rho_eff, cg, spec, times, method="auto"):
-    """Effective trajectory over a time grid, one assignment for the sweep.
+    """Effective trajectory over a time grid, one assignment for the sweep: the
+    one-shot form of `dynamics(cg, spec, method)(rho_eff, times)`.
 
     The grid must be nonempty, finite and strictly increasing. The lambda solve
     and any eigh of H run once; a pure input skips eigh where Krylov steps cost
     less. Built-in specs reject non-finite coefficients when built; a NaN or
     out-of-ball effective radius raises PositivityError.
     """
-    if spec.n != cg.n:
-        raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
-    times = qcore.time_grid(times)
-
-    assigned = maxent.assign(rho_eff, cg)
-    strings = _z_strings(spec)
-    route = _route(spec, assigned.solution.is_pure, method, strings)
-
-    bloch = np.empty((times.size, 3))
-    if route == "dense":
-        evals, rho0 = _z_energies(strings, spec.n), assigned.to_matrix()
-        for i, t in enumerate(times):
-            rho_t = qcore.propagate(evals, None, rho0, t)
-            bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
-    elif route == "fast":
-        probs = cg.probs
-        invariants = _fast_invariants(assigned.factors, strings)
-        rz = 2 * float(np.dot(probs, invariants[0])) - 1.0  # populations are conserved
-        for i, t in enumerate(times):
-            eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
-            bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]
-    else:  # statevector
-        orbits = _orbits(spec) if assigned.solution.is_pure else None
-        engine = "heisenberg" if orbits is None else _statevector_engine(spec, times, orbits[0].size)[1]
-        if engine != "krylov":
-            evals, evecs = qcore.eigensystem(build_hamiltonian(spec))
-        if engine == "heisenberg":
-            # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's eigenbasis:
-            # one (3, d^2) matrix-vector product per point
-            rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
-            g_flat = np.conj([evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES])
-            g_flat = g_flat.reshape(3, -1)
-            for i, t in enumerate(times):
-                bloch[i] = (g_flat @ qcore.propagate(evals, None, rho_hat, t).ravel()).real
-        elif engine == "eigh":
-            coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
-            for i, t in enumerate(times):
-                psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
-                bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
-        else:
-            from scipy.sparse.linalg import expm_multiply
-
-            n, (reps, _, lengths) = spec.n, orbits
-            a = -1j * _sparse_hamiltonian(spec.terms(), n, orbits)
-            # step from the previous grid point; at t = 0 orbit R holds sqrt(L_r) psi(r)
-            psi_t, t_prev = _product_vector(assigned.direction, n)[reps] * np.sqrt(lengths), 0.0
-            # in a sector every site marginal is (1/n) <sum_j sigma_j>
-            spins = [_sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, orbits)
-                     for ax in qcore.AXES] if reps.size < 2 ** n else None
-            for i, t in enumerate(times):
-                if t != t_prev:
-                    psi_t = expm_multiply(a * (t - t_prev), psi_t)
-                    t_prev = t
-                bloch[i] = (qcore.bloch_from_density(_effective_from_state(psi_t, cg)) if spins is None
-                            else [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins])
-
-    radii_sq = np.sum(bloch * bloch, axis=1)
-    # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
-    # exactly the PSD_FLOOR policy expressed on the Bloch ball; a NaN fails it
-    if not (radii_sq <= (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).all():
-        i = int(np.argmax(radii_sq))
-        raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
-                                    f"ball at time index {i} (t = {times[i]}) on the {route} route")
-    purity = 0.5 * (1.0 + radii_sq)
-    return Trajectory(times, bloch, purity, route, assigned.solution)
+    return dynamics(cg, spec, method)(rho_eff, times)

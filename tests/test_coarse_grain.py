@@ -62,6 +62,10 @@ def test_constructor_validates():
         CoarseGraining(1, np.array([1.0]))
     with pytest.raises(ValueError):
         CoarseGraining(3, np.array([0.5, 0.5]))
+    # a non-finite site count is refused before int() sees it
+    for n in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="n >= 2 sites"):
+            CoarseGraining(n, np.array([1.0]))
 
 
 def test_apply_cg_product_state(rng):

@@ -227,19 +227,26 @@ def test_semigroup_gap_asks_for_the_union_grid(t_grid, s_grid, distinct):
 
 
 def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
-    # 3 calls per linearity sample; per probe, one on the s grid, one on the union
-    # of the sums t + s and one on the t grid per s
-    calls = []
-    inner = evolve.trajectory
+    # one map per run; 3 calls on it per linearity sample, and per probe one on
+    # the s grid, one on the union of the sums t + s and one on the t grid per s
+    built, calls = [], []
+    inner = evolve.dynamics
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+        dyn = inner(*args, **kwargs)
+        built.append(1)
 
-    monkeypatch.setattr(evolve, "trajectory", counted)
+        def call(*a, **kw):
+            calls.append(1)
+            return dyn(*a, **kw)
+
+        return call
+
+    monkeypatch.setattr(evolve, "dynamics", counted)
     argv = ["diagnostics", "--target", "swap", "--samples", "5", "--steps", "4",
             "--output", str(tmp_path / "swap.json")]
     assert cli.main(argv) == 0
+    assert len(built) == 1
     assert len(calls) == 3 * 5 + 8 * (2 + 4)
 
 

@@ -220,6 +220,16 @@ def test_specs_reject_non_finite_coefficients_when_built(spec, name, bad):
         assert str(exc.value) == want
 
 
+def test_ising_chain_validates():
+    # a non-finite or fractional site count raises ValueError, not int()'s OverflowError
+    for n in (1, 2.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="chain needs at least two spins"):
+            evolve.IsingChain(n)
+    with pytest.raises(ValueError, match="boundary must be 'closed' or 'open'"):
+        evolve.IsingChain(3, boundary="ring")
+    assert evolve.IsingChain(3.0).n == 3
+
+
 def test_sample_field_rejects_non_finite():
     for mu, sigma in ((math.nan, 0.2), (math.inf, 0.2), (1.5, math.nan), (1.5, math.inf)):
         with pytest.raises(ValueError, match="finite"):
@@ -821,9 +831,14 @@ def test_pure_closed_chain_ignores_the_weights(n, g, seed, start, steps):
         assert max(np.abs(run - runs[0]).max() for run in runs) <= 1e-12, engine
 
 
+def _rate(spec, times, orbits):
+    # the selector reads sum |coeff|, which evolve.dynamics keeps per map
+    return evolve._statevector_engine(spec, times, orbits, sum(abs(c) for c, _ in spec.terms()))
+
+
 def _engine(spec, times):
     # rated on the orbits that Krylov would step
-    return evolve._statevector_engine(spec, np.asarray(times, dtype=float), evolve._orbits(spec)[0].size)[1]
+    return _rate(spec, np.asarray(times, dtype=float), evolve._orbits(spec)[0].size)[1]
 
 
 def test_statevector_engine_keeps_eigh_where_configs_run():
@@ -864,7 +879,7 @@ def test_statevector_engine_cost_rises_with_n():
     for span in (0.0, 2.0, 200.0):
         for steps in (1, 10, 101):
             times = np.linspace(span / steps, span, steps)
-            costs = [evolve._statevector_engine(spec, times, m) for spec, m in zip(chains, orbits)]
+            costs = [_rate(spec, times, m) for spec, m in zip(chains, orbits)]
             assert all(b[0] >= a[0] for a, b in zip(costs, costs[1:])), (span, steps)
             # no eigh above the dense cap, where the Hamiltonian is never built
             assert {e for n, (_, e) in enumerate(costs, start=2) if n > evolve.DENSE_MAX_QUBITS} == {"krylov"}
@@ -879,7 +894,7 @@ def test_krylov_travel_counts_the_step_to_the_first_point():
     spec = evolve.IsingChain(evolve.DENSE_MAX_QUBITS + 1, J=1.0, g=0.5)
     m = evolve._orbits(spec)[0].size
     grids = ([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-    before, after = (evolve._statevector_engine(spec, np.array(g), m) for g in grids)
+    before, after = (_rate(spec, np.array(g), m) for g in grids)
     assert before == after and before[1] == "krylov"
 
 
@@ -900,3 +915,74 @@ def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage)
     with pytest.raises(qcore.PositivityError, match=rf"time index 2 \(t = 1\.5\) on the {method} route"):
         evolve.trajectory(qcore.density_from_bloch(bloch), preferential(2, 0.7), spec,
                           [0.5, 1.0, 1.5, 2.0], method=method)
+
+
+# ---------------------------------------------------------------------------
+# One map per (H, weights): evolve.dynamics keeps what depends on them alone
+
+
+def test_dynamics_reuse_is_exact(monkeypatch):
+    # one map fed interleaved pure and mixed inputs on different grids returns
+    # what fresh trajectory calls return, bit for bit, on every engine; it builds
+    # H, its eigh and the Krylov orbits at most once, and only when an input needs them
+    counts, engines = {}, []
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    orbits, pick = evolve._orbits, evolve._statevector_engine
+    for module, name in ((evolve, "build_hamiltonian"), (qcore, "eigensystem"), (evolve, "_orbits")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    def picked(*args):
+        cost, engine = pick(*args)
+        engines.append(engine)
+        return cost, engine
+
+    monkeypatch.setattr(evolve, "_statevector_engine", picked)
+
+    pure = [qcore.density_from_bloch(_bloch(th, ph)) for th, ph in ((0.4, 0.3), (2.0, -1.1))]
+    mixed = [qcore.density_from_bloch(r * _bloch(th, ph)) for r, th, ph in ((0.6, 0.4, 0.3), (0.3, 2.0, -1.1))]
+    short, wide = [0.0, 0.5, 1.0], np.linspace(-1.0, 3.0, 7)
+    ten, many = np.linspace(0.0, 2.0, 10), np.linspace(0.0, 2.0, 101)
+    mix = [(pure[0], short), (mixed[0], wide), (pure[1], wide), (mixed[1], short), (pure[0], wide)]
+    field = evolve.FieldAllToAll((1.0, 1.3, 1.7, 2.1), include_interaction=True)
+    cases = [  # weights, spec, method, the inputs fed and the engines they take
+        (preferential(4, 0.4), evolve.sample_field(4, seed=2), "auto", mix, {"fast"}),
+        (preferential(4, 0.4), field, "dense", mix, {"dense"}),
+        (preferential(2, 0.7), evolve.Swap(omega=1.0), "auto", mix, {"heisenberg", "eigh"}),
+        # the closed n = 8 chain's pure inputs take Krylov on its sector with 10 points, eigh with 101
+        (preferential(8, 0.3), evolve.IsingChain(8, J=1.0, g=0.5), "auto",
+         [(pure[0], ten), (mixed[0], short), (pure[1], many), (pure[1], ten), (mixed[1], wide)],
+         {"krylov sector", "heisenberg", "eigh"}),
+        (preferential(10, 0.3), evolve.IsingChain(10, J=1.0, g=0.5, boundary="open"), "auto",
+         [(pure[0], ten), (pure[1], [0.3, 0.9]), (pure[0], short)], {"krylov"}),
+    ]
+    for cg, spec, method, fed, want in cases:
+        counts.clear()
+        dyn, taken = evolve.dynamics(cg, spec, method), set()
+        runs = []
+        for rho, times in fed:
+            engines.clear()
+            runs.append(dyn(rho, times))
+            if runs[-1].route != "statevector":
+                taken.add(runs[-1].route)
+            elif not runs[-1].solution.is_pure:
+                taken.add("heisenberg")
+            else:
+                sector = orbits(spec)[0].size < 2 ** spec.n and engines == ["krylov"]
+                taken.add(engines[0] + " sector" * sector)
+        assert taken == want
+        needs_eigh = int(bool(taken & {"eigh", "heisenberg"}))
+        assert counts.get("build_hamiltonian", 0) == counts.get("eigensystem", 0) == needs_eigh, spec
+        assert counts.get("_orbits", 0) == int(bool(taken & {"eigh", "krylov", "krylov sector"})), spec
+        for (rho, times), run in zip(fed, runs):
+            fresh = evolve.trajectory(rho, cg, spec, times, method)
+            assert run.route == fresh.route
+            assert run.solution.lam == fresh.solution.lam
+            for a, b in ((run.times, fresh.times), (run.bloch, fresh.bloch), (run.purity, fresh.purity),
+                         (run.solution.per_particle_r, fresh.solution.per_particle_r)):
+                assert np.array_equal(a, b)
