@@ -355,7 +355,8 @@ def _run_diagnostics(res):
         lin = diagnostics.linearity_probe(dyn, t_probe, samples=samples, seed=seed)
         mk = diagnostics.semigroup_gap(dyn, grid, grid, probes=8, seed=seed)
         if target == "swap":
-            rho0 = qcore.density_from_bloch(_parse_bloch(res))
+            # the rate is ln kappa's derivative, undefined at zero radius as kappa is
+            rho0 = qcore.density_from_bloch(_kappa_bloch(res))
             r1, r2 = maxent.assign(rho0, cg).solution.per_particle_r
             rates = channels.swap_rate(grid, cg, r1, r2, omega=res["omega"])
             mk = dataclasses.replace(

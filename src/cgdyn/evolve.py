@@ -22,7 +22,8 @@ not the spec's class or the input:
   states themselves. A cost model in those counts, grid length and |H| t
   picks the cheaper.
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
-  Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H.
+  Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H, with
+  the grid stepped in blocks of at most HEISENBERG_BLOCK entries of rho(t).
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -49,6 +50,7 @@ from .coarse_grain import apply_cg, fuzzy_operator
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
 MIXED_MAX_SPINS = 8
+HEISENBERG_BLOCK = 4096  # complex entries of rho(t) per stacked Heisenberg step
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
@@ -444,12 +446,16 @@ def dynamics(cg, spec, method="auto"):
                 evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
             if engine == "heisenberg":
                 # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's
-                # eigenbasis: one (3, d^2) matrix-vector product per point
+                # eigenbasis: one (3, d^2) matrix-vector product per point, stacked over
+                # blocks of at most HEISENBERG_BLOCK entries of rho(t) (a stacked matvec
+                # keeps each point's bits, a 2-d product would not)
                 rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
                 g_flat = keep("g_flat", lambda: np.conj([
                     evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES]).reshape(3, -1))
-                for i, t in enumerate(times):
-                    bloch[i] = (g_flat @ qcore.propagate(evals, None, rho_hat, t).ravel()).real
+                block = max(1, HEISENBERG_BLOCK // rho_hat.size)
+                for i in range(0, times.size, block):
+                    rho_t = qcore.propagate(evals, None, rho_hat, times[i:i + block])
+                    bloch[i:i + block] = (g_flat @ rho_t.reshape(len(rho_t), -1, 1))[..., 0].real
             elif engine == "eigh":
                 coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
                 for i, t in enumerate(times):

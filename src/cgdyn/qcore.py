@@ -174,7 +174,8 @@ def bloch_operator(r):
     A stack of vectors gives a stack of 2x2 matrices, each equal bit for bit
     to the one-vector result.
     """
-    x, y, z = np.moveaxis(np.asarray(r, dtype=float), -1, 0)[..., None, None]
+    r = np.asarray(r, dtype=float)[..., None, None]
+    x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
     return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
@@ -190,8 +191,13 @@ def density_from_bloch(r):
 
 
 def trace_norm(a):
-    """Schatten 1-norm: sum of singular values."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+    """Schatten 1-norm: sum of singular values.
+
+    A single matrix gives a float; a (..., m, m) stack gives an array of one
+    norm per matrix, each equal bit for bit to the single-matrix call.
+    """
+    norms = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum(-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def is_hermitian(m):
@@ -248,13 +254,16 @@ def propagate(evals, evecs, rho, t):
 
     evecs=None means H is diagonal in the computational basis with energies
     evals; U(t) rho U(t)^dag is then elementwise, O(d^2) with no matrix
-    products.
+    products. A scalar t gives one (d, d) matrix; a 1-d grid t gives a
+    (T, d, d) stack, each slice equal bit for bit to the scalar call at that
+    point.
     """
-    phases = np.exp(-1j * evals * t)
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * evals * t[..., None])
     if evecs is None:
-        return rho * (phases[:, None] * phases.conj())
-    u = (evecs * phases) @ evecs.conj().T
-    return u @ rho @ u.conj().T
+        return rho * (phases[..., :, None] * phases[..., None, :].conj())
+    u = (evecs * phases[..., None, :]) @ evecs.conj().T
+    return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
 
 def exclusive_products(values):

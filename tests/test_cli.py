@@ -208,6 +208,11 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["--version"]) == 0
     assert cli.main(["swap-kappa", "--bloch", "0,0,0"]) == 1
+    assert "zero initial radius" in capsys.readouterr().err
+    # the swap diagnostics' rate signs need kappa too
+    argv = ["diagnostics", "--target", "swap", "--bloch", "0,0,0", "--samples", "1", "--steps", "1"]
+    assert cli.main(argv + ["--output", str(tmp_path / "zero.json")]) == 1
+    assert "zero initial radius" in capsys.readouterr().err
     assert cli.main(["field", "--config", str(tmp_path / "missing.json")]) == 1
     # the diagnostics grid (tmax/steps, ..., tmax) needs tmax > 0 and steps >= 1
     assert cli.main(["diagnostics", "--steps", "0"]) == 1

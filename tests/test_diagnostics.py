@@ -243,11 +243,21 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(evolve, "dynamics", counted)
+    # one trace norm per linearity sample and one stacked one per (probe, s);
+    # each closure call steps its whole grid in one propagate call (d = 4)
+    norms, steps = [], []
+    for name, log in (("trace_norm", norms), ("propagate", steps)):
+        def logged(*a, real=getattr(qcore, name), log=log):
+            log.append(1)
+            return real(*a)
+        monkeypatch.setattr(qcore, name, logged)
     argv = ["diagnostics", "--target", "swap", "--samples", "5", "--steps", "4",
             "--output", str(tmp_path / "swap.json")]
     assert cli.main(argv) == 0
     assert len(built) == 1
     assert len(calls) == 3 * 5 + 8 * (2 + 4)
+    assert len(norms) == 5 + 8 * 4
+    assert len(steps) == len(calls)
 
 
 def test_negative_rate_intervals():
@@ -258,6 +268,13 @@ def test_negative_rate_intervals():
     assert diagnostics.negative_rate_intervals(times, np.ones(6)) == ()
     with pytest.raises(ValueError):
         diagnostics.negative_rate_intervals(times, rates[:3])
+    # an unknown rate is neither negative nor not; an unknown time has no place
+    for t, r in (([0.0, 1.0, 2.0, 3.0], [-1.0, np.nan, 1.0, -1.0]),
+                 ([0.0, 1.0], [np.nan, np.nan]),
+                 ([0.0, np.nan, 2.0], [1.0, -1.0, 1.0]),
+                 ([0.0, 1.0], [-np.inf, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            diagnostics.negative_rate_intervals(t, r)
 
 
 # ---------------------------------------------------------------------------

@@ -921,6 +921,21 @@ def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage)
 # One map per (H, weights): evolve.dynamics keeps what depends on them alone
 
 
+@pytest.mark.parametrize("cg, spec, times", [
+    (preferential(2, 0.7), evolve.Swap(omega=1.0), np.linspace(-1.0, 30.0, 600)),  # 256 per block
+    (preferential(3, 0.3), evolve.IsingChain(3, J=1.0, g=0.5), np.linspace(0.0, 6.0, 150)),  # 64
+    (preferential(6, 0.3), evolve.IsingChain(6, J=1.0, g=0.5), [0.0, 0.4, 1.3]),  # one point
+])
+def test_heisenberg_blocks_match_one_point_calls(cg, spec, times):
+    # a mixed input's grid, stepped in blocks, equals one-point calls bit for bit
+    rho = qcore.density_from_bloch(0.6 * _bloch(0.7, 0.4))
+    traj = evolve.trajectory(rho, cg, spec, times)
+    assert traj.route == "statevector" and not traj.solution.is_pure
+    assert len(times) > evolve.HEISENBERG_BLOCK // 4 ** spec.n
+    for t, got in zip(times, traj.bloch):
+        assert got.tobytes() == evolve.trajectory(rho, cg, spec, [t]).bloch[0].tobytes(), t
+
+
 def test_dynamics_reuse_is_exact(monkeypatch):
     # one map fed interleaved pure and mixed inputs on different grids returns
     # what fresh trajectory calls return, bit for bit, on every engine; it builds

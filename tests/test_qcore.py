@@ -190,6 +190,34 @@ def test_trace_norm_is_abs_eigenvalue_sum(rng):
     assert qcore.trace_norm(h) == pytest.approx(want, rel=1e-12)
 
 
+def test_trace_norm_stack_matches_one_matrix(rng):
+    for m in (2, 4):
+        a = rng.normal(size=(50, m, m)) + 1j * rng.normal(size=(50, m, m))
+        stack = a + np.swapaxes(a.conj(), -1, -2)
+        norms = qcore.trace_norm(stack)
+        assert norms.shape == (50,)
+        for h, got in zip(stack, norms):
+            one = qcore.trace_norm(h)
+            assert type(one) is float
+            assert got == one
+        assert qcore.trace_norm(stack[:1]).shape == (1,)
+
+
+def test_propagate_grid_matches_scalar_times(rng):
+    # a grid gives the (T, d, d) stack of the scalar calls, bit for bit, in either form
+    for d in (2, 4, 8):
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        evals, evecs = qcore.eigensystem(h + h.conj().T)
+        rho = qcore.random_density(d, rng)
+        times = np.concatenate([[-0.7, 0.0], np.sort(rng.uniform(0.0, 20.0, 30))])
+        for vecs in (None, evecs):
+            stack = qcore.propagate(evals, vecs, rho, times)
+            assert stack.shape == (times.size, d, d)
+            for t, got in zip(times, stack):
+                assert got.tobytes() == qcore.propagate(evals, vecs, rho, t).tobytes()
+            assert qcore.propagate(evals, vecs, rho, times[:1]).shape == (1, d, d)
+
+
 def test_assert_density_matrix_raises():
     with pytest.raises(ValueError):
         qcore.assert_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
