@@ -170,7 +170,7 @@ def ellipse_params(r1_0, r2_0, cg):
     if r1.shape != (3,) or r2.shape != (3,):
         raise ValueError("initial Bloch vectors must be 3-vectors")
     for name, r in (("site 1", r1), ("site 2", r2)):
-        if np.linalg.norm(r) > 1.0 + qcore.BLOCH_SLACK:
+        if np.linalg.norm(r) > qcore.MAX_RADIUS:
             raise ValueError(f"{name} Bloch vector leaves the ball")
     p1, p2 = cg.probs
     r1x, r1y, r1z = r1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -559,7 +560,10 @@ def _show(value):
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree for every experiment, built once per process: parsing
+    leaves it unchanged (the `append` action for `--state` copies its list)."""
     parser = argparse.ArgumentParser(
         prog="cgdyn",
         description="Effective single-qubit dynamics of coarse-grained many-qubit systems",

@@ -482,9 +482,9 @@ def dynamics(cg, spec, method="auto"):
                         bloch[i] = [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins]
 
         radii_sq = np.sum(bloch * bloch, axis=1)
-        # radius 1 + 2 eps corresponds to an eigenvalue of -eps, so this is
-        # exactly the PSD_FLOOR policy expressed on the Bloch ball; a NaN fails it
-        if not (radii_sq <= (1.0 - 2.0 * qcore.PSD_FLOOR) ** 2).all():
+        # the one ball bound that `maxent.assign` applies to inputs, so every output
+        # can be fed back in (`semigroup_gap` does); a NaN fails it
+        if not (radii_sq <= qcore.MAX_RADIUS ** 2).all():
             i = int(np.argmax(radii_sq))
             raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
                                         f"ball at time index {i} (t = {times[i]}) on the {route} route")

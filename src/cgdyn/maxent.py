@@ -83,7 +83,7 @@ def solve_lambda(r_ef, cg):
     bisection collapses it: about 14 evaluations of F instead of 55.
     """
     r_ef = float(r_ef)
-    if not 0.0 <= r_ef <= 1.0 + qcore.BLOCH_SLACK:
+    if not 0.0 <= r_ef <= qcore.MAX_RADIUS:
         raise ValueError(f"effective radius must lie in [0, 1], got {r_ef}")
     if 0.0 < r_ef < _TINY:
         raise ValueError(f"effective radius {r_ef} is below the smallest normal radius {_TINY}")
@@ -138,13 +138,16 @@ def assign(rho_eff, cg):
     requires every weight positive (a zero-weight site would be
     unconstrained) and yields n copies of the pure state.
     """
-    rho_eff = qcore.assert_density_matrix(rho_eff, name="effective state")
+    rho_eff = np.asarray(rho_eff, dtype=complex)
     if rho_eff.shape != (2, 2):
         raise ValueError("effective state must be a single qubit")
     r = qcore.bloch_from_density(rho_eff)
     r_ef = float(np.linalg.norm(r))
-    if r_ef > 1.0 + qcore.BLOCH_SLACK:
-        raise ValueError(f"effective state has Bloch radius {r_ef} > 1")
+    # the radius first: outside the ball is bad input (ValueError) however far, and
+    # inside it no eigenvalue can fall below PSD_FLOOR; a NaN fails here too
+    if not r_ef <= qcore.MAX_RADIUS:
+        raise ValueError(f"effective state has Bloch radius {r_ef} > {qcore.MAX_RADIUS}")
+    qcore.assert_density_matrix(rho_eff, name="effective state")
     r_ef = min(r_ef, 1.0)
 
     if r_ef < qcore.ZERO_RADIUS:
@@ -160,6 +163,6 @@ def assign(rho_eff, cg):
             )
     site_r = sol.per_particle_r[:, None] * direction
     norm = float(np.linalg.norm(site_r, axis=1).max())
-    if norm > 1.0 + qcore.BLOCH_SLACK:
+    if norm > qcore.MAX_RADIUS:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
     return AssignedState(qcore.bloch_operator(site_r), direction, sol)

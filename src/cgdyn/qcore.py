@@ -13,6 +13,8 @@ Everything here is d = 2 (qubits). Local dimension is not a parameter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Pauli basis. Module-level constants, never mutated.
@@ -31,7 +33,7 @@ AXES = ("x", "y", "z")
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
-BLOCH_SLACK = 1e-12  # a Bloch radius may exceed 1 by this much
+MAX_RADIUS = 1.0 + 1e-12  # the edge of the Bloch ball for every input and output check
 ZERO_RADIUS = 1e-15  # a radius or direction norm below this counts as zero
 WEIGHT_SUM_TOL = 1e-12  # site weights sum to one within this
 PURE_RADIUS = 1.0 - 1e-9  # an effective radius from here up is pure (lambda diverges)
@@ -40,7 +42,8 @@ EQUAL_MARGINAL_TOL = 1e-10  # the largest marginal deviation that still counts a
 
 
 class PositivityError(ArithmeticError):
-    """A computed state left the positive cone beyond PSD_FLOOR.
+    """A computed state left the positive cone: an eigenvalue below PSD_FLOOR,
+    or an effective Bloch radius above MAX_RADIUS.
 
     Raised for numerical failures detected mid-computation, as opposed to
     ValueError which flags invalid caller input.
@@ -58,7 +61,9 @@ def pauli(axis):
 def kron(factors):
     """Kronecker product of a nonempty sequence of square matrices.
 
-    Factor order matches the qubit-1-leftmost convention.
+    Factor order matches the qubit-1-leftmost convention. Each step is one
+    broadcast product a_ij * b_kl in np.kron's layout, so the bits equal
+    np.kron's, without its generic setup or a transpose copy.
     """
     factors = list(factors)
     if not factors:
@@ -70,7 +75,8 @@ def kron(factors):
         f = np.asarray(f, dtype=complex)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError("kron factors must be square matrices")
-        out = np.kron(out, f)
+        d = out.shape[0] * f.shape[0]
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
     return out
 
 
@@ -180,12 +186,12 @@ def bloch_operator(r):
 
 
 def density_from_bloch(r):
-    """Single-qubit state (I + r . sigma)/2; requires |r| <= 1 + BLOCH_SLACK."""
+    """Single-qubit state (I + r . sigma)/2; requires |r| <= MAX_RADIUS."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
     norm = float(np.linalg.norm(r))
-    if not norm <= 1.0 + BLOCH_SLACK:  # NaN fails too
+    if not norm <= MAX_RADIUS:  # NaN fails too
         raise ValueError(f"Bloch vector norm {norm} is not at most 1")
     return bloch_operator(r)
 
@@ -210,7 +216,9 @@ def assert_density_matrix(rho, name="state"):
     """Validate trace one, Hermiticity and positivity (floor PSD_FLOOR).
 
     Hermiticity/trace failures are ValueError (bad input); an eigenvalue
-    below the floor raises PositivityError (numerical failure).
+    below the floor raises PositivityError (numerical failure). A 2x2 gets
+    its smallest eigenvalue in closed form, (a + d - hypot(a - d, 2|b|)) / 2
+    from the entries read as eigvalsh reads them; larger matrices use eigvalsh.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -220,9 +228,12 @@ def assert_density_matrix(rho, name="state"):
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_TOL}")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < PSD_FLOOR:
-        raise PositivityError(f"{name} has eigenvalue {w.min():.3e} below floor {PSD_FLOOR}")
+    if rho.shape == (2, 2):
+        w_min = 0.5 * (tr.real - math.hypot(rho[0, 0].real - rho[1, 1].real, 2.0 * abs(rho[1, 0])))
+    else:
+        w_min = np.linalg.eigvalsh(rho).min()
+    if w_min < PSD_FLOOR:
+        raise PositivityError(f"{name} has eigenvalue {w_min:.3e} below floor {PSD_FLOOR}")
     return rho
 
 

@@ -406,6 +406,22 @@ def test_sweep_rows_and_thread_invariance(tmp_path):
     assert list(data[:, 0]) == list(range(6))
 
 
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # one parser serves every call in a process: the --state list of one run must
+    # not reach the next, which falls back to the Fibonacci states
+    assert cli.build_parser() is cli.build_parser()
+    code, out = _run(tmp_path, "sweep", "--state", "0.1,0.2", "--state", "0.3,0.4", name="a.csv")
+    assert code == 0
+    assert _read_csv(out)[1][:, 1:3].tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    code, out = _run(tmp_path, "sweep", name="b.csv")
+    assert code == 0
+    states = cli.fibonacci_sphere(cli.EXPERIMENTS["sweep"].defaults["states"])
+    assert np.array_equal(_read_csv(out)[1][:, 1:3], states)
+    for name in cli.EXPERIMENTS:
+        assert cli.main([name, "--help"]) == 0
+    capsys.readouterr()
+
+
 def test_sweep_explicit_states(tmp_path):
     code, out = _run(
         tmp_path, "sweep", "--state", "0,0", "--state", "1.5707963267948966,0",

@@ -708,7 +708,7 @@ def test_dense_and_statevector_engines_agree(case):
             assert np.abs(bloch - oracle).max() <= bound + 1e-10
         outputs += engines.values()
     for bloch in outputs:
-        assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= 1.0 + qcore.BLOCH_SLACK
+        assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= qcore.MAX_RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +915,27 @@ def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage)
     with pytest.raises(qcore.PositivityError, match=rf"time index 2 \(t = 1\.5\) on the {method} route"):
         evolve.trajectory(qcore.density_from_bloch(bloch), preferential(2, 0.7), spec,
                           [0.5, 1.0, 1.5, 2.0], method=method)
+
+
+@pytest.mark.parametrize("excess", [5e-13, 5e-11, 5e-10])
+def test_inputs_and_outputs_share_one_ball_bound(monkeypatch, excess):
+    # an output the ball check accepts can be fed back in, as semigroup_gap does; past
+    # MAX_RADIUS an output is a numeric failure and an input is bad input. Before one
+    # bound, r = 1 + 5e-11 passed as an output and was refused as an input, and
+    # r = 1 + 5e-10 raised PositivityError as an input
+    cg = preferential(2, 0.7)
+    dyn = evolve.dynamics(cg, evolve.Swap())
+    edge = qcore.bloch_operator([0.0, 0.0, 1.0 + excess])
+    monkeypatch.setattr(evolve, "_effective_from_state", lambda psi, cg: edge)
+    rho0 = qcore.density_from_bloch(_bloch(0.8, 0.3))
+    if 1.0 + excess <= qcore.MAX_RADIUS:
+        out = dyn(rho0, [0.0, 1.0]).bloch[-1]
+        assert maxent.assign(qcore.bloch_operator(out), cg).solution.is_pure
+    else:
+        with pytest.raises(qcore.PositivityError, match="left the ball at time index 0"):
+            dyn(rho0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="effective state has Bloch radius"):
+            maxent.assign(edge, cg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgdyn import evolve, qcore
 
@@ -33,6 +36,27 @@ def test_kron_and_embed(rng):
     x2 = qcore.kron([qcore.IDENTITY_2, qcore.SIGMA_X, qcore.IDENTITY_2])
     manual = np.kron(np.kron(qcore.IDENTITY_2, qcore.SIGMA_X), qcore.IDENTITY_2)
     assert np.allclose(x2, manual)
+
+
+def _square_factors():
+    # 1-4 complex square factors of sizes 1, 2 and 4, with zeros of both signs frequent
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+    entry = st.builds(complex, part, part)
+    factor = st.sampled_from([1, 2, 4]).flatmap(
+        lambda m: st.lists(entry, min_size=m * m, max_size=m * m).map(
+            lambda v: np.array(v, dtype=complex).reshape(m, m)))
+    return st.lists(factor, min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=_square_factors())
+def test_kron_bits_equal_numpy_kron(factors):
+    # the broadcast product forms each entry as np.kron does, signed zeros included
+    with np.errstate(all="ignore"):  # inf * 0 from overflowing entries
+        want = functools.reduce(np.kron, factors)
+        got = qcore.kron(factors)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _kron_sum(terms, n):
@@ -226,6 +250,36 @@ def test_assert_density_matrix_raises():
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(qcore.PositivityError):
         qcore.assert_density_matrix(bad)
+
+
+def _verdict(rho):
+    try:
+        qcore.assert_density_matrix(rho)
+    except qcore.PositivityError:
+        return False
+    return True
+
+
+def test_assert_density_matrix_2x2_closed_form(rng, monkeypatch):
+    # random states and states with an eigenvalue near the floor: the closed-form
+    # smallest eigenvalue lies within 1e-15 of eigvalsh's, read off the verdict at a
+    # floor just below and just above it, and the verdict at the real floor is
+    # eigvalsh's wherever eigvalsh is more than 1e-15 from PSD_FLOOR
+    floor = qcore.PSD_FLOOR
+    near = floor + np.concatenate([[0.0], np.geomspace(1e-17, 1e-9, 40), -np.geomspace(1e-17, 1e-9, 40)])
+    states = [qcore.random_density(2, rng) for _ in range(300)]
+    for w in near:
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        states.append(u @ np.diag([1.0 - w, w]) @ u.conj().T)
+    for rho in states:
+        w_min = np.linalg.eigvalsh(rho).min()
+        if abs(w_min - floor) > 1e-15:
+            assert _verdict(rho) == (w_min >= floor)
+        monkeypatch.setattr(qcore, "PSD_FLOOR", w_min - 1e-15)
+        assert _verdict(rho)
+        monkeypatch.setattr(qcore, "PSD_FLOOR", w_min + 1e-15)
+        assert not _verdict(rho)
+        monkeypatch.setattr(qcore, "PSD_FLOOR", floor)
 
 
 def test_propagate_matches_expm(rng):
