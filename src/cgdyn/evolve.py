@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -246,23 +247,28 @@ def _sparse_hamiltonian(terms, n, orbits):
 
 
 def _z_strings(spec):
-    """A diagonal H's strings merged by support (the two-site ring's doubled
-    bond becomes one -2J string), as one (sites, coeffs) pair per string
+    """A diagonal H's strings merged by support in term order (the two-site ring's
+    doubled bond becomes one -2J string), as one (sites, coeffs) pair per string
     size with supports sorted and rows ascending; None unless all factors are z.
     """
-    merged = {}
+    merged, buckets = {}, {}  # support -> coeff, size -> supports in first-seen order
     for coeff, ops in spec.terms():
-        sites = tuple(sorted(site for site, axis in ops if axis == "z"))
-        if len(sites) != len(ops):
-            return None
+        if len(ops) == 1 and ops[0][1] == "z":  # one factor needs no sort
+            sites = (ops[0][0],)
+        else:
+            sites = tuple(sorted([site for site, axis in ops if axis == "z"]))
+            if len(sites) != len(ops):
+                return None
+        if sites not in merged:
+            buckets.setdefault(len(sites), []).append(sites)
         merged[sites] = merged[sites] + coeff if sites in merged else coeff
     groups = []
-    for size in sorted({len(s) for s in merged} - {0}):  # an identity string is a phase
-        supports = sorted(s for s in merged if len(s) == size)
-        sites = np.array(supports, dtype=np.intp)
+    for size in sorted(buckets.keys() - {0}):  # an identity string is a phase
+        supports = sorted(buckets[size])
+        sites = np.fromiter(chain.from_iterable(supports), np.intp, len(supports) * size).reshape(-1, size)
         if sites.min() < 1 or sites.max() > spec.n or (np.diff(sites, axis=1) == 0).any():
             raise ValueError(f"each Pauli string needs distinct sites in 1..{spec.n}")
-        groups.append((sites, np.array([merged[s] for s in supports], dtype=float)))
+        groups.append((sites, np.fromiter(map(merged.__getitem__, supports), float, len(supports))))
     return groups
 
 
@@ -293,15 +299,15 @@ def _fast_exact(groups):
 
 
 def _fast_invariants(factors, groups):
-    """Per-site pop0 and coherence, and per string size the 0-based sites,
-    coefficients and other-site z products (None for single sites)."""
+    """Per-site pop0 and coherence, and per string size the 0-based sites with
+    -2i c_S (single sites) or c_S and the other-site z products."""
     pop0 = factors[:, 0, 0].real.copy()
     coh = factors[:, 0, 1]
     zval = (factors[:, 0, 0] - factors[:, 1, 1]).real
     steps = []
     for sites, coeffs in groups:
         others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[sites - 1])
-        steps.append((sites.ravel() - 1, coeffs, others))
+        steps.append((sites.ravel() - 1, -2j * coeffs if others is None else coeffs, others))
     return pop0, coh, steps
 
 
@@ -311,7 +317,7 @@ def _fast_coherences(invariants, t):
     out = coh.copy()
     for sites, coeffs, others in steps:
         if others is None:
-            factor = np.exp(-2j * coeffs * t)
+            factor = np.exp(coeffs * t)
         else:
             ang = 2 * coeffs * t
             factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * others
@@ -430,9 +436,9 @@ def dynamics(cg, spec, method="auto"):
                 rho_t = qcore.propagate(evals, None, rho0, t)
                 bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
         elif route == "fast":
-            probs = cg.probs
             invariants = _fast_invariants(assigned.factors, strings)
-            rz = 2 * float(np.dot(probs, invariants[0])) - 1.0  # populations are conserved
+            rz = 2 * float(np.dot(cg.probs, invariants[0])) - 1.0  # populations are conserved
+            probs = cg.probs.astype(complex)  # cast once, not by np.dot at every point
             for i, t in enumerate(times):
                 eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
                 bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]

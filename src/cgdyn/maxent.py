@@ -161,8 +161,5 @@ def assign(rho_eff, cg):
                 "pure effective state with a zero-weight site: the assignment "
                 "is not defined (that factor is unconstrained)"
             )
-    site_r = sol.per_particle_r[:, None] * direction
-    norm = float(np.linalg.norm(site_r, axis=1).max())
-    if norm > qcore.MAX_RADIUS:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    site_r = sol.per_particle_r[:, None] * direction  # radii tanh(p_k lambda) <= 1, a unit direction
     return AssignedState(qcore.bloch_operator(site_r), direction, sol)

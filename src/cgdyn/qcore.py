@@ -215,23 +215,29 @@ def is_hermitian(m):
 def assert_density_matrix(rho, name="state"):
     """Validate trace one, Hermiticity and positivity (floor PSD_FLOOR).
 
-    Hermiticity/trace failures are ValueError (bad input); an eigenvalue
-    below the floor raises PositivityError (numerical failure). A 2x2 gets
-    its smallest eigenvalue in closed form, (a + d - hypot(a - d, 2|b|)) / 2
-    from the entries read as eigvalsh reads them; larger matrices use eigvalsh.
+    Trace and Hermiticity failures are ValueError (bad input); an eigenvalue
+    below the floor raises PositivityError (numerical failure). A 2x2 takes
+    is_hermitian's decision from numpy's |z| (Python's rounds differently) of
+    its entries and rho - rho^dag's, and its smallest eigenvalue (a + d -
+    hypot(a - d, 2|b|)) / 2 from the entries read as eigvalsh reads them.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    if not is_hermitian(rho):
-        raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_TOL}")
     if rho.shape == (2, 2):
-        w_min = 0.5 * (tr.real - math.hypot(rho[0, 0].real - rho[1, 1].real, 2.0 * abs(rho[1, 0])))
+        (a, b), (c, d) = rho.tolist()
+        da, db, dd, *s = np.abs([a - a.conjugate(), b - c.conjugate(), d - d.conjugate(), a, b, c, d]).tolist()
+        bound = HERMITICITY_TOL * (1.0 if math.isnan(sum(s)) else max(1.0, *s))  # np.max's NaN
+        hermitian = da <= bound and db <= bound and dd <= bound
+        w_min = 0.5 * (tr.real - math.hypot(a.real - d.real, 2.0 * abs(c)))
     else:
-        w_min = np.linalg.eigvalsh(rho).min()
+        hermitian = is_hermitian(rho)
+        w_min = np.linalg.eigvalsh(rho).min() if hermitian else None
+    if not hermitian:
+        raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
     if w_min < PSD_FLOOR:
         raise PositivityError(f"{name} has eigenvalue {w_min:.3e} below floor {PSD_FLOOR}")
     return rho

@@ -1,0 +1,48 @@
+import importlib.util
+import json
+import math
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "scripts", "config_delta.py")
+_SPEC = importlib.util.spec_from_file_location("config_delta", _PATH)
+config_delta = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(config_delta)
+
+
+def _pair(tmp_path, name, a, b):
+    (tmp_path / "a").mkdir(exist_ok=True)
+    (tmp_path / "b").mkdir(exist_ok=True)
+    pa, pb = tmp_path / "a" / name, tmp_path / "b" / name
+    pa.write_text(a)
+    pb.write_text(b)
+    return pa, pb
+
+
+def test_identical_bytes_give_none(tmp_path):
+    assert config_delta.delta(*_pair(tmp_path, "x.out", "t,rx\n0,0.5\n", "t,rx\n0,0.5\n")) is None
+
+
+def test_csv_and_json_report_the_largest_numeric_change(tmp_path):
+    csv_a, csv_b = "t,rx,ry\n0,0.5,-0\n1,0.25,1e-3\n", "t,rx,ry\n0,0.5,0\n1,0.25000000000000006,2e-3\n"
+    assert config_delta.delta(*_pair(tmp_path, "x.out", csv_a, csv_b)) == pytest.approx(1e-3)
+    doc_a = {"gap": 0.5, "witness": {"bloch": [0.1, 0.2]}, "seed": 0}
+    doc_b = {"gap": 0.5, "witness": {"bloch": [0.1, 0.2 + 1e-15]}, "seed": 0}
+    got = config_delta.delta(*_pair(tmp_path, "r.meta.json", json.dumps(doc_a), json.dumps(doc_b)))
+    assert got == abs((0.2 + 1e-15) - 0.2)
+    # a NaN against a number is an infinite change; NaN against NaN none
+    nan_a, nan_b = json.dumps({"v": [math.nan, 1.0]}), json.dumps({"v": [math.nan, math.nan]})
+    assert config_delta.delta(*_pair(tmp_path, "n.json", nan_a, nan_b)) == math.inf
+    assert config_delta.delta(*_pair(tmp_path, "m.json", nan_a, nan_a + " ")) == 0.0
+
+
+def test_non_numeric_changes_are_refused(tmp_path):
+    with pytest.raises(ValueError, match="non-numeric"):
+        config_delta.delta(*_pair(tmp_path, "r.json", '{"route": "fast"}', '{"route": "dense"}'))
+    with pytest.raises(ValueError, match="different fields"):
+        config_delta.delta(*_pair(tmp_path, "x.out", "t,rx\n0,1\n", "t,rx\n0,1\n1,2\n"))
+    a, b = _pair(tmp_path, "y.meta.json", "{}", "{}")
+    b.unlink()
+    with pytest.raises(ValueError, match="one tree only"):
+        config_delta.delta(a, b)

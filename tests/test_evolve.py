@@ -538,6 +538,99 @@ def test_fast_route_rejects_bad_sites():
             evolve.trajectory(rho0, non_preferential(3), _ZSum(3, strings), [0.0, 1.0])
 
 
+def _reference_z_strings(terms):
+    # a plain parse: merge the sorted z supports in term order, then one sorted
+    # group per support size, identity strings dropped; None on any other axis
+    merged = {}
+    for coeff, ops in terms:
+        if any(axis != "z" for _, axis in ops):
+            return None
+        key = tuple(sorted(site for site, _ in ops))
+        merged[key] = merged[key] + coeff if key in merged else coeff
+    groups = []
+    for size in sorted({len(k) for k in merged} - {0}):
+        keys = sorted(k for k in merged if len(k) == size)
+        groups.append((np.array(keys, dtype=np.intp), np.array([merged[k] for k in keys], dtype=float)))
+    return groups
+
+
+@st.composite
+def _z_term_lists(draw, n):
+    """z-only terms on sites 1..n: repeated supports in any site order, identity
+    strings and the two-site ring's doubled bond."""
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    support = st.lists(st.integers(1, n), min_size=0, max_size=n, unique=True)
+    pool = draw(st.lists(support, min_size=1, max_size=5)) + [[1, 2], [2, 1], []]
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        sites = draw(st.permutations(draw(st.sampled_from(pool))))
+        terms.append((draw(coeff), tuple((k, "z") for k in sites)))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7))
+def test_z_strings_match_a_plain_parse(data, n):
+    terms = data.draw(_z_term_lists(n))
+    got, want = evolve._z_strings(_PauliSum(n, tuple(terms))), _reference_z_strings(terms)
+    assert len(got) == len(want)
+    for (sites, coeffs), (ref_sites, ref_coeffs) in zip(got, want):
+        assert sites.dtype == ref_sites.dtype and sites.shape == ref_sites.shape
+        assert sites.tobytes() == ref_sites.tobytes() and coeffs.tobytes() == ref_coeffs.tobytes()
+    # one x or y factor anywhere gives None, even beside a bad site
+    bad = (1.0, ((n + 1, "z"),))
+    where = data.draw(st.integers(0, len(terms) + 1))
+    axis, site = data.draw(st.sampled_from(["x", "y"])), data.draw(st.integers(1, n))
+    ops = data.draw(st.permutations([(site, axis)] + [(k, "z") for k in range(1, n + 1) if k != site][:2]))
+    other = terms[:where] + [bad, (0.5, tuple(ops))] + terms[where:]
+    assert evolve._z_strings(_PauliSum(n, tuple(other))) is None
+    # a repeated or out-of-range site in a z-only sum raises
+    for wrong in (((0, "z"),), ((n + 1, "z"),), ((1, "z"), (1, "z")), ((2, "z"), (1, "z"), (2, "z"))):
+        with pytest.raises(ValueError, match="distinct sites"):
+            evolve._z_strings(_PauliSum(n, tuple(terms[:where] + [(1.0, wrong)] + terms[where:])))
+
+
+def _per_point_fast_bloch(rho, cg, spec, times):
+    # the fast route as it stood with np.exp(-2j * coeffs * t) and a real-weight
+    # np.dot formed at every point, on the plain parse: the bytes to keep
+    factors = maxent.assign(rho, cg).factors
+    coh, zval = factors[:, 0, 1], (factors[:, 0, 0] - factors[:, 1, 1]).real
+    rz = 2 * float(np.dot(cg.probs, factors[:, 0, 0].real.copy())) - 1.0
+    groups = _reference_z_strings(spec.terms())
+    bloch, cohs = [], []
+    for t in times:
+        out = coh.copy()
+        for sites, coeffs in groups:
+            if sites.shape[1] == 1:
+                factor = np.exp(-2j * coeffs * t)
+            else:
+                ang = 2 * coeffs * t
+                factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * qcore.exclusive_products(
+                    zval[sites - 1])
+            np.multiply.at(out, sites.ravel() - 1, factor.ravel())
+        eff_coh = complex(np.dot(cg.probs, out))
+        bloch.append([2 * eff_coh.real, -2 * eff_coh.imag, rz])
+        cohs.append(out)
+    return np.array(bloch), cohs
+
+
+@pytest.mark.parametrize("spec", [
+    evolve.sample_field(10, seed=3), evolve.sample_field(10, seed=4, include_interaction=True),
+    evolve.sample_field(1000, seed=5), evolve.sample_field(1000, seed=6, include_interaction=True),
+    evolve.IsingChain(n_spins=7, J=0.8, g=0.0), evolve.IsingChain(n_spins=50, J=1.1, g=0.0, boundary="open"),
+], ids=["field-10", "nbody-10", "field-1000", "nbody-1000", "chain-7", "open-chain-50"])
+def test_fast_route_keeps_the_per_point_bytes(spec):
+    rng = np.random.default_rng(spec.n)
+    rho, cg = qcore.random_density(2, rng), custom(rng.dirichlet(np.ones(spec.n)))
+    times = np.linspace(0.0, 5.0, 21)
+    want, cohs = _per_point_fast_bloch(rho, cg, spec, times)
+    got = evolve.trajectory(rho, cg, spec, times, method="fast")
+    assert got.route == "fast" and got.bloch.tobytes() == want.tobytes()
+    invariants = evolve._fast_invariants(maxent.assign(rho, cg).factors, evolve._z_strings(spec))
+    for t, coh in zip(times, cohs):
+        assert evolve._fast_coherences(invariants, t).tobytes() == coh.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Continuity across the two radius cuts of the assignment
 

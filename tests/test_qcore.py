@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -280,6 +281,82 @@ def test_assert_density_matrix_2x2_closed_form(rng, monkeypatch):
         monkeypatch.setattr(qcore, "PSD_FLOOR", w_min + 1e-15)
         assert not _verdict(rho)
         monkeypatch.setattr(qcore, "PSD_FLOOR", floor)
+
+
+def _hermitian_verdict(rho):
+    # assert_density_matrix's Hermiticity decision alone: False for its "not Hermitian"
+    # ValueError, True whatever the positivity check then says
+    try:
+        qcore.assert_density_matrix(rho)
+    except ValueError as exc:
+        assert "not Hermitian" in str(exc), exc
+        return False
+    except qcore.PositivityError:
+        pass
+    return True
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _near_hermitian_2x2(draw):
+    """Unit-trace 2x2 matrices whose Hermiticity error lands near the tolerance edge:
+    rho10 moved off conj rho01 by about the bound (rounding against rho01 keeps it
+    from being ulp-exact), the two imaginary diagonal parts at exactly (1 + k ulp)
+    times it (opposite, so the trace stays real), or NaN and infinite parts off the
+    diagonal or a NaN on it."""
+    x = draw(st.floats(-2.0, 3.0))
+    b = complex(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    a, d, c = complex(x, 0.0), complex(1.0 - x, 0.0), b.conjugate()
+    scale = max(1.0, float(np.abs([a, b, c, d]).max()))
+    edge = qcore.HERMITICITY_TOL * scale * (1.0 + draw(st.integers(-4, 4)) * 2.0 ** -52)
+    where = draw(st.sampled_from(["off", "diag", "special", "none"]))
+    if where == "off":
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        c = c + complex(edge * math.cos(phase), edge * math.sin(phase))
+    elif where == "diag":
+        a, d = complex(a.real, edge / 2.0), complex(d.real, -edge / 2.0)
+    elif where == "special":  # one or two parts, e.g. a NaN |rho01| beside an infinite rho10
+        entries = {"a": a, "b": b, "c": c}
+        parts = st.sampled_from(["a.real", "b.real", "b.imag", "c.real", "c.imag"])
+        for part, value in draw(st.lists(st.tuples(parts, st.sampled_from(_SPECIAL)), min_size=1, max_size=2)):
+            z = entries[part[0]]
+            value = math.nan if part[0] == "a" else value  # an infinite trace fails first
+            entries[part[0]] = complex(value, z.imag) if part.endswith("real") else complex(z.real, value)
+        a, b, c = entries["a"], entries["b"], entries["c"]
+    return np.array([[a, b], [c, d]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(rho=_near_hermitian_2x2())
+def test_2x2_hermiticity_is_is_hermitian(rho):
+    # the closed-form 2x2 test takes the general is_hermitian's decision bit for bit,
+    # at the tolerance edge and on NaN and infinite entries
+    with np.errstate(invalid="ignore"):  # inf - inf in rho - rho^dag
+        want = qcore.is_hermitian(rho)
+    assert _hermitian_verdict(rho) == want
+
+
+def test_2x2_hermiticity_at_the_edge():
+    # ulp-exact edges: with rho01 = 0, rho01 - conj rho10 is -conj rho10 exactly, and
+    # |rho10| is set at (1 + k ulp) times the bound. numpy's |z| and libm's hypot
+    # differ in the last bit on some of these, so only numpy's, which is_hermitian
+    # takes, gives its verdict on all of them
+    verdicts = set()
+    for k in range(-2, 3):
+        edge = qcore.HERMITICITY_TOL * (1.0 + k * 2.0 ** -52)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 400):
+            rho = np.array([[0.3, 0.0], [complex(edge * math.cos(phi), edge * math.sin(phi)), 0.7]])
+            verdicts.add(qcore.is_hermitian(rho))
+            assert _hermitian_verdict(rho) == qcore.is_hermitian(rho), (k, phi)
+    assert verdicts == {True, False}
+    # a NaN |rho10| beside an infinite rho01: np.max makes is_hermitian's scale 1, so
+    # the infinite error fails, although max(1, |rho_ij|) over the numbers is infinite
+    rho = np.array([[0.5, complex(0.0, math.inf)], [complex(math.nan, 0.0), 0.5]])
+    with np.errstate(invalid="ignore"):
+        assert not qcore.is_hermitian(rho)
+    assert not _hermitian_verdict(rho)
 
 
 def test_propagate_matches_expm(rng):
