@@ -24,6 +24,8 @@ not the spec's class or the input:
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H, with
   the grid stepped in blocks of at most HEISENBERG_BLOCK entries of rho(t).
+  A real H (every shipped spec) has a real eigenbasis, so eigh and every
+  product with it run in real arithmetic.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -368,10 +370,10 @@ def _statevector_engine(spec, times, orbits, norm):
 # Pipeline
 
 
-def _route(spec, pure_input, method, strings):
+def _route(spec, pure_input, method, strings, fast_ok):
     """The route that runs, chosen from the merged z strings alone (None unless
-    H is diagonal); ValueError when the chosen route cannot run this case."""
-    fast_ok = strings is not None and _fast_exact(strings)
+    H is diagonal) and whether the fast route is exact on them; ValueError when
+    the chosen route cannot run this case."""
     route = method
     if method == "auto":
         route = "fast" if fast_ok else "statevector" if strings is None else "dense"
@@ -418,6 +420,7 @@ def dynamics(cg, spec, method="auto"):
     if method not in ("auto", "dense", "fast", "statevector"):
         raise ValueError(f"unknown method {method!r}")
     strings, kept = _z_strings(spec), {}
+    fast_ok = strings is not None and _fast_exact(strings)
 
     def keep(name, build):
         if name not in kept:
@@ -427,7 +430,7 @@ def dynamics(cg, spec, method="auto"):
     def dyn(rho_eff, times):
         times = qcore.time_grid(times)
         assigned = maxent.assign(rho_eff, cg)
-        route = _route(spec, assigned.solution.is_pure, method, strings)
+        route = _route(spec, assigned.solution.is_pure, method, strings, fast_ok)
 
         bloch = np.empty((times.size, 3))
         if route == "dense":
@@ -455,17 +458,20 @@ def dynamics(cg, spec, method="auto"):
                 # eigenbasis: one (3, d^2) matrix-vector product per point, stacked over
                 # blocks of at most HEISENBERG_BLOCK entries of rho(t) (a stacked matvec
                 # keeps each point's bits, a 2-d product would not)
-                rho_hat = evecs.conj().T @ assigned.to_matrix() @ evecs
+                rho_hat = qcore.to_eigenbasis(evecs, assigned.to_matrix())
+                # G^x and G^z are real and G^y imaginary: each rotates its one nonzero part
                 g_flat = keep("g_flat", lambda: np.conj([
-                    evecs.conj().T @ fuzzy_operator(a, cg) @ evecs for a in qcore.AXES]).reshape(3, -1))
+                    qcore.to_eigenbasis(evecs, fuzzy_operator("x", cg).real),
+                    1j * qcore.to_eigenbasis(evecs, fuzzy_operator("y", cg).imag),
+                    qcore.to_eigenbasis(evecs, fuzzy_operator("z", cg).real)]).reshape(3, -1))
                 block = max(1, HEISENBERG_BLOCK // rho_hat.size)
                 for i in range(0, times.size, block):
                     rho_t = qcore.propagate(evals, None, rho_hat, times[i:i + block])
                     bloch[i:i + block] = (g_flat @ rho_t.reshape(len(rho_t), -1, 1))[..., 0].real
             elif engine == "eigh":
-                coeff = evecs.conj().T @ _product_vector(assigned.direction, spec.n)
+                coeff = qcore.matmul(evecs.conj().T, _product_vector(assigned.direction, spec.n))
                 for i, t in enumerate(times):
-                    psi_t = evecs @ (np.exp(-1j * evals * t) * coeff)
+                    psi_t = qcore.matmul(evecs, np.exp(-1j * evals * t) * coeff)
                     bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
             else:
                 from scipy.sparse.linalg import expm_multiply

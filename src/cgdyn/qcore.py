@@ -61,9 +61,10 @@ def pauli(axis):
 def kron(factors):
     """Kronecker product of a nonempty sequence of square matrices.
 
-    Factor order matches the qubit-1-leftmost convention. Each step is one
-    broadcast product a_ij * b_kl in np.kron's layout, so the bits equal
-    np.kron's, without its generic setup or a transpose copy.
+    Factor order matches the qubit-1-leftmost convention. Each step writes
+    out * f[i, j] into the strided block of rows i::m and columns j::m, so
+    every entry is the one product a_ij * b_kl that np.kron forms, bit for
+    bit, without its generic setup or a transpose copy.
     """
     factors = list(factors)
     if not factors:
@@ -75,8 +76,11 @@ def kron(factors):
         f = np.asarray(f, dtype=complex)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError("kron factors must be square matrices")
-        d = out.shape[0] * f.shape[0]
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
+        m = f.shape[0]
+        new = np.empty((out.shape[0] * m,) * 2, dtype=complex)
+        for (i, j), fij in np.ndenumerate(f):
+            np.multiply(out, fij, out=new[i::m, j::m])
+        out = new
     return out
 
 
@@ -126,7 +130,8 @@ def _pauli_blocks(terms, n, states):
                 ny += 1
         # i^ny: a real sign times one factor of i when ny is odd
         scale = coeff if ny % 4 < 2 else -coeff
-        vals = scale * (1.0 - 2.0 * _parity(states & zmask, n))
+        # an X string (zmask 0) has every sign +1 and needs no parity
+        vals = scale * (1.0 - 2.0 * _parity(states & zmask, n) if zmask else np.ones(states.shape))
         if ny % 2:
             vals = 1j * vals
         blocks[xmask] = blocks.get(xmask, 0j) + vals
@@ -186,14 +191,19 @@ def bloch_operator(r):
 
 
 def density_from_bloch(r):
-    """Single-qubit state (I + r . sigma)/2; requires |r| <= MAX_RADIUS."""
+    """Single-qubit state (I + r . sigma)/2, refused unless the radius that
+    `bloch_from_density` reads back from it (which rounds) is at most
+    MAX_RADIUS, so every state returned passes `maxent.assign`'s ball check."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
     norm = float(np.linalg.norm(r))
-    if not norm <= MAX_RADIUS:  # NaN fails too
+    if norm <= MAX_RADIUS:  # NaN fails; an infinity is refused before it is built
+        rho = bloch_operator(r)
+        norm = float(np.linalg.norm(bloch_from_density(rho)))
+    if not norm <= MAX_RADIUS:
         raise ValueError(f"Bloch vector norm {norm} is not at most 1")
-    return bloch_operator(r)
+    return rho
 
 
 def trace_norm(a):
@@ -258,12 +268,31 @@ def time_grid(values, name="time grid"):
 def eigensystem(h):
     """Eigendecomposition of a Hermitian matrix, validated once.
 
-    Returns (evals, evecs) for reuse across a whole time sweep.
+    Returns (evals, evecs) for reuse across a whole time sweep; a real H (no
+    string with an odd number of Y factors) gives a real evecs by a real eigh.
     """
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    return np.linalg.eigh(h)
+    return np.linalg.eigh(h if h.imag.any() else h.real)
+
+
+def matmul(a, x):
+    """a @ x. A real a meets a C-contiguous complex x as real products on x's
+    interleaved (re, im) float view: half a complex product's flops, and no
+    complex copy of a."""
+    if a.dtype.kind == "c" or x.dtype.kind != "c":
+        return a @ x
+    return np.dot(a, x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+
+
+def to_eigenbasis(evecs, m):
+    """evecs^dag m evecs. A real evecs takes real products only: `matmul`
+    from both sides for a complex m, plain real products for a real one
+    (pass a real or imaginary operator's one nonzero part)."""
+    if evecs.dtype.kind == "c" or m.dtype.kind != "c":
+        return evecs.conj().T @ m @ evecs
+    return matmul(evecs.T, matmul(evecs.T, m).T.copy()).T
 
 
 def propagate(evals, evecs, rho, t):

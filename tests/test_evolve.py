@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgdyn import evolve, maxent, qcore
-from cgdyn.coarse_grain import apply_cg, custom, non_preferential, preferential
+from cgdyn.coarse_grain import apply_cg, custom, fuzzy_operator, non_preferential, preferential
 
 
 def _bloch(theta, phi=0.0):
@@ -804,6 +804,69 @@ def test_dense_and_statevector_engines_agree(case):
         assert np.sqrt((bloch ** 2).sum(axis=1)).max() <= qcore.MAX_RADIUS
 
 
+def _complex_eigenbasis_oracle(rho0, cg, spec, times):
+    # the Heisenberg form in a complex eigenbasis: LAPACK's complex eigh of H and
+    # V^dag M V by complex products, whatever the dtype of H's entries
+    evals, v = np.linalg.eigh(qcore.pauli_sum(spec.terms(), spec.n).astype(complex))
+    rho_hat = v.conj().T @ maxent.assign(rho0, cg).to_matrix() @ v
+    g_hat = [v.conj().T @ fuzzy_operator(a, cg) @ v for a in qcore.AXES]
+    out = []
+    for t in times:
+        phases = np.exp(-1j * evals * t)
+        rho_t = rho_hat * np.outer(phases, phases.conj())
+        out.append([np.trace(g @ rho_t).real for g in g_hat])
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7), closed=st.booleans(), J=st.floats(-1.5, 1.5), g=st.floats(-1.5, 1.5),
+    radius=st.one_of(st.just(1.0), st.floats(0.05, 0.95)), seed=st.integers(0, 2 ** 32 - 1),
+    steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+)
+def test_real_eigenbasis_matches_complex_oracle(n, closed, J, g, radius, seed, steps):
+    # the chain's H is real, so eigh and every product with its eigenvectors run
+    # in real arithmetic; a complex eigenbasis gives the same trajectory
+    spec = evolve.IsingChain(n, J=J, g=g, boundary="closed" if closed else "open")
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    rho0 = qcore.density_from_bloch(radius * direction / np.linalg.norm(direction))
+    cg = custom(rng.dirichlet(np.ones(n)))
+    times = np.cumsum([0.0] + steps)
+    got = evolve.trajectory(rho0, cg, spec, times).bloch
+    assert np.abs(got - _complex_eigenbasis_oracle(rho0, cg, spec, times)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("strings", [
+    ((0.8, ((1, "y"),)),),
+    ((0.8, ((1, "y"),)), (-0.5, ((1, "x"), (2, "y"))), (0.3, ((2, "z"),))),
+    ((0.6, ((1, "x"), (2, "y"))), (0.4, ((2, "z"), (3, "x"))), (-0.7, ((1, "y"), (3, "z")))),
+])
+def test_imaginary_hamiltonian_keeps_a_complex_eigenbasis(strings):
+    # a string with one Y factor makes H's entries imaginary: eigh stays complex
+    # and both engines that use it match the propagate + apply_cg oracle
+    spec = _PauliSum(max(2, *(site for _, ops in strings for site, _ in ops)), strings)
+    h = evolve.build_hamiltonian(spec)
+    assert h.imag.any()
+    evals, evecs = qcore.eigensystem(h)
+    assert evecs.dtype == complex and evals.dtype == float
+    cg, times = preferential(spec.n, 0.6), np.linspace(0.0, 2.5, 6)
+    for r in (1.0, 0.7):  # a pure input takes the eigh engine, a mixed one the Heisenberg form
+        rho0 = qcore.density_from_bloch(r * _bloch(1.1, 0.6))
+        with _forced("eigh"):
+            got = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+        assert np.abs(got - _joint_density_oracle(rho0, cg, spec, times)).max() <= 1e-12
+
+
+def test_eigensystem_is_real_for_a_real_hamiltonian():
+    for spec in (evolve.IsingChain(5, J=1.0, g=0.7), evolve.Swap(omega=1.3), evolve.Cnot(omega=0.8)):
+        h = evolve.build_hamiltonian(spec)
+        assert not h.imag.any()
+        evals, evecs = qcore.eigensystem(h)
+        assert evecs.dtype == float
+        assert np.abs(evecs @ np.diag(evals) @ evecs.T - h).max() <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # The momentum-zero sector: Krylov steps a rotation-invariant H on the orbits
 # of its basis states under site rotation, and a pure closed-chain input's
@@ -1053,7 +1116,8 @@ def test_heisenberg_blocks_match_one_point_calls(cg, spec, times):
 def test_dynamics_reuse_is_exact(monkeypatch):
     # one map fed interleaved pure and mixed inputs on different grids returns
     # what fresh trajectory calls return, bit for bit, on every engine; it builds
-    # H, its eigh and the Krylov orbits at most once, and only when an input needs them
+    # H, its eigh and the Krylov orbits at most once, and only when an input needs
+    # them, and tests a diagonal H's strings for the fast route once
     counts, engines = {}, []
 
     def counted(name, real):
@@ -1063,7 +1127,8 @@ def test_dynamics_reuse_is_exact(monkeypatch):
         return wrapper
 
     orbits, pick = evolve._orbits, evolve._statevector_engine
-    for module, name in ((evolve, "build_hamiltonian"), (qcore, "eigensystem"), (evolve, "_orbits")):
+    for module, name in ((evolve, "build_hamiltonian"), (qcore, "eigensystem"), (evolve, "_orbits"),
+                         (evolve, "_fast_exact")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
     def picked(*args):
@@ -1108,6 +1173,7 @@ def test_dynamics_reuse_is_exact(monkeypatch):
         needs_eigh = int(bool(taken & {"eigh", "heisenberg"}))
         assert counts.get("build_hamiltonian", 0) == counts.get("eigensystem", 0) == needs_eigh, spec
         assert counts.get("_orbits", 0) == int(bool(taken & {"eigh", "krylov", "krylov sector"})), spec
+        assert counts.get("_fast_exact", 0) == int(evolve._z_strings(spec) is not None), spec
         for (rho, times), run in zip(fed, runs):
             fresh = evolve.trajectory(rho, cg, spec, times, method)
             assert run.route == fresh.route

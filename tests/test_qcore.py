@@ -8,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgdyn import evolve, qcore
+from cgdyn import evolve, maxent, qcore
+from cgdyn.coarse_grain import preferential
 
 
 def test_pauli_algebra():
@@ -202,6 +203,26 @@ def test_density_from_bloch_rejects_non_finite():
             qcore.density_from_bloch(r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    radius=st.one_of(st.just(qcore.MAX_RADIUS), st.floats(1.0 - 1e-12, qcore.MAX_RADIUS)),
+    direction=st.one_of(
+        # |r| = MAX_RADIUS along this direction read back past the bound before the check
+        st.just((0.1093599465673873, -0.39769933084788145, -0.910975106318458)),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    ),
+)
+def test_density_from_bloch_edge_states_assign(radius, direction):
+    # at the ball's edge every vector either is refused here or builds a state
+    # that the assignment accepts: the check reads the radius back as assign does
+    r = radius * np.asarray(direction) / np.linalg.norm(direction)
+    try:
+        rho = qcore.density_from_bloch(r)
+    except ValueError:
+        return
+    maxent.assign(rho, preferential(2, 0.7))
+
+
 def test_time_grid_rejects_non_finite():
     for grid in ([np.nan], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(ValueError, match="t_grid must hold finite values"):
@@ -241,6 +262,28 @@ def test_propagate_grid_matches_scalar_times(rng):
             for t, got in zip(times, stack):
                 assert got.tobytes() == qcore.propagate(evals, vecs, rho, t).tobytes()
             assert qcore.propagate(evals, vecs, rho, times[:1]).shape == (1, d, d)
+
+
+def test_to_eigenbasis_matches_complex_products(rng):
+    # a real V: real, imaginary and general M against v.T @ m @ v; a complex V
+    # keeps the complex products; matmul on vectors and matrices
+    for d in (2, 4, 16):
+        h = rng.normal(size=(d, d))
+        v = np.linalg.eigh(h + h.T)[1]
+        a, b = rng.normal(size=(2, d, d))
+        for m in (a + 0j, 1j * b, a + 1j * b):
+            want = v.T @ m @ v
+            assert np.abs(qcore.to_eigenbasis(v, m) - want).max() <= 1e-13
+        assert qcore.to_eigenbasis(v, a).dtype == float
+        assert np.abs(qcore.to_eigenbasis(v, a) - v.T @ a @ v).max() <= 1e-13
+        assert np.abs(1j * qcore.to_eigenbasis(v, b) - v.T @ (1j * b) @ v).max() <= 1e-13
+        vc = v * np.exp(1j * rng.uniform(0.0, 6.0, d))
+        m = a + 1j * b
+        assert np.abs(qcore.to_eigenbasis(vc, m) - vc.conj().T @ m @ vc).max() <= 1e-13
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for arr in (x, m):
+            assert np.abs(qcore.matmul(v, arr) - v.astype(complex) @ arr).max() <= 1e-13
+            assert qcore.matmul(vc, arr).tobytes() == (vc @ arr).tobytes()
 
 
 def test_assert_density_matrix_raises():
