@@ -61,10 +61,11 @@ def pauli(axis):
 def kron(factors):
     """Kronecker product of a nonempty sequence of square matrices.
 
-    Factor order matches the qubit-1-leftmost convention. Each step writes
-    out * f[i, j] into the strided block of rows i::m and columns j::m, so
-    every entry is the one product a_ij * b_kl that np.kron forms, bit for
-    bit, without its generic setup or a transpose copy.
+    Factor order matches the qubit-1-leftmost convention. Each step forms
+    every entry as the one product a_ij * b_kl in np.kron's loop, so the
+    bits equal np.kron's: one broadcast call while the product so far is
+    small, then, where the broadcast's inner loop over f's columns is slow,
+    out * f[i, j] written into the strided block of rows i::m, columns j::m.
     """
     factors = list(factors)
     if not factors:
@@ -76,9 +77,12 @@ def kron(factors):
         f = np.asarray(f, dtype=complex)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError("kron factors must be square matrices")
-        m = f.shape[0]
-        new = np.empty((out.shape[0] * m,) * 2, dtype=complex)
-        for (i, j), fij in np.ndenumerate(f):
+        d, m = out.shape[0], f.shape[0]
+        if d < 32:  # below this one call's setup outweighs the short inner loop
+            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d * m, d * m)
+            continue
+        new = np.empty((d * m, d * m), dtype=complex)
+        for (i, j), fij in np.ndenumerate(f):  # array times scalar: np.kron's bits
             np.multiply(out, fij, out=new[i::m, j::m])
         out = new
     return out
@@ -165,18 +169,15 @@ def partial_trace(rho, keep, n):
 def bloch_from_density(rho):
     """Bloch vector (rx, ry, rz) of a single-qubit operator.
 
-    Reads Tr[sigma rho] off the entries. Every Pauli product is exact, so
-    each component equals the trace of the product bit for bit; the final
-    + 0.0 turns a -0.0 into the +0.0 that the trace's sum gives.
+    Reads Tr[sigma rho] off the entries, as Python floats. Every Pauli
+    product is exact, so each component equals the trace of the product bit
+    for bit; each + 0.0 turns a -0.0 into the +0.0 that the trace's sum gives.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError("bloch_from_density expects a 2x2 matrix")
-    return np.array([
-        rho[1, 0].real + rho[0, 1].real,
-        rho[1, 0].imag - rho[0, 1].imag,
-        rho[0, 0].real - rho[1, 1].real,
-    ]) + 0.0
+    (a, b), (c, d) = rho.tolist()
+    return np.array([c.real + b.real + 0.0, c.imag - b.imag + 0.0, a.real - d.real + 0.0])
 
 
 def bloch_operator(r):
