@@ -293,7 +293,7 @@ def to_eigenbasis(evecs, m):
     (pass a real or imaginary operator's one nonzero part)."""
     if evecs.dtype.kind == "c" or m.dtype.kind != "c":
         return evecs.conj().T @ m @ evecs
-    return matmul(evecs.T, matmul(evecs.T, m).T.copy()).T
+    return np.ascontiguousarray(matmul(evecs.T, matmul(evecs.T, m).T.copy()).T)
 
 
 def propagate(evals, evecs, rho, t):
