@@ -78,7 +78,7 @@ def kron(factors):
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ValueError("kron factors must be square matrices")
         d, m = out.shape[0], f.shape[0]
-        if d < 32:  # below this one call's setup outweighs the short inner loop
+        if d < 32:  # here the m * m calls below cost more than the broadcast's short inner loop
             out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d * m, d * m)
             continue
         new = np.empty((d * m, d * m), dtype=complex)
