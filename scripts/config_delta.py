@@ -7,8 +7,9 @@ Each SRC is a checkout root or its `src/` directory. Every config named in
 that tree on PYTHONPATH) into a temporary directory. For each config, the
 output and its metadata sidecar are compared. The script prints either
 "bytes identical" or the max |delta| over the numeric fields, the figure
-the manifest rule in ROADMAP.md asks for. It exits 1 when a run fails or
-when the two outputs differ in anything but numbers.
+the manifest rule in ROADMAP.md asks for. It exits 1 when a run fails, when
+the two outputs differ in anything but numbers, or when a config's max
+|delta| exceeds the rule's bound of 1e-12.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TOLERANCE = 1e-12  # the manifest rule's bound on a config's max |delta|
 
 
 def _src(path):
@@ -115,7 +117,12 @@ def main(argv=None):
                 ok = False
                 continue
             changed = [d for d in deltas if d is not None]
-            print(f"{name}: " + ("bytes identical" if not changed else f"max |delta| {max(changed):.3e}"))
+            if not changed:
+                print(f"{name}: bytes identical")
+                continue
+            worst = max(changed)
+            print(f"{name}: max |delta| {worst:.3e}" + (f" exceeds {TOLERANCE:g}" if worst > TOLERANCE else ""))
+            ok = ok and worst <= TOLERANCE
     return 0 if ok else 1
 
 

@@ -180,15 +180,44 @@ def bloch_from_density(rho):
     return np.array([c.real + b.real + 0.0, c.imag - b.imag + 0.0, a.real - d.real + 0.0])
 
 
+# I + r . sigma on the float view (re, im of a00, a01, a10, a11) as _BLOCH_SIGN *
+# r[_BLOCH_PART] + _BLOCH_CONST: 1 + z, 0, x + 0, 0 - y, x + 0, y + 0, 1 - z, 0
+_BLOCH_PART = np.array([2, 0, 0, 1, 0, 1, 2, 0])
+_BLOCH_SIGN = np.array([1.0, 0.0, 1.0, -1.0, 1.0, 1.0, -1.0, 0.0])
+_BLOCH_CONST = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+_BLOCH_LIST_ROWS = 8  # up to this many vectors, Python floats beat numpy's per-call cost
+
+
 def bloch_operator(r):
     """(I + r . sigma)/2 for a real (..., 3) array r, unchecked: no ball test.
 
-    A stack of vectors gives a stack of 2x2 matrices, each equal bit for bit
-    to the one-vector result.
+    Each Pauli product is exact, so the sum is written entry by entry with
+    its bits: 1 +/- z on the diagonal, x + 0 -/+ i (y + 0) off it (a -0
+    becomes +0), NaN throughout for a non-finite component (0 * inf). The
+    halving stays 0.5 times a fresh temporary, as in the sum's form: numpy
+    multiplies one of 256 KiB or more in place, which can halve -5e-324 to
+    +0, not -0. So a stack equals the one-vector results bit for bit, except
+    there in a stack of 4,096 or more vectors.
     """
-    r = np.asarray(r, dtype=float)[..., None, None]
-    x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
-    return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+    return 0.5 * _bloch_sum(np.asarray(r, dtype=float))
+
+
+def _bloch_sum(r):
+    shape = r.shape[:-1] + (2, 2)
+    if r.size <= 3 * _BLOCH_LIST_ROWS:
+        parts = []
+        for x, y, z in r.reshape(-1, 3).tolist():
+            w = (x - x) + (y - y) + (z - z)  # +0.0, or NaN for a non-finite component
+            a = x + w
+            parts += (1.0 + z, w, a, w - y, a, y + w, 1.0 - z, w)
+        return np.array(parts).view(complex).reshape(shape)
+    out = np.empty(shape, dtype=complex)
+    parts = out.view(float).reshape(r.shape[:-1] + (8,))
+    np.multiply(_BLOCH_SIGN, r[..., _BLOCH_PART], out=parts)  # in place: one temporary, the gather
+    parts += _BLOCH_CONST
+    if not math.isfinite(r.sum()):  # a sum that overflows on finite parts only costs the scan
+        out[~np.isfinite(r).all(-1)] = np.nan
+    return out
 
 
 def density_from_bloch(r):
@@ -207,14 +236,63 @@ def density_from_bloch(r):
     return rho
 
 
+# The 2x2 trace norm's products on the float view (p, q, r, s, u, v, w, z) = re, im of
+# a00, a01, a10, a11, neighbours then summed in pairs: the eight squares, then 2 det A =
+# 2(pw + sv) - 2(qz + ru) + i [2(pz + qw) - 2(rv + su)]
+_TN_LEFT = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 3, 1, 2, 0, 1, 2, 3])
+_TN_RIGHT = np.array([0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 7, 4, 7, 6, 5, 4])
+_TN_WEIGHT = np.array([1.0] * 8 + [2.0, 2.0, -2.0, -2.0] * 2)
+_SMALLEST = math.ulp(0.0)  # the scale of a zero matrix, so that it gives 0.0
+_NOT_FINITE = "trace norm is not finite: a NaN or infinite entry, or overflow"
+
+
 def trace_norm(a):
     """Schatten 1-norm: sum of singular values.
 
     A single matrix gives a float; a (..., m, m) stack gives an array of one
-    norm per matrix, each equal bit for bit to the single-matrix call.
+    norm per matrix, each equal bit for bit to the single-matrix call. A 2x2
+    takes sigma_1 + sigma_2 = sqrt(|A|_F^2 + 2 |det A|) with A scaled by its
+    largest |real or imaginary part|, so no square overflows or underflows:
+    one matrix in Python floats, a stack in numpy, by the same correctly
+    rounded operations. Other sizes take the SVD. ValueError unless every
+    norm is finite (a NaN or infinite entry, or overflow).
     """
-    norms = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum(-1)
+    a = np.asarray(a, dtype=complex)
+    if a.shape == (2, 2):
+        norm = _trace_norm_2x2(a)
+        if not math.isfinite(norm):
+            raise ValueError(_NOT_FINITE)
+        return norm
+    if a.shape[-2:] == (2, 2):
+        norms = _trace_norm_2x2_stack(a)
+    else:
+        norms = np.linalg.svd(a, compute_uv=False).sum(-1)
+    if not np.isfinite(norms).all():
+        raise ValueError(_NOT_FINITE)
     return float(norms) if norms.ndim == 0 else norms
+
+
+def _trace_norm_2x2(a):
+    (a00, a01), (a10, a11) = a.tolist()
+    e = (a00.real, a00.imag, a01.real, a01.imag, a10.real, a10.imag, a11.real, a11.imag)
+    m = max(_SMALLEST, *map(abs, e))
+    p, q, r, s, u, v, w, z = (x / m for x in e)
+    f = ((p * p + q * q) + (r * r + s * s)) + ((u * u + v * v) + (w * w + z * z))
+    dr = (2.0 * (p * w) + 2.0 * (s * v)) + (-2.0 * (q * z) + -2.0 * (r * u))
+    di = (2.0 * (p * z) + 2.0 * (q * w)) + (-2.0 * (r * v) + -2.0 * (s * u))
+    return m * math.sqrt(f + math.sqrt(dr * dr + di * di))
+
+
+def _trace_norm_2x2_stack(a):
+    v = np.ascontiguousarray(a).reshape(-1, 4).view(float)
+    m = np.abs(v).max(1, initial=_SMALLEST, keepdims=True)
+    v = v / m
+    e = v.take(_TN_LEFT, 1) * v.take(_TN_RIGHT, 1) * _TN_WEIGHT
+    e = e[:, 0::2] + e[:, 1::2]
+    e = e[:, 0::2] + e[:, 1::2]  # the two halves of |A|_F^2, re and im of 2 det A
+    np.square(e[:, 2:], out=e[:, 2:])
+    e = e[:, 0::2] + e[:, 1::2]
+    return (m[:, 0] * np.sqrt(e[:, 0] + np.sqrt(e[:, 1]))).reshape(a.shape[:-2])
 
 
 def is_hermitian(m):
@@ -255,13 +333,18 @@ def assert_density_matrix(rho, name="state"):
 
 
 def time_grid(values, name="time grid"):
-    """values as a float array; ValueError unless nonempty, 1-d, finite and strictly increasing."""
+    """values as a float array; ValueError unless nonempty, 1-d, finite and strictly increasing.
+
+    One comparison pass decides: a NaN or an infinity inside the grid fails
+    grid[1:] > grid[:-1], so only the two ends need a finiteness test. The
+    full scan runs only on a refused grid, to name the reason.
+    """
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not np.isfinite(grid).all():
-        raise ValueError(f"{name} must hold finite values")
-    if not (np.diff(grid) > 0).all():
+    if not ((grid[1:] > grid[:-1]).all() and math.isfinite(grid[0]) and math.isfinite(grid[-1])):
+        if not np.isfinite(grid).all():
+            raise ValueError(f"{name} must hold finite values")
         raise ValueError(f"{name} must be strictly increasing")
     return grid
 

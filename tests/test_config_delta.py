@@ -46,3 +46,29 @@ def test_non_numeric_changes_are_refused(tmp_path):
     b.unlink()
     with pytest.raises(ValueError, match="one tree only"):
         config_delta.delta(a, b)
+
+
+def test_main_exits_1_past_the_manifest_rule(tmp_path, monkeypatch, capsys):
+    # one command checks the rule: a config whose max |delta| exceeds 1e-12 fails the run
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "checksums.json").write_text(json.dumps({"c.json": {"experiment": "cnot", "sha256": ""}}))
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cgdyn").mkdir(parents=True)
+        trees.append(str(tmp_path / side))
+
+    def outputs(change):
+        def run(src, experiment, config, out_dir):
+            out = out_dir / "c.out"
+            out.write_text(f"t,rx\n0,{0.5 if src.parent.name == 'parent' else change!r}\n")
+            return [out]
+        return run
+
+    for change, code in ((0.5, 0), (0.5 + 1e-13, 0), (0.5 + 1e-11, 1), (math.nan, 1)):
+        monkeypatch.setattr(config_delta, "_run", outputs(change))
+        assert config_delta.main(trees + ["--configs", str(configs)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "c.json: bytes identical"
+    assert lines[1] == "c.json: max |delta| 1.000e-13"
+    assert lines[2].endswith("exceeds 1e-12") and lines[3] == "c.json: max |delta| inf exceeds 1e-12"

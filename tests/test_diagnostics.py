@@ -80,6 +80,26 @@ def test_equal_marginal_check_needs_samples():
         diagnostics.equal_marginal_check(channels.total_dephasing, 3, samples=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_probes_refuse_non_finite_outputs(bad):
+    # a NaN or infinite output is an error, not a distance that a > scan or
+    # max() passes over (a linearity report would keep -1.0 and no witness)
+    def spoil(rho):
+        out = np.array(rho, dtype=complex)
+        out[..., 0, 1] = bad
+        return out
+
+    def dyn(rho, times):
+        return spoil(np.array([rho] * len(times)))
+
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        diagnostics.linearity_probe(dyn, 0.5, samples=3)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        diagnostics.semigroup_gap(dyn, [0.1, 0.2], [0.1], probes=2)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        diagnostics.equal_marginal_check(spoil, 2, samples=2)
+
+
 # ---------------------------------------------------------------------------
 # Semigroup structure
 

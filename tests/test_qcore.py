@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgdyn import evolve, maxent, qcore
 from cgdyn.coarse_grain import preferential
@@ -208,6 +209,42 @@ def test_bloch_operator_stack_matches_one_vector(rng):
     assert blocks.tobytes() == stack[:12].tobytes()
 
 
+def _pauli_sum_form(r):
+    # bloch_operator as the Pauli sum itself, the form whose bytes it keeps
+    r = np.asarray(r, dtype=float)[..., None, None]
+    x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
+    return 0.5 * (qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z)
+
+
+def _bits(a):
+    # the bytes, with every NaN written as np.nan: numpy's own NaN sign bits
+    # differ between its loops, so only where the NaNs are is compared
+    a = np.array(a, dtype=complex)
+    parts = a.view(float)
+    parts[np.isnan(parts)] = np.nan
+    return a.tobytes()
+
+
+_BLOCH_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5e-323, -1.5e-323]),
+    st.floats(-1e-307, 1e-307),  # subnormals and the smallest normals
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.sampled_from([(3,), (2, 3), (25, 3), (10 ** 4, 3), (3, 4, 3)]).flatmap(
+    lambda shape: hnp.arrays(float, shape, elements=_BLOCH_VALUES)))
+def test_bloch_operator_bytes_match_the_pauli_sum(r):
+    # the entrywise form keeps the sum's bytes: signed zeros, subnormals, and
+    # NaN in every entry of a matrix whose vector is not finite
+    with np.errstate(invalid="ignore"):
+        want = _pauli_sum_form(r)
+        got = qcore.bloch_operator(r)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert _bits(got) == _bits(want)
+
+
 def test_density_from_bloch_rejects_outside_ball():
     with pytest.raises(ValueError):
         qcore.density_from_bloch([1.0, 0.5, 0.0])
@@ -246,6 +283,54 @@ def test_time_grid_rejects_non_finite():
             qcore.time_grid(grid, "t_grid")
 
 
+def _time_grid_checks(values, name):
+    # the checks one by one, in the order whose first failure names the message
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d array")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} must hold finite values")
+    if not (np.diff(grid) > 0).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
+@st.composite
+def _grids(draw):
+    values = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6)))
+    if len(values) > 1 and draw(st.booleans()):
+        values[1] = values[0]  # equal neighbours
+    if draw(st.booleans()):
+        where = draw(st.sampled_from([0, len(values) // 2, -1]))  # first, inner, last
+        values[where] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    form = draw(st.sampled_from(["1-d", "decreasing", "empty", "0-d", "2-d"]))
+    if form == "decreasing":
+        return values[::-1]
+    if form == "empty":
+        return []
+    if form == "0-d":
+        return values[0]
+    if form == "2-d":
+        return [values]
+    return values
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=_grids())
+def test_time_grid_keeps_the_checks_messages(values):
+    # the one-pass test accepts what the separate checks accept, and refuses
+    # the rest with the message of the first check that fails
+    try:
+        want = _time_grid_checks(values, "t_grid")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            qcore.time_grid(values, "t_grid")
+        assert str(got.value) == str(exc)
+    else:
+        got = qcore.time_grid(values, "t_grid")
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_trace_norm_is_abs_eigenvalue_sum(rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = h + h.conj().T
@@ -264,6 +349,67 @@ def test_trace_norm_stack_matches_one_matrix(rng):
             assert type(one) is float
             assert got == one
         assert qcore.trace_norm(stack[:1]).shape == (1,)
+    # any memory layout: every other column of a (.., 2, 4) stack
+    wide = rng.normal(size=(5, 2, 4)) + 1j * rng.normal(size=(5, 2, 4))
+    assert (qcore.trace_norm(wide[..., ::2]) == [qcore.trace_norm(m) for m in wide[..., ::2]]).all()
+
+
+def _matrices(kind, parts):
+    # a 2x2 of the given kind from 8 parts in [-1, 1]: general, Hermitian,
+    # anti-Hermitian (a commutator's kind), rank 1 or zero
+    a = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    m = a.reshape(2, 2)
+    if kind == "hermitian":
+        m = m + m.conj().T
+    elif kind == "anti-hermitian":
+        m = m - m.conj().T
+    elif kind == "rank-1":
+        u, w = (f / max(np.abs(f.view(float)).max(), 1e-300) for f in (a[:2], a[2:]))
+        m = np.outer(u, w)
+    elif kind == "zero":
+        m = np.zeros((2, 2), dtype=complex)
+    return m
+
+
+_MATRIX = st.tuples(
+    st.sampled_from(["general", "hermitian", "anti-hermitian", "rank-1", "zero"]),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=8, max_size=8),
+    st.sampled_from([1e-200, 1e-5, 1.0, 1e200]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(draws=st.lists(_MATRIX, min_size=1, max_size=5))
+def test_trace_norm_closed_form_matches_svd(draws):
+    # sigma_1 + sigma_2 = sqrt(|A|_F^2 + 2 |det A|), scaled, at every scale;
+    # normalised to a largest part of 1 first, so no entry starts subnormal
+    stack = []
+    for kind, parts, scale in draws:
+        m = _matrices(kind, parts)
+        top = np.abs(m.view(float)).max()
+        stack.append(m / top * scale if top > 0.0 else m)
+    stack = np.array(stack)
+    norms = qcore.trace_norm(stack)
+    want = np.linalg.svd(stack, compute_uv=False).sum(-1)
+    for m, got, ref in zip(stack, norms, want):
+        one = qcore.trace_norm(m)
+        assert type(one) is float and one == got
+        if ref == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - ref) <= 1e-15 * ref
+
+
+def test_trace_norm_refuses_non_finite(rng):
+    # a NaN or infinite entry is bad input at every size, not a NaN norm
+    for shape in ((2, 2), (3, 2, 2), (4, 4)):
+        for bad in (math.nan, math.inf, -math.inf):
+            m = rng.normal(size=shape) + 0j
+            m[..., 0, 1] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                qcore.trace_norm(m)
+    with pytest.raises(ValueError, match="not finite"):
+        qcore.trace_norm(np.full((2, 2), 1e308))  # the norm itself overflows
 
 
 def test_propagate_grid_matches_scalar_times(rng):
