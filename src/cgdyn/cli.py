@@ -379,6 +379,8 @@ def _run_diagnostics(res):
         n = int(res["n"])
         if target == "pce-mask" and n != 2:
             raise ValueError("the masked-component channel is two sites only")
+        if n > evolve.DENSE_MAX_QUBITS:
+            raise ValueError(f"channel targets are capped at {evolve.DENSE_MAX_QUBITS} qubits, got {n}")
         channel = _DIAG_CHANNELS[target]
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = dataclasses.asdict(eq)

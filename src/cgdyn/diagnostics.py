@@ -12,9 +12,10 @@ Random states are drawn Hilbert-Schmidt (mixed) from an explicit seed, and
 each report stores the witness that achieved its extremal value so a run
 can be replayed from the report alone.
 
-Trace-norm distance is the canonical figure of merit throughout. A probe
-that compares a whole grid scores it with one stacked trace norm, which
-keeps each matrix's bits.
+Trace-norm distance is the canonical figure of merit throughout. The
+linearity probe scores all its samples, and the semigroup probe all (s, t)
+pairs of a probe state, with one stacked trace norm, which keeps each
+matrix's bits; ties go to the first sample or (probe, s, t).
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ class EqualMarginalReport:
     tol: float
 
 
-def _violation(dynamics, rho_a, rho_b, w, t):
-    """Trace norm of dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs."""
+def _mixing_gap(dynamics, rho_a, rho_b, w, t):
+    """dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs."""
     mix = w * rho_a + (1.0 - w) * rho_b
     out, out_a, out_b = (dynamics(rho, [t])[0] for rho in (mix, rho_a, rho_b))
-    return qcore.trace_norm(out - w * out_a - (1.0 - w) * out_b)
+    return out - w * out_a - (1.0 - w) * out_b
 
 
 def linearity_probe(dynamics, t, samples=100, seed=0):
@@ -79,29 +80,29 @@ def linearity_probe(dynamics, t, samples=100, seed=0):
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    worst = -1.0
-    witness = None
+    triples = []
     for _ in range(samples):
-        rho_a = qcore.random_density(2, rng)
-        rho_b = qcore.random_density(2, rng)
-        w = float(rng.uniform(0.0, 1.0))
-        v = _violation(dynamics, rho_a, rho_b, w, t)
-        if v > worst:
-            worst = v
-            witness = {
-                "bloch_a": [float(x) for x in qcore.bloch_from_density(rho_a)],
-                "bloch_b": [float(x) for x in qcore.bloch_from_density(rho_b)],
-                "weight": w,
-                "t": float(t),
-            }
-    return LinearityReport(max_violation=worst, witness=witness, samples=samples, seed=seed)
+        rho_a, rho_b = qcore.random_density(2, rng), qcore.random_density(2, rng)
+        triples.append((rho_a, rho_b, float(rng.uniform(0.0, 1.0))))
+    violations = qcore.trace_norm(np.array([_mixing_gap(dynamics, *triple, t) for triple in triples]))
+    k = int(np.argmax(violations))
+    rho_a, rho_b, w = triples[k]
+    witness = {
+        "bloch_a": [float(x) for x in qcore.bloch_from_density(rho_a)],
+        "bloch_b": [float(x) for x in qcore.bloch_from_density(rho_b)],
+        "weight": w,
+        "t": float(t),
+    }
+    return LinearityReport(
+        max_violation=float(violations[k]), witness=witness, samples=samples, seed=seed
+    )
 
 
 def replay_linearity_witness(dynamics, witness):
     """Re-evaluate a stored witness; returns its violation."""
     rho_a = qcore.density_from_bloch(np.asarray(witness["bloch_a"]))
     rho_b = qcore.density_from_bloch(np.asarray(witness["bloch_b"]))
-    return _violation(dynamics, rho_a, rho_b, witness["weight"], witness["t"])
+    return qcore.trace_norm(_mixing_gap(dynamics, rho_a, rho_b, witness["weight"], witness["t"]))
 
 
 def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
@@ -109,7 +110,7 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
 
     Both grids must be nonempty and strictly increasing. Each probe costs
     one call on s_grid, one on the sorted distinct sums t + s and one on
-    t_grid per s, and one stacked trace norm per s scores the whole t row;
+    t_grid per s, and one stacked trace norm scores its whole (s, t) grid;
     ties go to the first (probe, s, t) in that order. A closure whose values
     depend on the grid, such as Krylov steps from the previous point, sees
     that union grid and not t_grid + s.
@@ -130,12 +131,11 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
     for rho in probe_states:
         mids = dynamics(rho, s_grid)
         directs = np.asarray(dynamics(rho, sums))[where]
-        for s, mid, direct in zip(s_grid, mids, directs):
-            gaps = qcore.trace_norm(direct - dynamics(mid, t_grid))
-            j = int(np.argmax(gaps))  # the first maximum, as a strict > scan in t finds
-            if gaps[j] > gap:
-                gap, arg_t, arg_s = float(gaps[j]), float(t_grid[j]), float(s)
-                wit = [float(x) for x in qcore.bloch_from_density(rho)]
+        gaps = qcore.trace_norm(directs - np.array([dynamics(mid, t_grid) for mid in mids]))
+        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # the first in (s, t) order
+        if gaps[i, j] > gap:
+            gap, arg_t, arg_s = float(gaps[i, j]), float(t_grid[j]), float(s_grid[i])
+            wit = [float(x) for x in qcore.bloch_from_density(rho)]
     return MarkovReport(gap=gap, argmax_t=arg_t, argmax_s=arg_s, witness_bloch=wit)
 
 

@@ -252,19 +252,14 @@ def trace_norm(a):
     A single matrix gives a float; a (..., m, m) stack gives an array of one
     norm per matrix, each equal bit for bit to the single-matrix call. A 2x2
     takes sigma_1 + sigma_2 = sqrt(|A|_F^2 + 2 |det A|) with A scaled by its
-    largest |real or imaginary part|, so no square overflows or underflows:
-    one matrix in Python floats, a stack in numpy, by the same correctly
-    rounded operations. Other sizes take the SVD. ValueError unless every
-    norm is finite (a NaN or infinite entry, or overflow).
+    largest |real or imaginary part|, so no square overflows or underflows;
+    one matrix is a stack of one. Other sizes take the SVD. ValueError unless
+    every norm is finite (a NaN or infinite entry, or overflow).
     """
     a = np.asarray(a, dtype=complex)
-    if a.shape == (2, 2):
-        norm = _trace_norm_2x2(a)
-        if not math.isfinite(norm):
-            raise ValueError(_NOT_FINITE)
-        return norm
     if a.shape[-2:] == (2, 2):
-        norms = _trace_norm_2x2_stack(a)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            norms = _trace_norm_2x2(a)
     else:
         norms = np.linalg.svd(a, compute_uv=False).sum(-1)
     if not np.isfinite(norms).all():
@@ -273,17 +268,6 @@ def trace_norm(a):
 
 
 def _trace_norm_2x2(a):
-    (a00, a01), (a10, a11) = a.tolist()
-    e = (a00.real, a00.imag, a01.real, a01.imag, a10.real, a10.imag, a11.real, a11.imag)
-    m = max(_SMALLEST, *map(abs, e))
-    p, q, r, s, u, v, w, z = (x / m for x in e)
-    f = ((p * p + q * q) + (r * r + s * s)) + ((u * u + v * v) + (w * w + z * z))
-    dr = (2.0 * (p * w) + 2.0 * (s * v)) + (-2.0 * (q * z) + -2.0 * (r * u))
-    di = (2.0 * (p * z) + 2.0 * (q * w)) + (-2.0 * (r * v) + -2.0 * (s * u))
-    return m * math.sqrt(f + math.sqrt(dr * dr + di * di))
-
-
-def _trace_norm_2x2_stack(a):
     v = np.ascontiguousarray(a).reshape(-1, 4).view(float)
     m = np.abs(v).max(1, initial=_SMALLEST, keepdims=True)
     v = v / m

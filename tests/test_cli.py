@@ -8,11 +8,13 @@ import importlib
 import platform
 import re
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cgdyn import channels, cli, coarse_grain, evolve, maxent, qcore
+from cgdyn import channels, cli, coarse_grain, diagnostics, evolve, maxent, qcore
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -292,6 +294,48 @@ def test_diagnostics_writes_sidecar(tmp_path, monkeypatch, capsys):
     assert cli.main(["diagnostics", "--target", "pce-mask", "--samples", "5", "-o", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["target"] == "pce-mask"
     assert list(run_dir.iterdir()) == []
+
+
+class _Probed(Exception):
+    pass
+
+
+def test_channel_targets_refuse_past_the_dense_cap(tmp_path, monkeypatch, capsys):
+    # a channel target forms 2^n x 2^n joint states: past the cap it is refused
+    # before any is formed, and at the cap it reaches the probes
+    def probe(*args, **kwargs):
+        raise _Probed
+
+    monkeypatch.setattr(diagnostics, "equal_marginal_check", probe)
+    monkeypatch.setattr(diagnostics, "linearity_probe", probe)
+    cap = evolve.DENSE_MAX_QUBITS
+    argv = ["diagnostics", "--target", "total-dephasing", "-o", str(tmp_path / "r.json"), "--n"]
+    assert cli.main(argv + [str(cap + 1)]) == 1
+    assert f"cgdyn: channel targets are capped at {cap} qubits, got {cap + 1}" in capsys.readouterr().err
+    with pytest.raises(_Probed):
+        cli.main(argv + [str(cap)])
+
+
+def test_shipped_configs_never_import_scipy(tmp_path):
+    # the configs take no sparse or Krylov route, so scipy (about 25 MB
+    # resident) stays unloaded; a fresh interpreter sees what the runs import
+    script = (
+        "import json, os, sys\n"
+        "from cgdyn import cli\n"
+        "configs, out = sys.argv[1:]\n"
+        "for name, entry in json.load(open(os.path.join(configs, 'checksums.json'))).items():\n"
+        "    argv = [entry['experiment'], '--config', os.path.join(configs, name)]\n"
+        "    assert cli.main(argv + ['--output', os.path.join(out, name)]) == 0, name\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, CONFIG_DIR, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_linear_nm_static_at_zero_omega(tmp_path):

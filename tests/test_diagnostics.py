@@ -246,6 +246,78 @@ def test_semigroup_gap_asks_for_the_union_grid(t_grid, s_grid, distinct):
     assert (rep.gap, rep.argmax_t, rep.argmax_s, rep.witness_bloch) == want
 
 
+def _looped_linearity(dynamics, t, samples, seed):
+    """linearity_probe as one trace norm per sample and a strict > scan."""
+    rng = np.random.default_rng(seed)
+    worst, witness = -1.0, None
+    for _ in range(samples):
+        rho_a = qcore.random_density(2, rng)
+        rho_b = qcore.random_density(2, rng)
+        w = float(rng.uniform(0.0, 1.0))
+        mix = w * rho_a + (1.0 - w) * rho_b
+        out, out_a, out_b = (dynamics(rho, [t])[0] for rho in (mix, rho_a, rho_b))
+        v = qcore.trace_norm(out - w * out_a - (1.0 - w) * out_b)
+        if v > worst:
+            worst = v
+            witness = {
+                "bloch_a": [float(x) for x in qcore.bloch_from_density(rho_a)],
+                "bloch_b": [float(x) for x in qcore.bloch_from_density(rho_b)],
+                "weight": w,
+                "t": float(t),
+            }
+    return diagnostics.LinearityReport(worst, witness, samples, seed)
+
+
+def _looped_semigroup_gap(dynamics, t_grid, s_grid, probes, seed):
+    """semigroup_gap as one stacked trace norm per (probe, s) row and a strict > scan."""
+    rng = np.random.default_rng(seed)
+    sums, where = np.unique(np.add.outer(s_grid, t_grid), return_inverse=True)
+    where = where.reshape(s_grid.size, t_grid.size)
+    gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
+    for rho in [qcore.random_density(2, rng) for _ in range(probes)]:
+        mids = dynamics(rho, s_grid)
+        directs = np.asarray(dynamics(rho, sums))[where]
+        for s, mid, direct in zip(s_grid, mids, directs):
+            gaps = qcore.trace_norm(direct - dynamics(mid, t_grid))
+            j = int(np.argmax(gaps))
+            if gaps[j] > gap:
+                gap, arg_t, arg_s = float(gaps[j]), float(t_grid[j]), float(s)
+                wit = [float(x) for x in qcore.bloch_from_density(rho)]
+    return diagnostics.MarkovReport(gap, arg_t, arg_s, wit)
+
+
+_EXACT = {
+    "identity": lambda rho, times: np.array([rho] * len(times)),
+    "zero": lambda rho, times: np.zeros((len(times), 2, 2), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("closure", ["pipeline", "identity", "zero"])
+def test_stacked_probes_match_the_loops(closure):
+    # one stacked trace norm per run or probe gives the loops' reports bit for bit
+    # (repr tells 0.0 from -0.0 and float from np.float64); the identity's and the
+    # zero map's semigroup gaps, and the zero map's violations, are all exactly 0,
+    # so those reports are the first (probe, s, t) and the first sample
+    if closure == "pipeline":
+        dyn = evolve.dynamics(preferential(2, 0.7), evolve.Swap(omega=1.0))
+        dynamics = lambda rho, times: qcore.bloch_operator(dyn(rho, times).bloch)  # noqa: E731
+    else:
+        dynamics = _EXACT[closure]
+    grid = np.linspace(math.pi / 6, math.pi, 6)
+    for seed in (0, 1, 2):
+        got = diagnostics.linearity_probe(dynamics, 1.1, samples=20, seed=seed)
+        want = _looped_linearity(dynamics, 1.1, 20, seed)
+        assert repr(got) == repr(want)
+        if closure == "zero":
+            first = diagnostics.linearity_probe(dynamics, 1.1, samples=1, seed=seed)
+            assert got.max_violation == 0.0 and got.witness == first.witness
+        got = diagnostics.semigroup_gap(dynamics, grid, grid[:4], probes=3, seed=seed)
+        want = _looped_semigroup_gap(dynamics, grid, grid[:4], 3, seed)
+        assert repr(got) == repr(want)
+        if closure != "pipeline":
+            assert (got.gap, got.argmax_t, got.argmax_s) == (0.0, grid[0], grid[0])
+
+
 def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
     # one map per run; 3 calls on it per linearity sample, and per probe one on
     # the s grid, one on the union of the sums t + s and one on the t grid per s
@@ -263,7 +335,7 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(evolve, "dynamics", counted)
-    # one trace norm per linearity sample and one stacked one per (probe, s);
+    # one stacked trace norm for the linearity samples and one per probe;
     # each closure call steps its whole grid in one propagate call (d = 4)
     norms, steps = [], []
     for name, log in (("trace_norm", norms), ("propagate", steps)):
@@ -276,7 +348,7 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     assert len(built) == 1
     assert len(calls) == 3 * 5 + 8 * (2 + 4)
-    assert len(norms) == 5 + 8 * 4
+    assert len(norms) == 1 + 8
     assert len(steps) == len(calls)
 
 

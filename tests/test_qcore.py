@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -406,10 +407,21 @@ def test_trace_norm_refuses_non_finite(rng):
         for bad in (math.nan, math.inf, -math.inf):
             m = rng.normal(size=shape) + 0j
             m[..., 0, 1] = bad
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-                qcore.trace_norm(m)
-    with pytest.raises(ValueError, match="not finite"):
-        qcore.trace_norm(np.full((2, 2), 1e308))  # the norm itself overflows
+            if shape == (4, 4):
+                with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                    qcore.trace_norm(m)
+            else:
+                _refused_without_warnings(m)
+    for shape in ((2, 2), (3, 2, 2)):
+        _refused_without_warnings(np.full(shape, 1e308))  # the norm itself overflows
+
+
+def _refused_without_warnings(m):
+    # the 2x2 closed form raises only its ValueError, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            qcore.trace_norm(m)
 
 
 def test_propagate_grid_matches_scalar_times(rng):
