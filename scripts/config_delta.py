@@ -7,15 +7,20 @@ Each SRC is a checkout root or its `src/` directory. Every config named in
 that tree on PYTHONPATH) into a temporary directory. For each config, the
 output and its metadata sidecar are compared. The script prints either
 "bytes identical" or the max |delta| over the numeric fields, the figure
-the manifest rule in ROADMAP.md asks for. It exits 1 when a run fails, when
-the two outputs differ in anything but numbers, or when a config's max
-|delta| exceeds the rule's bound of 1e-12.
+the manifest rule in ROADMAP.md asks for, and then applies the rule's
+other half: whether the parent's output matches its sha256 in the
+parent's configs/checksums.json (else the one in --configs), and so
+whether to regenerate that entry (it matched and the output changed) or
+keep it as recorded. It exits 1 when a run fails, when the two outputs
+differ in anything but numbers, or when a config's max |delta| exceeds
+the rule's bound of 1e-12.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -102,6 +107,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     parent, change, configs = _src(args.parent_src), _src(args.change_src), Path(args.configs).resolve()
     manifest = json.loads((configs / "checksums.json").read_text())
+    before = parent.parent / "configs" / "checksums.json"  # the entries as recorded before the change
+    recorded = json.loads(before.read_text()) if before.is_file() else manifest
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, entry in manifest.items():
@@ -117,11 +124,14 @@ def main(argv=None):
                 ok = False
                 continue
             changed = [d for d in deltas if d is not None]
-            if not changed:
-                print(f"{name}: bytes identical")
-                continue
-            worst = max(changed)
-            print(f"{name}: max |delta| {worst:.3e}" + (f" exceeds {TOLERANCE:g}" if worst > TOLERANCE else ""))
+            worst = max(changed, default=0.0)
+            text = f"max |delta| {worst:.3e}" + (f" exceeds {TOLERANCE:g}" if worst > TOLERANCE else "")
+            # the rule: regenerate only what matched before the change, keep the rest as recorded
+            if hashlib.sha256(runs[0][0].read_bytes()).hexdigest() != recorded.get(name, {}).get("sha256"):
+                rule = "parent differs from the manifest: keep the entry as recorded"
+            else:
+                rule = "parent matches the manifest: " + ("regenerate the entry" if changed else "keep the entry")
+            print(f"{name}: {text if changed else 'bytes identical'}; {rule}")
             ok = ok and worst <= TOLERANCE
     return 0 if ok else 1
 

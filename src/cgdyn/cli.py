@@ -57,8 +57,9 @@ def _parse_bloch(res):
 
 
 def _polar(theta, phi):
-    th, ph = float(theta), float(phi)
-    return np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
+    """The unit vector at polar angle theta and azimuth phi, or the (..., 3) stack of them."""
+    th, ph = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], -1)
 
 
 def _load_config(path, experiment):
@@ -314,8 +315,9 @@ def _pipeline_closure(spec, cg):
 
 def _static_closure(channel, cg):
     def dyn(rho, times):
-        joint = maxent.assign(rho, cg).to_matrix()
-        return np.broadcast_to(apply_cg(channel(joint), cg), (len(times), 2, 2))
+        # the channel takes one joint state: form them one input at a time
+        out = [apply_cg(channel(qcore.kron(f)), cg) for f in maxent.assign(rho, cg).factors]
+        return np.broadcast_to(np.array(out)[:, None], (len(out), len(times), 2, 2))
 
     return dyn
 
@@ -344,6 +346,10 @@ def _run_diagnostics(res):
     grid = np.linspace(tmax / steps, tmax, steps)
     report = {"target": target, "seed": seed, "version": __version__}
     derived = {}
+    # these targets form 2^n x 2^n states; past the cap none is formed and no probe runs
+    if target in (*_DIAG_CHANNELS, "ising") and int(res["n"]) > evolve.DENSE_MAX_QUBITS:
+        what = "the ising target is" if target == "ising" else "channel targets are"
+        raise ValueError(f"{what} capped at {evolve.DENSE_MAX_QUBITS} qubits, got {int(res['n'])}")
 
     if target in _DIAG_MODELS:
         preferred, make_spec = _DIAG_MODELS[target]
@@ -379,8 +385,6 @@ def _run_diagnostics(res):
         n = int(res["n"])
         if target == "pce-mask" and n != 2:
             raise ValueError("the masked-component channel is two sites only")
-        if n > evolve.DENSE_MAX_QUBITS:
-            raise ValueError(f"channel targets are capped at {evolve.DENSE_MAX_QUBITS} qubits, got {n}")
         channel = _DIAG_CHANNELS[target]
         eq = diagnostics.equal_marginal_check(channel, n, samples=samples // 5 or 1, seed=seed)
         report["equal_marginal"] = dataclasses.asdict(eq)
@@ -434,14 +438,11 @@ def _run_sweep(res):
         res["t"] = None
     times = _time_grid(res)
     states = _sweep_states(res)
-    dyn, rows = evolve.dynamics(cg, spec), []
-    for idx, (th, ph) in enumerate(states):
-        traj = dyn(qcore.density_from_bloch(_polar(th, ph)), times)
-        for t, b, p in zip(times, traj.bloch, traj.purity):
-            rows.append((idx, th, ph, t, b[0], b[1], b[2], p))
-
+    traj = evolve.trajectory(qcore.density_from_bloch(_polar(states[:, 0], states[:, 1])), cg, spec, times)
+    per_state = [np.repeat(col, times.size) for col in (np.arange(len(states)), states[:, 0], states[:, 1])]
+    columns = [*per_state, np.tile(times, len(states)), *traj.bloch.reshape(-1, 3).T, traj.purity.ravel()]
     header = ["state", "theta", "phi", "t", "rx", "ry", "rz", "purity"]
-    _write(res["output"], _csv(header, rows))
+    _write(res["output"], _csv(header, zip(*columns)))
     return {**_model_facts(cg, spec), "states": int(states.shape[0])}
 
 

@@ -76,18 +76,19 @@ def custom(probs):
 
 
 def apply_cg(rho, cg):
-    """The coarse-graining map: weighted average of single-site marginals."""
+    """The coarse-graining map: weighted average of single-site marginals, of
+    one state or of each state of a (..., 2^n, 2^n) stack."""
     rho = np.asarray(rho, dtype=complex)
-    n = cg.n
-    if rho.shape != (2 ** n, 2 ** n):
+    n, lead = cg.n, rho.shape[:-2]
+    if rho.shape[-2:] != (2 ** n, 2 ** n):
         raise ValueError(f"state shape {rho.shape} does not match n={n} qubits")
-    out = np.zeros((2, 2), dtype=complex)
+    out = np.zeros(lead + (2, 2), dtype=complex)
     for k, p in enumerate(cg.probs, start=1):
         if p == 0.0:
             continue  # zero-weight sites contribute nothing; skip the trace
         # site k's marginal reads the 2 * 2^n entries with equal bits elsewhere
         a, b = 2 ** (k - 1), 2 ** (n - k)
-        out += p * np.einsum("aibajb->ij", rho.reshape(a, 2, b, a, 2, b))
+        out += p * np.einsum("...aibajb->...ij", rho.reshape(lead + (a, 2, b, a, 2, b)))
     return out
 
 

@@ -2,12 +2,12 @@
 
 Every probe takes the dynamics as a closure `dyn(rho, times)` so that the
 same machinery applies to pipeline trajectories, closed-form predictors, or
-any user-supplied map. `times` is a nonempty, strictly increasing 1-d grid,
-and the closure returns one 2x2 output per grid point, stacked along the
-first axis: the shape `evolve.trajectory` produces from one assignment. A
-probe asks for whole grids where it can, so a pipeline closure over
-`evolve.dynamics` assigns once per (input, grid), not once per time point,
-and builds and diagonalizes H once per closure, not once per input.
+any user-supplied map. `rho` is a (B, 2, 2) stack of inputs and `times` a
+nonempty, strictly increasing 1-d grid; the closure returns one 2x2 output
+per input and grid point, shaped (B, T, 2, 2): the shape `evolve.dynamics`
+produces from one stack. A probe sends its inputs as few stacks on whole
+grids as it can, so a pipeline closure over `evolve.dynamics` assigns and
+steps each stack at once and builds and diagonalizes H once per closure.
 Random states are drawn Hilbert-Schmidt (mixed) from an explicit seed, and
 each report stores the witness that achieved its extremal value so a run
 can be replayed from the report alone.
@@ -63,10 +63,11 @@ class EqualMarginalReport:
     tol: float
 
 
-def _mixing_gap(dynamics, rho_a, rho_b, w, t):
-    """dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs."""
+def _mixing_gaps(dynamics, rho_a, rho_b, w, t):
+    """dyn(w rho_a + (1 - w) rho_b) minus the mixed outputs, per pair, in one call on [t]."""
+    w = np.asarray(w, dtype=float)[:, None, None]
     mix = w * rho_a + (1.0 - w) * rho_b
-    out, out_a, out_b = (dynamics(rho, [t])[0] for rho in (mix, rho_a, rho_b))
+    out, out_a, out_b = np.split(np.asarray(dynamics(np.concatenate([mix, rho_a, rho_b]), [t]))[:, 0], 3)
     return out - w * out_a - (1.0 - w) * out_b
 
 
@@ -74,23 +75,22 @@ def linearity_probe(dynamics, t, samples=100, seed=0):
     """Compare dyn(mixture) against the mixture of dyn outputs.
 
     Returns the worst trace-norm violation over `samples` random
-    (rho_a, rho_b, weight) triples. Linear dynamics sit at solver noise;
-    assignment-induced nonlinearity shows up at the 1e-1..1e-3 scale.
+    (rho_a, rho_b, weight) triples, sent as one stack of 3 x samples inputs.
+    Linear dynamics sit at solver noise; assignment-induced nonlinearity
+    shows up at the 1e-1..1e-3 scale.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    triples = []
-    for _ in range(samples):
-        rho_a, rho_b = qcore.random_density(2, rng), qcore.random_density(2, rng)
-        triples.append((rho_a, rho_b, float(rng.uniform(0.0, 1.0))))
-    violations = qcore.trace_norm(np.array([_mixing_gap(dynamics, *triple, t) for triple in triples]))
+    triples = [(qcore.random_density(2, rng), qcore.random_density(2, rng), float(rng.uniform(0.0, 1.0)))
+               for _ in range(samples)]
+    rho_a, rho_b, w = (np.array(part) for part in zip(*triples))
+    violations = qcore.trace_norm(_mixing_gaps(dynamics, rho_a, rho_b, w, t))
     k = int(np.argmax(violations))
-    rho_a, rho_b, w = triples[k]
     witness = {
-        "bloch_a": [float(x) for x in qcore.bloch_from_density(rho_a)],
-        "bloch_b": [float(x) for x in qcore.bloch_from_density(rho_b)],
-        "weight": w,
+        "bloch_a": [float(x) for x in qcore.bloch_from_density(rho_a[k])],
+        "bloch_b": [float(x) for x in qcore.bloch_from_density(rho_b[k])],
+        "weight": float(w[k]),
         "t": float(t),
     }
     return LinearityReport(
@@ -100,20 +100,20 @@ def linearity_probe(dynamics, t, samples=100, seed=0):
 
 def replay_linearity_witness(dynamics, witness):
     """Re-evaluate a stored witness; returns its violation."""
-    rho_a = qcore.density_from_bloch(np.asarray(witness["bloch_a"]))
-    rho_b = qcore.density_from_bloch(np.asarray(witness["bloch_b"]))
-    return qcore.trace_norm(_mixing_gap(dynamics, rho_a, rho_b, witness["weight"], witness["t"]))
+    rho_a, rho_b = qcore.density_from_bloch(np.array([witness["bloch_a"], witness["bloch_b"]]))
+    return float(qcore.trace_norm(_mixing_gaps(dynamics, rho_a[None], rho_b[None], [witness["weight"]],
+                                               witness["t"]))[0])
 
 
 def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
     """sup over (t, s, probe) of || dyn(rho, t+s) - dyn(dyn(rho, s), t) ||_1.
 
-    Both grids must be nonempty and strictly increasing. Each probe costs
-    one call on s_grid, one on the sorted distinct sums t + s and one on
-    t_grid per s, and one stacked trace norm scores its whole (s, t) grid;
-    ties go to the first (probe, s, t) in that order. A closure whose values
-    depend on the grid, such as Krylov steps from the previous point, sees
-    that union grid and not t_grid + s.
+    Both grids must be nonempty and strictly increasing. The probes go as
+    one stack on s_grid and one on the sorted distinct sums t + s, and all
+    their mids dyn(rho, s) as one stack on t_grid; one stacked trace norm
+    per probe scores its (s, t) grid, and ties go to the first (probe, s, t)
+    in that order. A closure whose values depend on the grid, such as Krylov
+    steps from the previous point, sees that union grid and not t_grid + s.
     """
     t_grid = qcore.time_grid(t_grid, "t_grid")
     s_grid = qcore.time_grid(s_grid, "s_grid")
@@ -124,19 +124,18 @@ def semigroup_gap(dynamics, t_grid, s_grid, probes=8, seed=0):
         probe_states = [np.asarray(p, dtype=complex) for p in probes]
     if not probe_states:
         raise ValueError("need at least one probe state")
+    probe_states = np.array(probe_states)
     sums, where = np.unique(np.add.outer(s_grid, t_grid), return_inverse=True)
-    where = where.reshape(s_grid.size, t_grid.size)
 
-    gap, arg_t, arg_s, wit = -1.0, float("nan"), float("nan"), None
-    for rho in probe_states:
-        mids = dynamics(rho, s_grid)
-        directs = np.asarray(dynamics(rho, sums))[where]
-        gaps = qcore.trace_norm(directs - np.array([dynamics(mid, t_grid) for mid in mids]))
-        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # the first in (s, t) order
-        if gaps[i, j] > gap:
-            gap, arg_t, arg_s = float(gaps[i, j]), float(t_grid[j]), float(s_grid[i])
-            wit = [float(x) for x in qcore.bloch_from_density(rho)]
-    return MarkovReport(gap=gap, argmax_t=arg_t, argmax_s=arg_s, witness_bloch=wit)
+    mids = np.asarray(dynamics(probe_states, s_grid))
+    directs = np.asarray(dynamics(probe_states, sums))
+    composed = np.asarray(dynamics(mids.reshape(-1, 2, 2), t_grid)).reshape(mids.shape[:2] + (t_grid.size, 2, 2))
+    where = where.reshape(s_grid.size, t_grid.size)
+    # one stack per probe keeps the trace norm's temporaries at one probe's (s, t) grid
+    gaps = np.array([qcore.trace_norm(d[where] - c) for d, c in zip(directs, composed)])
+    p, i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # the first in (probe, s, t) order
+    return MarkovReport(gap=float(gaps[p, i, j]), argmax_t=float(t_grid[j]), argmax_s=float(s_grid[i]),
+                        witness_bloch=[float(x) for x in qcore.bloch_from_density(probe_states[p])])
 
 
 def negative_rate_intervals(times, rates):
@@ -165,19 +164,12 @@ def negative_rate_intervals(times, rates):
 
 
 def _induced_map_from_products(channel, n):
-    """Tomography of the single-site action on symmetric product inputs."""
-    def out_bloch(r):
-        rho = qcore.density_from_bloch(r)
-        big = qcore.kron([rho] * n)
-        return qcore.bloch_from_density(qcore.partial_trace(channel(big), [1], n))
-
-    shift = out_bloch(np.zeros(3))
-    cols = []
-    for a in range(3):
-        e = np.zeros(3)
-        e[a] = 1.0
-        cols.append(out_bloch(e) - shift)
-    return np.column_stack(cols), shift
+    """Tomography of the single-site action on symmetric product inputs: the
+    centre of the ball and its three axes, one stack of inputs."""
+    rhos = qcore.density_from_bloch(np.vstack([np.zeros(3), np.eye(3)]))
+    out = np.array([qcore.bloch_from_density(qcore.partial_trace(channel(qcore.kron([rho] * n)), [1], n))
+                    for rho in rhos])
+    return np.column_stack(out[1:] - out[0]), out[0]
 
 
 def _apply_affine(linear, shift, rho):

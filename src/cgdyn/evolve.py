@@ -29,20 +29,21 @@ not the spec's class or the input:
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
-`dynamics(cg, spec)` is the map of one (H, weights) pair, fed one input at a
-time: what depends on H and the weights alone (the energies, the Krylov
-orbits and sparse -iH, the eigh of H and the fuzzy operators in its
-eigenbasis) is built on first use and kept, so the diagnostics and sweeps pay
-for it once per map, not once per input. `trajectory` is its one-shot form.
-Each returns the trajectory with the route that ran and the lambda solution;
-the CLI alone turns those into run metadata.
+`dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2)
+stack of inputs per call (one 2x2 input is a stack of one): what depends on
+H and the weights alone (the energies, the Krylov orbits and sparse -iH, the
+eigh of H and the fuzzy operators in its eigenbasis) is built on first use
+and kept, so the diagnostics and sweeps pay for it once per map, and each
+route steps the whole stack, in runs of inputs that hold no more state
+entries than one input or HEISENBERG_BLOCK. `trajectory` is its one-shot
+form. Each returns the trajectory with the route that ran and the lambda
+solutions; the CLI alone turns those into run metadata.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -53,7 +54,7 @@ from .coarse_grain import apply_cg, fuzzy_operator
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
 MIXED_MAX_SPINS = 8
-HEISENBERG_BLOCK = 4096  # complex entries of rho(t) per stacked Heisenberg step
+HEISENBERG_BLOCK = 4096  # state entries per stacked step, unless one input holds more
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
@@ -301,20 +302,24 @@ def _fast_exact(groups):
 
 
 def _fast_invariants(factors, groups):
-    """Per-site pop0 and coherence, and per string size the 0-based sites with
-    -2i c_S (single sites) or c_S and the other-site z products."""
-    pop0 = factors[:, 0, 0].real.copy()
-    coh = factors[:, 0, 1]
-    zval = (factors[:, 0, 0] - factors[:, 1, 1]).real
+    """Per input and site pop0 and coherence, (..., n) for (..., n, 2, 2) factors,
+    and per string size the sites as flat indices into those coherences, with
+    -2i c_S per input (single sites) or c_S and the other-site z products."""
+    pop0 = factors[..., 0, 0].real.copy()
+    coh = factors[..., 0, 1]
+    zval = (factors[..., 0, 0] - factors[..., 1, 1]).real
+    first = np.arange(0, coh.size, coh.shape[-1])[:, None]  # each input's first flat index
     steps = []
     for sites, coeffs in groups:
-        others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[sites - 1])
-        steps.append((sites.ravel() - 1, -2j * coeffs if others is None else coeffs, others))
+        others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[..., sites - 1])
+        # a single-site factor is the same for every input: one view of the coefficients
+        single = np.broadcast_to(-2j * coeffs, coh.shape[:-1] + coeffs.shape)
+        steps.append(((first + sites.ravel() - 1).ravel(), single if others is None else coeffs, others))
     return pop0, coh, steps
 
 
 def _fast_coherences(invariants, t):
-    """Per-site evolved coherence at time t on the fast route."""
+    """Per-site evolved coherence at time t on the fast route, shaped as the invariants'."""
     _, coh, steps = invariants
     out = coh.copy()
     for sites, coeffs, others in steps:
@@ -323,8 +328,9 @@ def _fast_coherences(invariants, t):
         else:
             ang = 2 * coeffs * t
             factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * others
-        # scalar rounding, each site's factors in (size, support) order
-        np.multiply.at(out, sites, factor.ravel())
+        # scalar rounding, each site's factors in (size, support) order; flat
+        # indices keep numpy's fast 1-d loop
+        np.multiply.at(out.reshape(-1), sites, factor.ravel())
     return out
 
 
@@ -333,24 +339,22 @@ def _fast_coherences(invariants, t):
 
 
 def _product_vector(direction, n):
-    """The 2^n amplitudes of n copies of the pure qubit along direction."""
-    direction = direction / float(np.linalg.norm(direction))
-    theta = math.acos(min(1.0, max(-1.0, float(direction[2]))))
-    phi = math.atan2(float(direction[1]), float(direction[0]))
-    site = np.array(
-        [math.cos(theta / 2.0), math.sin(theta / 2.0) * complex(math.cos(phi), math.sin(phi))],
-        dtype=complex,
-    )
-    return reduce(np.multiply.outer, [site] * n).ravel()
+    """The 2^n amplitudes of n copies of the pure qubit along each direction of a (..., 3) stack."""
+    u = direction / qcore.bloch_radius(direction)[..., None]
+    theta, phi = np.arccos(np.clip(u[..., 2], -1.0, 1.0)), np.arctan2(u[..., 1], u[..., 0])
+    psi = site = np.stack([np.cos(theta / 2.0) + 0j, np.sin(theta / 2.0) * np.exp(1j * phi)], -1)
+    for _ in range(n - 1):
+        psi = (psi[..., :, None] * site[..., None, :]).reshape(psi.shape[:-1] + (-1,))
+    return psi
 
 
 def _effective_from_state(psi, cg):
-    """C(|psi><psi|): the weighted single-site marginals of a pure state."""
-    n, out = cg.n, np.zeros((2, 2), dtype=complex)
+    """C(|psi><psi|) for each state of a (..., 2^n) stack: the weighted single-site marginals."""
+    n, out = cg.n, np.zeros(psi.shape[:-1] + (2, 2), dtype=complex)
     for k, p in enumerate(cg.probs, start=1):
         if p:
-            a = psi.reshape(2 ** (k - 1), 2, 2 ** (n - k))
-            out += p * np.einsum("aib,ajb->ij", a, a.conj())
+            a = psi.reshape(psi.shape[:-1] + (2 ** (k - 1), 2, 2 ** (n - k)))
+            out += p * np.einsum("...aib,...ajb->...ij", a, a.conj())
     return out
 
 
@@ -392,34 +396,44 @@ def _route(spec, pure_input, method, strings, fast_ok):
     return route
 
 
+def _chunks(count, entries):
+    """range(count) as slices that hold at most one input's or HEISENBERG_BLOCK state entries."""
+    step = max(1, HEISENBERG_BLOCK // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 @dataclass
 class Trajectory:
     """Effective-state history: Bloch vector and purity per time point, the
-    route that ran and the assignment's lambda solution."""
+    route that ran and the assignment's lambda solution; for a stack of B
+    inputs, (B, T, 3) and (B, T) arrays and a tuple of B solutions."""
 
     times: np.ndarray
     bloch: np.ndarray
     purity: np.ndarray
     route: str
-    solution: maxent.LagrangeSolution
+    solution: maxent.LagrangeSolution | tuple
 
 
 def dynamics(cg, spec, method="auto"):
     """The effective map of one (H, weights) pair, as `dyn(rho_eff, times) -> Trajectory`.
 
-    The site counts and the method are checked and H's merged z strings parsed
-    here, once. What depends on H and the weights alone is built on the first
-    input that needs it and kept for the rest: the diagonal energies, sum |coeff|,
-    the Krylov orbits with sparse -iH and the sector spin operators, and the eigh
-    of H with the fuzzy operators in its eigenbasis, so a run that only steps
-    Krylov never diagonalizes. Each call assigns its input, picks the route and
-    engine, steps the grid and checks the Bloch ball, as `trajectory` does.
+    rho_eff is one 2x2 state, a stack of one, or a (B, 2, 2) stack. The site
+    counts and the method are checked and H's merged z strings parsed here,
+    once. What depends on H and the weights alone is built on the first input
+    that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
+    Krylov orbits with sparse -iH and the sector spin operators, and the eigh of
+    H with the fuzzy operators in its eigenbasis, so a run that only steps
+    Krylov never diagonalizes. Each call assigns its stack, picks one route (and
+    one engine for its pure inputs), steps the grid and checks the Bloch ball.
+    Each input's trajectory is its own call's within 1e-12: each engine repeats
+    an input's own arithmetic, except Krylov stepping several inputs at once.
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
     if method not in ("auto", "dense", "fast", "statevector"):
         raise ValueError(f"unknown method {method!r}")
-    strings, kept = _z_strings(spec), {}
+    n, strings, kept = spec.n, _z_strings(spec), {}
     fast_ok = strings is not None and _fast_exact(strings)
 
     def keep(name, build):
@@ -428,91 +442,98 @@ def dynamics(cg, spec, method="auto"):
         return kept[name]
 
     def dyn(rho_eff, times):
-        times = qcore.time_grid(times)
-        assigned = maxent.assign(rho_eff, cg)
-        route = _route(spec, assigned.solution.is_pure, method, strings, fast_ok)
+        times, rho_eff = qcore.time_grid(times), np.asarray(rho_eff, dtype=complex)
+        assigned = maxent.assign(rho_eff.reshape(-1, 2, 2), cg)
+        factors, directions, sols = assigned.factors, assigned.direction, assigned.solution
+        is_pure = np.array([sol.is_pure for sol in sols])
+        route = _route(spec, is_pure.all(), method, strings, fast_ok)
 
-        bloch = np.empty((times.size, 3))
+        bloch = np.empty((len(sols), times.size, 3))
         if route == "dense":
-            evals, rho0 = keep("energies", lambda: _z_energies(strings, spec.n)), assigned.to_matrix()
-            for i, t in enumerate(times):
-                rho_t = qcore.propagate(evals, None, rho0, t)
-                bloch[i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
+            evals = keep("energies", lambda: _z_energies(strings, n))
+            for idx in _chunks(len(sols), 4 ** n):
+                rho0 = qcore.kron(factors[idx].swapaxes(0, 1))
+                for i in range(times.size):  # one-point grids: a lone input's product reuses the phases' array
+                    rho_t = qcore.propagate(evals, None, rho0, times[i:i + 1])
+                    bloch[idx, i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
         elif route == "fast":
-            invariants = _fast_invariants(assigned.factors, strings)
-            rz = 2 * float(np.dot(cg.probs, invariants[0])) - 1.0  # populations are conserved
-            probs = cg.probs.astype(complex)  # cast once, not by np.dot at every point
+            invariants = _fast_invariants(factors, strings)
+            # each input's own dot, as stacked 1 x n by n x 1 products; populations are conserved
+            bloch[..., 2] = 2 * (invariants[0][:, None, :] @ cg.probs[:, None])[:, :1, 0] - 1.0
+            probs, eff_coh = cg.probs.astype(complex)[:, None], np.empty((len(sols), times.size, 1), complex)
             for i, t in enumerate(times):
-                eff_coh = complex(np.dot(probs, _fast_coherences(invariants, t)))
-                bloch[i] = [2 * eff_coh.real, -2 * eff_coh.imag, rz]
-        else:  # statevector
-            orbits = keep("orbits", lambda: _orbits(spec)) if assigned.solution.is_pure else None
-            engine = "heisenberg"
-            if orbits is not None:
+                np.matmul(_fast_coherences(invariants, t)[:, None, :], probs, out=eff_coh[:, i:i + 1])
+            bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0].real, -2 * eff_coh[..., 0].imag
+        else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
+            mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)
+            engine = None
+            if pure.size:
+                orbits = keep("orbits", lambda: _orbits(spec))
                 norm = keep("norm", lambda: sum(abs(c) for c, _ in spec.terms()))
                 engine = _statevector_engine(spec, times, orbits[0].size, norm)[1]
-            if engine != "krylov":
+            if mixed.size or engine == "eigh":
                 evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
-            if engine == "heisenberg":
-                # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho), G Hermitian, in H's
-                # eigenbasis: one (3, d^2) matrix-vector product per point, stacked over
-                # blocks of at most HEISENBERG_BLOCK entries of rho(t) (a stacked matvec
-                # keeps each point's bits, a 2-d product would not)
-                rho_hat = qcore.to_eigenbasis(evecs, assigned.to_matrix())
-                # G^x and G^z are real and G^y imaginary: each rotates its one nonzero part
+            if mixed.size:
+                # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho) in H's eigenbasis: a stacked
+                # (3, d^2) matvec per input and point keeps its bits (a 2-d product would not);
+                # G^x, G^z are real, G^y imaginary: each rotates its one nonzero part
                 g_flat = keep("g_flat", lambda: np.conj([
                     qcore.to_eigenbasis(evecs, fuzzy_operator("x", cg).real),
                     1j * qcore.to_eigenbasis(evecs, fuzzy_operator("y", cg).imag),
                     qcore.to_eigenbasis(evecs, fuzzy_operator("z", cg).real)]).reshape(3, -1))
-                block = max(1, HEISENBERG_BLOCK // rho_hat.size)
-                for i in range(0, times.size, block):
-                    rho_t = qcore.propagate(evals, None, rho_hat, times[i:i + block])
-                    bloch[i:i + block] = (g_flat @ rho_t.reshape(len(rho_t), -1, 1))[..., 0].real
-            elif engine == "eigh":
-                coeff = qcore.matmul(evecs.conj().T, _product_vector(assigned.direction, spec.n))
-                for i, t in enumerate(times):
-                    psi_t = qcore.matmul(evecs, np.exp(-1j * evals * t) * coeff)
-                    bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
-            else:
+                for idx in (mixed[run] for run in _chunks(mixed.size, 4 ** n)):
+                    rho_hat = qcore.to_eigenbasis(evecs, qcore.kron(factors[idx].swapaxes(0, 1)))[:, None]
+                    for block in _chunks(times.size, idx.size * 4 ** n):
+                        rho_t = qcore.propagate(evals, None, rho_hat, times[block])  # (inputs, points, d, d)
+                        bloch[idx, block] = (g_flat @ rho_t.reshape(-1, 4 ** n, 1))[..., 0].real.reshape(
+                            idx.size, -1, 3)
+            if engine == "eigh":
+                for idx in (pure[run] for run in _chunks(pure.size, 2 ** n)):
+                    coeff = qcore.matmul(evecs.conj().T, _product_vector(directions[idx], n)[..., None])
+                    for i, t in enumerate(times):
+                        psi_t = qcore.matmul(evecs, np.exp(-1j * evals * t)[:, None] * coeff)[..., 0]
+                        bloch[idx, i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
+            elif engine == "krylov":
                 from scipy.sparse.linalg import expm_multiply
 
-                n, (reps, _, lengths) = spec.n, orbits
+                reps, _, lengths = orbits
                 a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
-                # step from the previous grid point; at t = 0 orbit R holds sqrt(L_r) psi(r)
-                psi_t, t_prev = _product_vector(assigned.direction, n)[reps] * np.sqrt(lengths), 0.0
                 # in a sector every site marginal is (1/n) <sum_j sigma_j>
                 spins = keep("spins", lambda: [
                     _sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, orbits)
                     for ax in qcore.AXES] if reps.size < 2 ** n else None)
-                for i, t in enumerate(times):
-                    if t != t_prev:
-                        psi_t = expm_multiply(a * (t - t_prev), psi_t)
-                        t_prev = t
-                    if spins is None:
-                        bloch[i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
-                    else:
-                        bloch[i] = [cg.probs.sum() / n * np.vdot(psi_t, s @ psi_t).real for s in spins]
+                for idx in (pure[run] for run in _chunks(pure.size, reps.size)):
+                    # a column per input (a lone one as a vector: expm_multiply norms it
+                    # faster), stepped from the last point; at t = 0 orbit R holds sqrt(L_r) psi(r)
+                    psi_t, t_prev = (_product_vector(directions[idx], n)[:, reps] * np.sqrt(lengths)).T.squeeze(), 0.0
+                    for i, t in enumerate(times):
+                        if t != t_prev:
+                            psi_t = expm_multiply(a * (t - t_prev), psi_t)
+                            t_prev = t
+                        if spins is None:
+                            bloch[idx, i] = qcore.bloch_from_density(_effective_from_state(psi_t.T, cg))
+                        else:
+                            bloch[idx, i] = np.stack([cg.probs.sum() / n * (psi_t.conj() * (s @ psi_t)).sum(0).real
+                                                      for s in spins], -1)
 
-        radii_sq = np.sum(bloch * bloch, axis=1)
+        radii_sq = np.sum(bloch * bloch, axis=-1)
         # the one ball bound that `maxent.assign` applies to inputs, so every output
         # can be fed back in (`semigroup_gap` does); a NaN fails it
         if not (radii_sq <= qcore.MAX_RADIUS ** 2).all():
-            i = int(np.argmax(radii_sq))
-            raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[i])} left the "
-                                        f"ball at time index {i} (t = {times[i]}) on the {route} route")
-        purity = 0.5 * (1.0 + radii_sq)
-        return Trajectory(times, bloch, purity, route, assigned.solution)
+            b, i = np.unravel_index(np.argmax(radii_sq), radii_sq.shape)
+            raise qcore.PositivityError(f"effective Bloch radius {math.sqrt(radii_sq[b, i])} left the ball at "
+                                        f"time index {i} (t = {times[i]}) on the {route} route for input {b}")
+        k = 0 if rho_eff.ndim == 2 else slice(None)
+        return Trajectory(times, bloch[k], 0.5 * (1.0 + radii_sq[k]), route, sols[k])
 
     return dyn
 
 
 def trajectory(rho_eff, cg, spec, times, method="auto"):
-    """Effective trajectory over a time grid, one assignment for the sweep: the
-    one-shot form of `dynamics(cg, spec, method)(rho_eff, times)`.
-
-    The grid must be nonempty, finite and strictly increasing. The lambda solve
-    and any eigh of H run once; a pure input skips eigh where Krylov steps cost
-    less. Built-in specs reject non-finite coefficients when built; a NaN or
-    out-of-ball effective radius raises PositivityError.
+    """Effective trajectory of one input or a stack over a time grid: the one-shot
+    form of `dynamics(cg, spec, method)(rho_eff, times)`. The grid must be
+    nonempty, finite and strictly increasing. Built-in specs reject non-finite
+    coefficients when built; a NaN or out-of-ball effective radius raises
+    PositivityError.
     """
     return dynamics(cg, spec, method)(rho_eff, times)

@@ -55,14 +55,15 @@ class LagrangeSolution:
 @dataclass(frozen=True)
 class AssignedState:
     """Product state rho_1 x ... x rho_n stored as its (n, 2, 2) factors,
-    whose Bloch vectors all point along the unit vector direction."""
+    whose Bloch vectors all point along the unit vector direction; a stack of
+    B inputs has (B, n, 2, 2), (B, 3) and a tuple of B solutions."""
 
     factors: np.ndarray
     direction: np.ndarray
-    solution: LagrangeSolution
+    solution: LagrangeSolution | tuple
 
     def to_matrix(self):
-        return qcore.kron(self.factors)
+        return qcore.kron(np.moveaxis(self.factors, -3, 0))
 
 
 def _radius_sum(lam, probs):
@@ -132,34 +133,33 @@ def solve_lambda(r_ef, cg):
 
 
 def assign(rho_eff, cg):
-    """Maxent product state reproducing rho_eff under the given weights.
+    """Maxent product state reproducing rho_eff, one 2x2 state or a (B, 2, 2)
+    stack checked in one pass, under the given weights; each input gets its
+    own lambda solve and its own call's factors, bit for bit.
 
     Uniform weights give n identical copies of rho_eff. A pure input
     requires every weight positive (a zero-weight site would be
     unconstrained) and yields n copies of the pure state.
     """
     rho_eff = np.asarray(rho_eff, dtype=complex)
-    if rho_eff.shape != (2, 2):
-        raise ValueError("effective state must be a single qubit")
+    if rho_eff.shape[-2:] != (2, 2) or rho_eff.ndim > 3:
+        raise ValueError("effective state must be a single qubit or a stack of them")
     r = qcore.bloch_from_density(rho_eff)
-    r_ef = float(np.linalg.norm(r))
+    r_ef = qcore.bloch_radius(r)
     # the radius first: outside the ball is bad input (ValueError) however far, and
     # inside it no eigenvalue can fall below PSD_FLOOR; a NaN fails here too
-    if not r_ef <= qcore.MAX_RADIUS:
-        raise ValueError(f"effective state has Bloch radius {r_ef} > {qcore.MAX_RADIUS}")
+    if not (r_ef <= qcore.MAX_RADIUS).all():
+        raise ValueError(f"effective state has Bloch radius {r_ef.max()} > {qcore.MAX_RADIUS}")
     qcore.assert_density_matrix(rho_eff, name="effective state")
-    r_ef = min(r_ef, 1.0)
+    r_ef = np.minimum(r_ef, 1.0)
 
-    if r_ef < qcore.ZERO_RADIUS:
-        direction = _DIRECTION_Z
-        sol = LagrangeSolution(0.0, np.zeros(cg.n))
-    else:
-        direction = r / r_ef
-        sol = solve_lambda(r_ef, cg)
-        if sol.is_pure and (cg.probs <= 0.0).any():
-            raise ValueError(
-                "pure effective state with a zero-weight site: the assignment "
-                "is not defined (that factor is unconstrained)"
-            )
-    site_r = sol.per_particle_r[:, None] * direction  # radii tanh(p_k lambda) <= 1, a unit direction
-    return AssignedState(qcore.bloch_operator(site_r), direction, sol)
+    zero = r_ef < qcore.ZERO_RADIUS
+    direction = np.where(zero[..., None], _DIRECTION_Z, r / np.where(zero, 1.0, r_ef)[..., None])
+    sols = [LagrangeSolution(0.0, np.zeros(cg.n)) if z else solve_lambda(x, cg)
+            for x, z in zip(np.ravel(r_ef).tolist(), np.ravel(zero).tolist())]
+    if any(sol.is_pure for sol in sols) and (cg.probs <= 0.0).any():
+        raise ValueError("pure effective state with a zero-weight site: the assignment "
+                         "is not defined (that factor is unconstrained)")
+    per = np.array([sol.per_particle_r for sol in sols]).reshape(r_ef.shape + (cg.n,))
+    site_r = per[..., None] * direction[..., None, :]  # radii tanh(p_k lambda) <= 1, a unit direction
+    return AssignedState(qcore.bloch_operator(site_r), direction, tuple(sols) if r_ef.ndim else sols[0])

@@ -59,31 +59,23 @@ def pauli(axis):
 
 
 def kron(factors):
-    """Kronecker product of a nonempty sequence of square matrices.
-
-    Factor order matches the qubit-1-leftmost convention. Each step forms
-    every entry as the one product a_ij * b_kl in np.kron's loop, so the
-    bits equal np.kron's: one broadcast call while the product so far is
-    small, then, where the broadcast's inner loop over f's columns is slow,
-    out * f[i, j] written into the strided block of rows i::m, columns j::m.
+    """Kronecker product of a nonempty sequence of square matrices or of
+    (..., m, m) stacks of them, matrix by matrix, in the qubit-1-leftmost
+    order. Each step writes out * f[..., i, j] into the strided block of rows
+    i::m, columns j::m: every entry is the one product a_ij * b_kl of
+    np.kron's loop, with its bits.
     """
-    factors = list(factors)
+    factors = [np.asarray(f, dtype=complex) for f in factors]
     if not factors:
         raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    if any(f.ndim < 2 or f.shape[-1] != f.shape[-2] for f in factors):
         raise ValueError("kron factors must be square matrices")
+    out = factors[0]
     for f in factors[1:]:
-        f = np.asarray(f, dtype=complex)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError("kron factors must be square matrices")
-        d, m = out.shape[0], f.shape[0]
-        if d < 32:  # here the m * m calls below cost more than the broadcast's short inner loop
-            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(d * m, d * m)
-            continue
-        new = np.empty((d * m, d * m), dtype=complex)
-        for (i, j), fij in np.ndenumerate(f):  # array times scalar: np.kron's bits
-            np.multiply(out, fij, out=new[i::m, j::m])
+        d, m = out.shape[-1], f.shape[-1]
+        new = np.empty(np.broadcast_shapes(out.shape[:-2], f.shape[:-2]) + (d * m, d * m), dtype=complex)
+        for i, j in np.ndindex(m, m):  # array times scalar: np.kron's bits
+            np.multiply(out, f[..., i, j, None, None], out=new[..., i::m, j::m])
         out = new
     return out
 
@@ -167,17 +159,27 @@ def partial_trace(rho, keep, n):
 
 
 def bloch_from_density(rho):
-    """Bloch vector (rx, ry, rz) of a single-qubit operator.
+    """Bloch vector (rx, ry, rz) of a single-qubit operator, or the (..., 3)
+    vectors of a (..., 2, 2) stack.
 
-    Reads Tr[sigma rho] off the entries, as Python floats. Every Pauli
-    product is exact, so each component equals the trace of the product bit
-    for bit; each + 0.0 turns a -0.0 into the +0.0 that the trace's sum gives.
+    Reads Tr[sigma rho] off the entries. Every Pauli product is exact, so
+    each component equals the trace of the product bit for bit; the + 0.0
+    turns a -0.0 into the +0.0 that the trace's sum gives.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError("bloch_from_density expects a 2x2 matrix")
-    (a, b), (c, d) = rho.tolist()
-    return np.array([c.real + b.real + 0.0, c.imag - b.imag + 0.0, a.real - d.real + 0.0])
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError("bloch_from_density expects 2x2 matrices")
+    b, c, out = rho[..., 0, 1], rho[..., 1, 0], np.empty(rho.shape[:-2] + (3,))
+    out[..., 0], out[..., 1] = c.real + b.real, c.imag - b.imag
+    out[..., 2] = rho[..., 0, 0].real - rho[..., 1, 1].real
+    out += 0.0
+    return out
+
+
+def bloch_radius(r):
+    """|r| per (..., 3) vector, np.linalg.norm's bits: a stacked 1x3 by 3x1 product is its dot."""
+    r = np.asarray(r, dtype=float)
+    return np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
 
 
 # I + r . sigma on the float view (re, im of a00, a01, a10, a11) as _BLOCH_SIGN *
@@ -185,7 +187,6 @@ def bloch_from_density(rho):
 _BLOCH_PART = np.array([2, 0, 0, 1, 0, 1, 2, 0])
 _BLOCH_SIGN = np.array([1.0, 0.0, 1.0, -1.0, 1.0, 1.0, -1.0, 0.0])
 _BLOCH_CONST = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-_BLOCH_LIST_ROWS = 8  # up to this many vectors, Python floats beat numpy's per-call cost
 
 
 def bloch_operator(r):
@@ -194,45 +195,32 @@ def bloch_operator(r):
     Each Pauli product is exact, so the sum is written entry by entry with
     its bits: 1 +/- z on the diagonal, x + 0 -/+ i (y + 0) off it (a -0
     becomes +0), NaN throughout for a non-finite component (0 * inf). The
-    halving stays 0.5 times a fresh temporary, as in the sum's form: numpy
-    multiplies one of 256 KiB or more in place, which can halve -5e-324 to
-    +0, not -0. So a stack equals the one-vector results bit for bit, except
-    there in a stack of 4,096 or more vectors.
+    sum is halved as 0.5 * sum into its own buffer: numpy would elide a
+    large temporary's product by the loop for sum * 0.5, which halves
+    -5e-324 to +0, not -0. So a stack equals its one-vector calls bit for
+    bit at every size.
     """
-    return 0.5 * _bloch_sum(np.asarray(r, dtype=float))
-
-
-def _bloch_sum(r):
-    shape = r.shape[:-1] + (2, 2)
-    if r.size <= 3 * _BLOCH_LIST_ROWS:
-        parts = []
-        for x, y, z in r.reshape(-1, 3).tolist():
-            w = (x - x) + (y - y) + (z - z)  # +0.0, or NaN for a non-finite component
-            a = x + w
-            parts += (1.0 + z, w, a, w - y, a, y + w, 1.0 - z, w)
-        return np.array(parts).view(complex).reshape(shape)
-    out = np.empty(shape, dtype=complex)
+    r = np.asarray(r, dtype=float)
+    out = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
     parts = out.view(float).reshape(r.shape[:-1] + (8,))
     np.multiply(_BLOCH_SIGN, r[..., _BLOCH_PART], out=parts)  # in place: one temporary, the gather
     parts += _BLOCH_CONST
     if not math.isfinite(r.sum()):  # a sum that overflows on finite parts only costs the scan
         out[~np.isfinite(r).all(-1)] = np.nan
-    return out
+    return np.multiply(0.5, out, out=out)
 
 
 def density_from_bloch(r):
-    """Single-qubit state (I + r . sigma)/2, refused unless the radius that
-    `bloch_from_density` reads back from it (which rounds) is at most
-    MAX_RADIUS, so every state returned passes `maxent.assign`'s ball check."""
+    """Single-qubit state (I + r . sigma)/2 per (..., 3) vector r, refused unless
+    each radius, and the one `bloch_from_density` reads back (which rounds), is at
+    most MAX_RADIUS, so every state returned passes `maxent.assign`'s ball check."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
+    if r.shape[-1:] != (3,):
         raise ValueError("Bloch vector must have exactly three components")
-    norm = float(np.linalg.norm(r))
-    if norm <= MAX_RADIUS:  # NaN fails; an infinity is refused before it is built
-        rho = bloch_operator(r)
-        norm = float(np.linalg.norm(bloch_from_density(rho)))
-    if not norm <= MAX_RADIUS:
-        raise ValueError(f"Bloch vector norm {norm} is not at most 1")
+    rho = bloch_operator(r)
+    norm = np.maximum(bloch_radius(r), bloch_radius(bloch_from_density(rho)))  # a NaN stays
+    if not (norm <= MAX_RADIUS).all():
+        raise ValueError(f"Bloch vector norm {np.max(norm)} is not at most 1")
     return rho
 
 
@@ -280,39 +268,30 @@ def _trace_norm_2x2(a):
 
 
 def is_hermitian(m):
+    """Every matrix of m (..., d, d) is within HERMITICITY_TOL * max(1, max |entry|) of its adjoint."""
     m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return bool(np.abs(m - m.conj().T).max() <= HERMITICITY_TOL * scale)
+    scale = np.fmax(1.0, np.abs(m).max((-2, -1)))  # fmax: a NaN entry leaves the scale 1
+    return bool((np.abs(m - np.swapaxes(m.conj(), -1, -2)).max((-2, -1)) <= HERMITICITY_TOL * scale).all())
 
 
 def assert_density_matrix(rho, name="state"):
-    """Validate trace one, Hermiticity and positivity (floor PSD_FLOOR).
-
+    """Validate trace one, Hermiticity and positivity (floor PSD_FLOOR) of a
+    square matrix or of every matrix of a (..., d, d) stack, in one pass.
     Trace and Hermiticity failures are ValueError (bad input); an eigenvalue
-    below the floor raises PositivityError (numerical failure). A 2x2 takes
-    is_hermitian's decision from numpy's |z| (Python's rounds differently) of
-    its entries and rho - rho^dag's, and its smallest eigenvalue (a + d -
-    hypot(a - d, 2|b|)) / 2 from the entries read as eigvalsh reads them.
+    below the floor raises PositivityError (numerical failure).
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name} must be a square matrix")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr}, expected 1 within {TRACE_TOL}")
-    if rho.shape == (2, 2):
-        (a, b), (c, d) = rho.tolist()
-        da, db, dd, *s = np.abs([a - a.conjugate(), b - c.conjugate(), d - d.conjugate(), a, b, c, d]).tolist()
-        bound = HERMITICITY_TOL * (1.0 if math.isnan(sum(s)) else max(1.0, *s))  # np.max's NaN
-        hermitian = da <= bound and db <= bound and dd <= bound
-        w_min = 0.5 * (tr.real - math.hypot(a.real - d.real, 2.0 * abs(c)))
-    else:
-        hermitian = is_hermitian(rho)
-        w_min = np.linalg.eigvalsh(rho).min() if hermitian else None
-    if not hermitian:
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"{name} has trace {tr[off][0]}, expected 1 within {TRACE_TOL}")
+    if not is_hermitian(rho):
         raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL}")
-    if w_min < PSD_FLOOR:
-        raise PositivityError(f"{name} has eigenvalue {w_min:.3e} below floor {PSD_FLOOR}")
+    w_min = np.linalg.eigvalsh(rho).min(-1)
+    if (w_min < PSD_FLOOR).any():
+        raise PositivityError(f"{name} has eigenvalue {w_min.min():.3e} below floor {PSD_FLOOR}")
     return rho
 
 
@@ -346,21 +325,24 @@ def eigensystem(h):
 
 
 def matmul(a, x):
-    """a @ x. A real a meets a C-contiguous complex x as real products on x's
-    interleaved (re, im) float view: half a complex product's flops, and no
-    complex copy of a."""
+    """a @ x for x of shape (..., d, k). A real a meets a C-contiguous complex x
+    as real products on x's interleaved (re, im) float view: half a complex
+    product's flops, no complex copy of a, and one product per leading index,
+    as for that matrix alone."""
     if a.dtype.kind == "c" or x.dtype.kind != "c":
         return a @ x
-    return np.dot(a, x.view(float).reshape(len(x), -1)).view(complex).reshape(x.shape)
+    return (a @ x.view(float)).view(complex)
 
 
 def to_eigenbasis(evecs, m):
-    """evecs^dag m evecs. A real evecs takes real products only: `matmul`
-    from both sides for a complex m, plain real products for a real one
-    (pass a real or imaginary operator's one nonzero part)."""
+    """evecs^dag m evecs, for one matrix or a (..., d, d) stack. A real evecs
+    takes real products only: `matmul` from both sides for a complex m, plain
+    real products for a real one (pass a real or imaginary operator's one
+    nonzero part)."""
     if evecs.dtype.kind == "c" or m.dtype.kind != "c":
         return evecs.conj().T @ m @ evecs
-    return np.ascontiguousarray(matmul(evecs.T, matmul(evecs.T, m).T.copy()).T)
+    half = np.swapaxes(matmul(evecs.T, m), -1, -2).copy()
+    return np.ascontiguousarray(np.swapaxes(matmul(evecs.T, half), -1, -2))
 
 
 def propagate(evals, evecs, rho, t):

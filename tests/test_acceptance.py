@@ -289,9 +289,10 @@ def test_criterion_10_linearity_suite(acceptance_report):
         return lambda rho, times: qcore.bloch_operator(evolve.trajectory(rho, cg, spec, times).bloch)
 
     def static(channel, cg):
-        return lambda rho, times: np.array(
-            [apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)] * len(times)
-        )
+        def dyn(rho, times):
+            out = np.array([apply_cg(channel(qcore.kron(f)), cg) for f in maxent.assign(rho, cg).factors])
+            return np.repeat(out[:, None], len(times), axis=1)
+        return dyn
 
     linear_worst = diagnostics.linearity_probe(
         pipeline(evolve.LocalZSecond(omega=1.0), non_preferential(2)), 1.1,

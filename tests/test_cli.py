@@ -316,6 +316,29 @@ def test_channel_targets_refuse_past_the_dense_cap(tmp_path, monkeypatch, capsys
         cli.main(argv + [str(cap)])
 
 
+def test_ising_target_refuses_past_the_dense_cap(tmp_path, monkeypatch, capsys):
+    # the ising target's fuzzy-identity check forms a 2^n x 2^n state: past the cap the
+    # run is refused before any probe, and no state of more than 2^12 rows is drawn
+    real = qcore.random_density
+
+    def guarded(dim, rng):
+        assert dim <= 4096, f"formed a {dim} x {dim} state"
+        return real(dim, rng)
+
+    def probe(*args, **kwargs):
+        raise _Probed
+
+    monkeypatch.setattr(qcore, "random_density", guarded)
+    cap = evolve.DENSE_MAX_QUBITS
+    argv = ["diagnostics", "--target", "ising", "--g", "0", "--samples", "5", "--steps", "3",
+            "-o", str(tmp_path / "r.json"), "--n"]
+    assert cli.main(argv + [str(cap + 1)]) == 1
+    assert f"cgdyn: the ising target is capped at {cap} qubits, got {cap + 1}" in capsys.readouterr().err
+    monkeypatch.setattr(diagnostics, "linearity_probe", probe)
+    with pytest.raises(_Probed):
+        cli.main(argv + [str(cap)])
+
+
 def test_shipped_configs_never_import_scipy(tmp_path):
     # the configs take no sparse or Krylov route, so scipy (about 25 MB
     # resident) stays unloaded; a fresh interpreter sees what the runs import

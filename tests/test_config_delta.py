@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -69,6 +70,43 @@ def test_main_exits_1_past_the_manifest_rule(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(config_delta, "_run", outputs(change))
         assert config_delta.main(trees + ["--configs", str(configs)]) == code
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "c.json: bytes identical"
-    assert lines[1] == "c.json: max |delta| 1.000e-13"
-    assert lines[2].endswith("exceeds 1e-12") and lines[3] == "c.json: max |delta| inf exceeds 1e-12"
+    keep = "; parent differs from the manifest: keep the entry as recorded"  # the sha256 is ""
+    assert lines[0] == "c.json: bytes identical" + keep
+    assert lines[1] == "c.json: max |delta| 1.000e-13" + keep
+    assert lines[2].endswith("exceeds 1e-12" + keep) and lines[3] == "c.json: max |delta| inf exceeds 1e-12" + keep
+
+
+def test_main_says_which_entries_the_manifest_rule_regenerates(tmp_path, monkeypatch, capsys):
+    # the parent's output matches one entry's sha256 in the parent's manifest and not
+    # the other's: the change moves both outputs, so the first entry is regenerated and
+    # the second kept. The --configs manifest (already regenerated) is not the one read
+    parent_out = "t,rx\n0,0.5\n"
+    digest = hashlib.sha256(parent_out.encode()).hexdigest()
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cgdyn").mkdir(parents=True)
+        (tmp_path / side / "configs").mkdir()
+        trees.append(str(tmp_path / side))
+    for side, sha in (("parent", digest), ("change", "1" * 64)):
+        manifest = {"a.json": {"experiment": "cnot", "sha256": sha},
+                    "b.json": {"experiment": "cnot", "sha256": "0" * 64}}
+        (tmp_path / side / "configs" / "checksums.json").write_text(json.dumps(manifest))
+    configs = tmp_path / "change" / "configs"
+
+    def outputs(change):
+        def run(src, experiment, config, out_dir):
+            out = out_dir / "c.out"
+            out.write_text(parent_out if src.parent.name == "parent" else f"t,rx\n0,{change!r}\n")
+            return [out]
+        return run
+
+    monkeypatch.setattr(config_delta, "_run", outputs(0.5 + 1e-15))
+    assert config_delta.main(trees + ["--configs", str(configs)]) == 0
+    monkeypatch.setattr(config_delta, "_run", outputs(0.5))
+    assert config_delta.main(trees + ["--configs", str(configs)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a.json: max |delta| 9.992e-16; parent matches the manifest: regenerate the entry",
+        "b.json: max |delta| 9.992e-16; parent differs from the manifest: keep the entry as recorded",
+        "a.json: bytes identical; parent matches the manifest: keep the entry",
+        "b.json: bytes identical; parent differs from the manifest: keep the entry as recorded",
+    ]

@@ -14,9 +14,10 @@ def _pipeline(spec, cg):
 
 
 def _static(channel, cg):
+    # a channel takes one joint state, so each input of the stack forms its own
     def dyn(rho, times):
-        out = apply_cg(channel(maxent.assign(rho, cg).to_matrix()), cg)
-        return np.array([out] * len(times))
+        out = np.array([apply_cg(channel(qcore.kron(f)), cg) for f in maxent.assign(rho, cg).factors])
+        return np.repeat(out[:, None], len(times), axis=1)
 
     return dyn
 
@@ -90,7 +91,7 @@ def test_probes_refuse_non_finite_outputs(bad):
         return out
 
     def dyn(rho, times):
-        return spoil(np.array([rho] * len(times)))
+        return spoil(np.repeat(rho[:, None], len(times), axis=1))
 
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         diagnostics.linearity_probe(dyn, 0.5, samples=3)
@@ -107,7 +108,7 @@ def test_probes_refuse_non_finite_outputs(bad):
 def test_unitary_dynamics_semigroup_clean():
     def dyn(rho, times):
         h = 0.7 * qcore.SIGMA_Z + 0.2 * qcore.SIGMA_X
-        return np.array([qcore.propagate(*qcore.eigensystem(h), rho, t) for t in times])
+        return np.array([[qcore.propagate(*qcore.eigensystem(h), r, t) for t in times] for r in rho])
 
     rep = diagnostics.semigroup_gap(dyn, np.linspace(0.1, 2, 5), np.linspace(0.1, 2, 5))
     assert rep.gap < 1e-12
@@ -197,13 +198,18 @@ def test_grid_probes_match_point_loop(spec):
     }
 
 
+def _one(dynamics, rho, times):
+    """The closure's outputs for one input, as a stack of one."""
+    return np.asarray(dynamics(np.asarray(rho)[None], times))[0]
+
+
 def _per_s_semigroup_gap(dynamics, t_grid, s_grid, probe_states):
-    """The semigroup gap with one call on t_grid + s per s, the reference the union
-    grid must reproduce; (gap, argmax_t, argmax_s, witness_bloch)."""
+    """The semigroup gap with one single-input call on t_grid + s per s, the reference
+    the stacked union grid must reproduce; (gap, argmax_t, argmax_s, witness_bloch)."""
     gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
     for rho in probe_states:
-        for s, mid in zip(s_grid, dynamics(rho, s_grid)):
-            direct, composed = dynamics(rho, t_grid + s), dynamics(mid, t_grid)
+        for s, mid in zip(s_grid, _one(dynamics, rho, s_grid)):
+            direct, composed = _one(dynamics, rho, t_grid + s), _one(dynamics, mid, t_grid)
             for t, d, c in zip(t_grid, direct, composed):
                 g = qcore.trace_norm(d - c)
                 if g > gap:
@@ -220,34 +226,33 @@ CLI_GRID = np.linspace(math.pi / 25, math.pi, 25)
     (np.array([0.11, 0.37, 0.83, 1.29]), np.array([0.05, 0.61, 1.47]), 12),  # no two sums collide
 ])
 def test_semigroup_gap_asks_for_the_union_grid(t_grid, s_grid, distinct):
-    # per probe: the s grid, then every distinct t + s once in increasing order, then
-    # the t grid once per s; the report is the per-s loop's, bit for bit
+    # three calls: the probes on the s grid, the probes on every distinct t + s once in
+    # increasing order, then every mid on the t grid; the report is the per-s loop's
+    # of single-input calls, the gap within 1e-12 and the witness the same
     cg = preferential(2, 0.7)
     pipeline = _pipeline(evolve.Swap(omega=1.0), cg)
     calls = []
 
     def recorded(rho, times):
-        calls.append(np.array(times))
+        calls.append((len(rho), np.array(times)))
         return pipeline(rho, times)
 
     rng = np.random.default_rng(6)
     probes = [qcore.random_density(2, rng) for _ in range(3)]
     rep = diagnostics.semigroup_gap(recorded, t_grid, s_grid, probes=probes)
-    union = calls[1]
+    assert len(calls) == 3
+    (n_s, grid_s), (n_u, union), (n_t, grid_t) = calls
     assert union.size == distinct and (np.diff(union) > 0).all()
     assert set(union.tolist()) == set(np.add.outer(s_grid, t_grid).ravel().tolist())
-    per_probe = 2 + s_grid.size
-    assert len(calls) == len(probes) * per_probe
-    for k in range(len(probes)):
-        got = calls[k * per_probe:(k + 1) * per_probe]
-        assert np.array_equal(got[0], s_grid) and np.array_equal(got[1], union)
-        assert all(np.array_equal(c, t_grid) for c in got[2:])
-    want = _per_s_semigroup_gap(pipeline, t_grid, s_grid, probes)
-    assert (rep.gap, rep.argmax_t, rep.argmax_s, rep.witness_bloch) == want
+    assert (n_s, n_u, n_t) == (len(probes), len(probes), len(probes) * s_grid.size)
+    assert np.array_equal(grid_s, s_grid) and np.array_equal(grid_t, t_grid)
+    gap, arg_t, arg_s, wit = _per_s_semigroup_gap(pipeline, t_grid, s_grid, probes)
+    assert abs(rep.gap - gap) <= 1e-12
+    assert (rep.argmax_t, rep.argmax_s, rep.witness_bloch) == (arg_t, arg_s, wit)
 
 
 def _looped_linearity(dynamics, t, samples, seed):
-    """linearity_probe as one trace norm per sample and a strict > scan."""
+    """linearity_probe as single-input calls, one trace norm per sample and a strict > scan."""
     rng = np.random.default_rng(seed)
     worst, witness = -1.0, None
     for _ in range(samples):
@@ -255,7 +260,7 @@ def _looped_linearity(dynamics, t, samples, seed):
         rho_b = qcore.random_density(2, rng)
         w = float(rng.uniform(0.0, 1.0))
         mix = w * rho_a + (1.0 - w) * rho_b
-        out, out_a, out_b = (dynamics(rho, [t])[0] for rho in (mix, rho_a, rho_b))
+        out, out_a, out_b = (_one(dynamics, rho, [t])[0] for rho in (mix, rho_a, rho_b))
         v = qcore.trace_norm(out - w * out_a - (1.0 - w) * out_b)
         if v > worst:
             worst = v
@@ -269,16 +274,17 @@ def _looped_linearity(dynamics, t, samples, seed):
 
 
 def _looped_semigroup_gap(dynamics, t_grid, s_grid, probes, seed):
-    """semigroup_gap as one stacked trace norm per (probe, s) row and a strict > scan."""
+    """semigroup_gap as single-input calls, one stacked trace norm per (probe, s) row
+    and a strict > scan."""
     rng = np.random.default_rng(seed)
     sums, where = np.unique(np.add.outer(s_grid, t_grid), return_inverse=True)
     where = where.reshape(s_grid.size, t_grid.size)
     gap, arg_t, arg_s, wit = -1.0, math.nan, math.nan, None
     for rho in [qcore.random_density(2, rng) for _ in range(probes)]:
-        mids = dynamics(rho, s_grid)
-        directs = np.asarray(dynamics(rho, sums))[where]
+        mids = _one(dynamics, rho, s_grid)
+        directs = _one(dynamics, rho, sums)[where]
         for s, mid, direct in zip(s_grid, mids, directs):
-            gaps = qcore.trace_norm(direct - dynamics(mid, t_grid))
+            gaps = qcore.trace_norm(direct - _one(dynamics, mid, t_grid))
             j = int(np.argmax(gaps))
             if gaps[j] > gap:
                 gap, arg_t, arg_s = float(gaps[j]), float(t_grid[j]), float(s)
@@ -287,17 +293,24 @@ def _looped_semigroup_gap(dynamics, t_grid, s_grid, probes, seed):
 
 
 _EXACT = {
-    "identity": lambda rho, times: np.array([rho] * len(times)),
-    "zero": lambda rho, times: np.zeros((len(times), 2, 2), dtype=complex),
+    "identity": lambda rho, times: np.repeat(np.asarray(rho)[:, None], len(times), axis=1),
+    "zero": lambda rho, times: np.zeros((len(rho), len(times), 2, 2), dtype=complex),
 }
+
+
+def _same_report(got, want):
+    # the value within 1e-12 of the single-input loop's, everything else identical
+    value = "max_violation" if hasattr(got, "max_violation") else "gap"
+    assert abs(getattr(got, value) - getattr(want, value)) <= 1e-12
+    assert dataclasses.replace(got, **{value: 0.0}) == dataclasses.replace(want, **{value: 0.0})
 
 
 @pytest.mark.parametrize("closure", ["pipeline", "identity", "zero"])
 def test_stacked_probes_match_the_loops(closure):
-    # one stacked trace norm per run or probe gives the loops' reports bit for bit
-    # (repr tells 0.0 from -0.0 and float from np.float64); the identity's and the
-    # zero map's semigroup gaps, and the zero map's violations, are all exactly 0,
-    # so those reports are the first (probe, s, t) and the first sample
+    # one stack per probe call, scored by one stacked trace norm, gives the reports of
+    # the single-input loops; the identity's and the zero map's semigroup gaps, and the
+    # zero map's violations, are all exactly 0, so those reports are the first (probe,
+    # s, t) and the first sample
     if closure == "pipeline":
         dyn = evolve.dynamics(preferential(2, 0.7), evolve.Swap(omega=1.0))
         dynamics = lambda rho, times: qcore.bloch_operator(dyn(rho, times).bloch)  # noqa: E731
@@ -306,21 +319,20 @@ def test_stacked_probes_match_the_loops(closure):
     grid = np.linspace(math.pi / 6, math.pi, 6)
     for seed in (0, 1, 2):
         got = diagnostics.linearity_probe(dynamics, 1.1, samples=20, seed=seed)
-        want = _looped_linearity(dynamics, 1.1, 20, seed)
-        assert repr(got) == repr(want)
+        _same_report(got, _looped_linearity(dynamics, 1.1, 20, seed))
         if closure == "zero":
             first = diagnostics.linearity_probe(dynamics, 1.1, samples=1, seed=seed)
             assert got.max_violation == 0.0 and got.witness == first.witness
         got = diagnostics.semigroup_gap(dynamics, grid, grid[:4], probes=3, seed=seed)
-        want = _looped_semigroup_gap(dynamics, grid, grid[:4], 3, seed)
-        assert repr(got) == repr(want)
+        _same_report(got, _looped_semigroup_gap(dynamics, grid, grid[:4], 3, seed))
         if closure != "pipeline":
             assert (got.gap, got.argmax_t, got.argmax_s) == (0.0, grid[0], grid[0])
 
 
 def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
-    # one map per run; 3 calls on it per linearity sample, and per probe one on
-    # the s grid, one on the union of the sums t + s and one on the t grid per s
+    # one map per run; one stacked call on it for the linearity samples, and three
+    # for the semigroup probes: on the s grid, on the union of the sums t + s and
+    # all the mids on the t grid
     built, calls = [], []
     inner = evolve.dynamics
 
@@ -336,7 +348,8 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evolve, "dynamics", counted)
     # one stacked trace norm for the linearity samples and one per probe;
-    # each closure call steps its whole grid in one propagate call (d = 4)
+    # each closure call steps its (input, point) pairs in one propagate call
+    # (d = 4: 256 pairs per block)
     norms, steps = [], []
     for name, log in (("trace_norm", norms), ("propagate", steps)):
         def logged(*a, real=getattr(qcore, name), log=log):
@@ -347,7 +360,7 @@ def test_diagnostics_cli_trajectory_calls(tmp_path, monkeypatch):
             "--output", str(tmp_path / "swap.json")]
     assert cli.main(argv) == 0
     assert len(built) == 1
-    assert len(calls) == 3 * 5 + 8 * (2 + 4)
+    assert len(calls) == 1 + 3
     assert len(norms) == 1 + 8
     assert len(steps) == len(calls)
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -1181,3 +1182,67 @@ def test_dynamics_reuse_is_exact(monkeypatch):
             for a, b in ((run.times, fresh.times), (run.bloch, fresh.bloch), (run.purity, fresh.purity),
                          (run.solution.per_particle_r, fresh.solution.per_particle_r)):
                 assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# One map over a stack of inputs: each stacked trajectory is the one-input call's
+
+
+_STACK_ROUTES = ["fast", "dense", "heisenberg", "eigh", "krylov sector", "krylov full", "mixed purity"]
+
+
+@st.composite
+def _stack_cases(draw, kind):
+    """A spec, weights, method and forced engine that take the given route or engine,
+    a grid, and a stack of 1-5 inputs: pure, mixed or (on statevector) both."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    method, engine, purity = "auto", None, "pure"
+    if kind in ("fast", "dense"):
+        spec = evolve.FieldAllToAll(tuple(rng.normal(1.5, 0.3, n)), include_interaction=draw(st.booleans()))
+        method, purity = kind, draw(st.sampled_from(["pure", "mixed", "both"]))
+    else:
+        boundary = {"krylov sector": "closed", "krylov full": "open"}.get(kind)
+        spec = evolve.IsingChain(n, J=1.0, g=draw(st.floats(0.2, 1.5)),
+                                 boundary=boundary or draw(st.sampled_from(["open", "closed"])))
+        if kind == "heisenberg":
+            purity = "mixed"
+        elif kind == "mixed purity":
+            engine, purity = draw(st.sampled_from(["eigh", "krylov"])), "both"
+        else:
+            engine = kind.split()[0]
+    size = draw(st.integers(1, 5))
+    pure = {"pure": [True] * size, "mixed": [False] * size}.get(purity)
+    if pure is None:  # at least one of each when the stack holds two or more
+        pure = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        pure[:2] = [True, False][:size]
+    directions = rng.normal(size=(size, 3))
+    radii = [1.0 if p else draw(st.floats(0.0, 0.95)) for p in pure]
+    bloch = np.array([r * d / np.linalg.norm(d) for r, d in zip(radii, directions)])
+    steps = draw(st.lists(st.floats(0.05, 1.2), max_size=3))
+    times = draw(st.sampled_from([0.0, 0.3])) + np.cumsum([0.0] + steps)
+    return spec, custom(rng.dirichlet(np.ones(n))), method, engine, qcore.density_from_bloch(bloch), times
+
+
+@pytest.mark.parametrize("kind", _STACK_ROUTES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stacked_trajectory_matches_one_input_calls(kind, data):
+    # every route and engine: a stack's trajectories lie within 1e-12 of the one-input
+    # calls, with identical lambda solutions, and a stack of one is the one-input call
+    spec, cg, method, engine, rho, times = data.draw(_stack_cases(kind))
+    with _forced(engine) if engine else contextlib.nullcontext():
+        dyn = evolve.dynamics(cg, spec, method)
+        stack = dyn(rho, times)
+        ones = [dyn(r, times) for r in rho]
+        assert dyn(rho[:1], times).bloch.tobytes() == ones[0].bloch.tobytes()
+    assert stack.bloch.shape == (len(rho), times.size, 3) and stack.purity.shape == (len(rho), times.size)
+    want_route = {"fast": "fast", "dense": "dense"}.get(kind, "statevector")
+    assert stack.route == want_route and all(one.route == want_route for one in ones)
+    if kind == "mixed purity":
+        assert len({sol.is_pure for sol in stack.solution}) == min(2, len(rho))
+    for k, one in enumerate(ones):
+        assert np.abs(stack.bloch[k] - one.bloch).max() <= 1e-12
+        assert np.abs(stack.purity[k] - one.purity).max() <= 1e-12
+        assert stack.solution[k].lam == one.solution.lam
+        assert np.array_equal(stack.solution[k].per_particle_r, one.solution.per_particle_r)

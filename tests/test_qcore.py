@@ -42,29 +42,34 @@ def test_kron_and_embed(rng):
     assert np.allclose(x2, manual)
 
 
-def _square_factors():
-    # 1-4 complex square factors of sizes 1, 2 and 4, with zeros of both signs frequent
+def _square_factors(stack):
+    # 1-4 complex square factors of sizes 1, 2 and 4, with zeros of both signs frequent;
+    # given a stack size, each factor is a stack of that many or a single matrix
     part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
     entry = st.builds(complex, part, part)
-    factor = st.sampled_from([1, 2, 4]).flatmap(
-        lambda m: st.lists(entry, min_size=m * m, max_size=m * m).map(
-            lambda v: np.array(v, dtype=complex).reshape(m, m)))
+    shape = st.sampled_from([1, 2, 4]).flatmap(
+        lambda m: st.sampled_from([(m, m), (stack, m, m)] if stack else [(m, m)]))
+    factor = shape.flatmap(lambda sh: st.lists(entry, min_size=math.prod(sh), max_size=math.prod(sh)).map(
+        lambda v: np.array(v, dtype=complex).reshape(sh)))
     return st.lists(factor, min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
-@given(factors=_square_factors())
+@given(factors=st.sampled_from([0, 1, 3]).flatmap(_square_factors))
 def test_kron_bits_equal_numpy_kron(factors):
-    # the broadcast product forms each entry as np.kron does, signed zeros included
+    # each entry is the one product np.kron forms, signed zeros included, for single
+    # matrices and, matrix by matrix, for stacks of them beside single factors
+    stack = max(f.shape[0] if f.ndim == 3 else 0 for f in factors)
     with np.errstate(all="ignore"):  # inf * 0 from overflowing entries
-        want = functools.reduce(np.kron, factors)
         got = qcore.kron(factors)
+        want = [functools.reduce(np.kron, [f[b] if f.ndim == 3 else f for f in factors]) for b in range(stack)]
+        want = np.array(want) if stack else functools.reduce(np.kron, factors)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 def test_kron_strided_steps_keep_numpy_bits():
-    # from 32 rows on, kron writes array-times-scalar blocks; with zeros of both
+    # kron writes array-times-scalar blocks; up to 128 rows, with zeros of both
     # signs, underflowing and overflowing products, the bits stay np.kron's
     rng = np.random.default_rng(7)
     vals = np.array([0.0, -0.0, 1e-200, -2e-198, 1.0, -1.0, 3.7, 1e200, -1e200, np.inf])
@@ -211,10 +216,13 @@ def test_bloch_operator_stack_matches_one_vector(rng):
 
 
 def _pauli_sum_form(r):
-    # bloch_operator as the Pauli sum itself, the form whose bytes it keeps
+    # bloch_operator as the Pauli sum itself, the form whose bytes it keeps, halved
+    # into a fresh array: numpy would halve a temporary of 256 KiB or more in place,
+    # by a loop that takes -5e-324 / 2 to +0 where the one-vector product gives -0
     r = np.asarray(r, dtype=float)[..., None, None]
     x, y, z = r[..., 0, :, :], r[..., 1, :, :], r[..., 2, :, :]
-    return 0.5 * (qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z)
+    total = qcore.IDENTITY_2 + x * qcore.SIGMA_X + y * qcore.SIGMA_Y + z * qcore.SIGMA_Z
+    return np.multiply(0.5, total, out=np.empty_like(total))
 
 
 def _bits(a):
@@ -244,6 +252,19 @@ def test_bloch_operator_bytes_match_the_pauli_sum(r):
         got = qcore.bloch_operator(r)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert _bits(got) == _bits(want)
+
+
+def test_bloch_operator_special_value_stack_matches_one_vector():
+    # every (x, y, z) over 17 special values: 4,913 rows, past the 4,096 from which
+    # numpy elides the halving of a temporary by a loop that took -5e-324 / 2 to +0
+    # where the one-vector product gives -0; every row keeps its one-vector bits
+    vals = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5e-323, -1.5e-323,
+            1e-310, -1e-310, 0.3, -0.7, 0.5, -0.5, 1.0, -1.0]
+    r = np.array(list(itertools.product(vals, repeat=3)))
+    with np.errstate(invalid="ignore"):
+        stack = qcore.bloch_operator(r)
+        assert stack.shape == (4913, 2, 2)
+        assert [_bits(op) for op in stack] == [_bits(qcore.bloch_operator(v)) for v in r]
 
 
 def test_density_from_bloch_rejects_outside_ball():
@@ -441,7 +462,7 @@ def test_propagate_grid_matches_scalar_times(rng):
 
 def test_to_eigenbasis_matches_complex_products(rng):
     # a real V: real, imaginary and general M against v.T @ m @ v; a complex V
-    # keeps the complex products; matmul on vectors and matrices
+    # keeps the complex products; matmul on columns and matrices
     for d in (2, 4, 16):
         h = rng.normal(size=(d, d))
         v = np.linalg.eigh(h + h.T)[1]
@@ -456,7 +477,7 @@ def test_to_eigenbasis_matches_complex_products(rng):
         m = a + 1j * b
         assert np.abs(qcore.to_eigenbasis(vc, m) - vc.conj().T @ m @ vc).max() <= 1e-13
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        for arr in (x, m):
+        for arr in (x[:, None], m):
             assert np.abs(qcore.matmul(v, arr) - v.astype(complex) @ arr).max() <= 1e-13
             assert qcore.matmul(vc, arr).tobytes() == (vc @ arr).tobytes()
 
