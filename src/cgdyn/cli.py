@@ -138,8 +138,8 @@ def _weights(res, n):
 
 def _check_grid(tmax, steps, least):
     tmax, steps = float(tmax), int(steps)
-    if not tmax > 0.0:
-        raise ValueError(f"tmax must be positive, got {tmax}")
+    if not 0.0 < tmax < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {tmax}")
     if steps < least:
         raise ValueError(f"steps must be at least {least}, got {steps}")
     return tmax, steps
@@ -189,10 +189,10 @@ def _write(path, text):
             fh.write(text)
 
 
-def _csv(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(f"{float(v):.17g}" for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header, columns):
+    table = np.column_stack(columns)  # one format pass: "%.17g" % v is f"{v:.17g}", nan, inf and -0 too
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
 
 def _json(doc):
@@ -252,7 +252,7 @@ def _run_trajectory(row, res):
         more, facts = row.extra(res, cg, bloch0, rho0, traj)
         columns.update(more)
         derived.update(facts)
-    _write(res["output"], _csv(columns, zip(*columns.values())))
+    _write(res["output"], _csv(columns, list(columns.values())))
     return derived
 
 
@@ -442,7 +442,7 @@ def _run_sweep(res):
     per_state = [np.repeat(col, times.size) for col in (np.arange(len(states)), states[:, 0], states[:, 1])]
     columns = [*per_state, np.tile(times, len(states)), *traj.bloch.reshape(-1, 3).T, traj.purity.ravel()]
     header = ["state", "theta", "phi", "t", "rx", "ry", "rz", "purity"]
-    _write(res["output"], _csv(header, zip(*columns)))
+    _write(res["output"], _csv(header, columns))
     return {**_model_facts(cg, spec), "states": int(states.shape[0])}
 
 

@@ -35,7 +35,8 @@ H and the weights alone (the energies, the Krylov orbits and sparse -iH, the
 eigh of H and the fuzzy operators in its eigenbasis) is built on first use
 and kept, so the diagnostics and sweeps pay for it once per map, and each
 route steps the whole stack, in runs of inputs that hold no more state
-entries than one input or HEISENBERG_BLOCK. `trajectory` is its one-shot
+entries than one input or HEISENBERG_BLOCK; the fast route steps the grid in
+blocks of time points under the same bound. `trajectory` is its one-shot
 form. Each returns the trajectory with the route that ran and the lambda
 solutions; the CLI alone turns those into run metadata.
 """
@@ -54,7 +55,7 @@ from .coarse_grain import apply_cg, fuzzy_operator
 DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
 MIXED_MAX_SPINS = 8
-HEISENBERG_BLOCK = 4096  # state entries per stacked step, unless one input holds more
+HEISENBERG_BLOCK = 4096  # state entries per stacked step of inputs or fast-route points, unless one holds more
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
@@ -301,36 +302,42 @@ def _fast_exact(groups):
 # cos 2c_S t - i sin 2c_S t E[Z_{S-k}], the product of the other z values.
 
 
-def _fast_invariants(factors, groups):
+def _fast_invariants(factors, groups, points=1):
     """Per input and site pop0 and coherence, (..., n) for (..., n, 2, 2) factors,
-    and per string size the sites as flat indices into those coherences, with
-    -2i c_S per input (single sites) or c_S and the other-site z products."""
+    and per string size the sites as flat indices into a block of `points` time
+    points' coherences, one row per point, with -2i c_S per input (single sites)
+    or c_S and the other-site z products."""
     pop0 = factors[..., 0, 0].real.copy()
-    coh = factors[..., 0, 1]
+    coh = factors[..., 0, 1].copy()  # contiguous, as each block copies it once per point
     zval = (factors[..., 0, 0] - factors[..., 1, 1]).real
     first = np.arange(0, coh.size, coh.shape[-1])[:, None]  # each input's first flat index
+    rows = np.arange(0, points * coh.size, coh.size)[:, None]  # each point's first flat index
     steps = []
     for sites, coeffs in groups:
         others = None if sites.shape[1] == 1 else qcore.exclusive_products(zval[..., sites - 1])
         # a single-site factor is the same for every input: one view of the coefficients
         single = np.broadcast_to(-2j * coeffs, coh.shape[:-1] + coeffs.shape)
-        steps.append(((first + sites.ravel() - 1).ravel(), single if others is None else coeffs, others))
+        steps.append((rows + (first + sites.ravel() - 1).ravel(), single if others is None else coeffs, others))
     return pop0, coh, steps
 
 
 def _fast_coherences(invariants, t):
-    """Per-site evolved coherence at time t on the fast route, shaped as the invariants'."""
+    """Per-site evolved coherences on the fast route at a block of T time points (at
+    most the invariants' `points`), (T,) + the invariants' shape; a scalar t drops T."""
     _, coh, steps = invariants
-    out = coh.copy()
+    t = np.asarray(t)
+    out = np.empty(t.shape + coh.shape, complex)
+    out[...] = coh
+    tt = t[(...,) + (None,) * coh.ndim]  # each point against every input and site
     for sites, coeffs, others in steps:
         if others is None:
-            factor = np.exp(coeffs * t)
+            factor = np.exp(coeffs * tt)
         else:
-            ang = 2 * coeffs * t
-            factor = np.cos(ang)[:, None] - 1j * np.sin(ang)[:, None] * others
+            ang = 2 * coeffs * tt
+            factor = np.cos(ang)[..., None] - 1j * np.sin(ang)[..., None] * others
         # scalar rounding, each site's factors in (size, support) order; flat
-        # indices keep numpy's fast 1-d loop
-        np.multiply.at(out.reshape(-1), sites, factor.ravel())
+        # indices keep numpy's fast 1-d loop, a short block takes their first rows
+        np.multiply.at(out.reshape(-1), sites[:t.size].ravel(), factor.ravel())
     return out
 
 
@@ -397,7 +404,7 @@ def _route(spec, pure_input, method, strings, fast_ok):
 
 
 def _chunks(count, entries):
-    """range(count) as slices that hold at most one input's or HEISENBERG_BLOCK state entries."""
+    """range(count) as slices (of inputs or points) holding at most one item's or HEISENBERG_BLOCK state entries."""
     step = max(1, HEISENBERG_BLOCK // entries)
     return [slice(i, i + step) for i in range(0, count, step)]
 
@@ -457,13 +464,14 @@ def dynamics(cg, spec, method="auto"):
                     rho_t = qcore.propagate(evals, None, rho0, times[i:i + 1])
                     bloch[idx, i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
         elif route == "fast":
-            invariants = _fast_invariants(factors, strings)
+            blocks = _chunks(times.size, len(sols) * n)
+            invariants = _fast_invariants(factors, strings, min(blocks[0].stop, times.size))
             # each input's own dot, as stacked 1 x n by n x 1 products; populations are conserved
             bloch[..., 2] = 2 * (invariants[0][:, None, :] @ cg.probs[:, None])[:, :1, 0] - 1.0
-            probs, eff_coh = cg.probs.astype(complex)[:, None], np.empty((len(sols), times.size, 1), complex)
-            for i, t in enumerate(times):
-                np.matmul(_fast_coherences(invariants, t)[:, None, :], probs, out=eff_coh[:, i:i + 1])
-            bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0].real, -2 * eff_coh[..., 0].imag
+            probs, eff_coh = cg.probs.astype(complex)[:, None], np.empty((times.size, len(sols), 1, 1), complex)
+            for block in blocks:
+                np.matmul(_fast_coherences(invariants, times[block])[..., None, :], probs, out=eff_coh[block])
+            bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0, 0].T.real, -2 * eff_coh[..., 0, 0].T.imag
         else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
             mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)
             engine = None

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,41 @@ def test_field_tc_at_zero_spread(tmp_path, capsys):
     # only the field experiment has a dephasing time
     assert cli.main(["cnot", "--tmax", "2tc"]) == 1
     assert "only makes sense for field runs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cnot", "--tmax", "inf"], ["cnot", "--tmax", "1e400"], ["sweep", "--tmax", "inf"],
+    ["field", "--tmax", "1e308tc"], ["diagnostics", "--target", "swap", "--tmax", "inf"],
+])
+def test_non_finite_tmax_is_refused_by_name(tmp_path, capsys, argv):
+    # an infinite endpoint used to reach linspace, which warned and made NaN times
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, *argv)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "cgdyn: tmax must be positive and finite, got inf\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _per_value_csv(header, columns):
+    # the CSV as formatted one value at a time: the bytes to keep
+    lines = [",".join(header)]
+    lines.extend(",".join(f"{float(v):.17g}" for v in row) for row in zip(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_the_per_value_format(tmp_path, monkeypatch):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1, 1.0 / 3.0]
+    columns = [np.arange(len(special)), np.array(special), np.array(special[::-1])]
+    assert cli._csv(["i", "a", "b"], columns) == _per_value_csv(["i", "a", "b"], columns)
+    assert cli._csv(["t"], [np.array([])]) == "t\n"
+    # both writers: the trajectory experiments and the sweep's integer state column
+    seen, write = [], cli._csv
+    monkeypatch.setattr(cli, "_csv", lambda header, cols: seen.append(
+        write(header, cols) == _per_value_csv(header, cols)) or write(header, cols))
+    assert _run(tmp_path, "swap-kappa", "--steps", "30")[0] == 0
+    assert _run(tmp_path, "sweep", "--states", "7", "--steps", "3", "--tmax", "1")[0] == 0
+    assert seen == [True, True]
 
 
 def test_metadata_written_next_to_csv(tmp_path):

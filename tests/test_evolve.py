@@ -632,6 +632,43 @@ def test_fast_route_keeps_the_per_point_bytes(spec):
         assert evolve._fast_coherences(invariants, t).tobytes() == coh.tobytes()
 
 
+@pytest.mark.parametrize("n, points", [(10, 1000), (160, 401)])
+@pytest.mark.parametrize("kind", ["field", "nbody", "chain"])
+def test_blocked_fast_route_keeps_the_per_point_bytes(n, points, kind):
+    # the grid is stepped in blocks of HEISENBERG_BLOCK coherences, here several
+    # full blocks and a short last one for every stack size
+    spec = (evolve.IsingChain(n_spins=n, J=0.7, g=0.0) if kind == "chain"
+            else evolve.sample_field(n, seed=n, include_interaction=kind == "nbody"))
+    rng = np.random.default_rng(n + points)
+    rhos, cg = np.array([qcore.random_density(2, rng) for _ in range(3)]), custom(rng.dirichlet(np.ones(n)))
+    times = np.linspace(0.0, 7.0, points)
+    want = [_per_point_fast_bloch(rho, cg, spec, times)[0] for rho in rhos]
+    for size in (1, 2, 3):
+        assert points % (evolve.HEISENBERG_BLOCK // (size * n)) != 0  # a short last block
+        got = evolve.trajectory(rhos[:size], cg, spec, times, method="fast")
+        for b in range(size):
+            assert got.bloch[b].tobytes() == want[b].tobytes(), (size, b)
+    # a scalar t is the matching row of a block
+    invariants = evolve._fast_invariants(maxent.assign(rhos, cg).factors, evolve._z_strings(spec), points)
+    block = evolve._fast_coherences(invariants, times)
+    assert block.shape == (points, 3, n)
+    for t, row in zip(times, block):
+        assert evolve._fast_coherences(invariants, t).tobytes() == row.tobytes()
+
+
+def test_fast_route_blocks_hold_at_most_heisenberg_block_coherences(monkeypatch):
+    calls, step = [], evolve._fast_coherences
+    monkeypatch.setattr(evolve, "_fast_coherences", lambda inv, t: calls.append(np.size(t)) or step(inv, t))
+    rho = qcore.density_from_bloch([0.8, 0.0, 0.0])
+    evolve.trajectory(rho, non_preferential(10 ** 4), evolve.sample_field(10 ** 4), np.linspace(0.0, 1.0, 101))
+    assert calls == [1] * 101  # past HEISENBERG_BLOCK sites one point at a time
+    calls.clear()
+    # the field-small-n config's grid in one block
+    t_c = 2.0 * math.pi / 0.2
+    evolve.trajectory(rho, preferential(10, 0.5), evolve.sample_field(10, seed=7), np.linspace(0.0, 4 * t_c, 401))
+    assert calls == [401]
+
+
 # ---------------------------------------------------------------------------
 # Continuity across the two radius cuts of the assignment
 

@@ -577,6 +577,15 @@ def test_2x2_hermiticity_is_is_hermitian(rho):
     assert _hermitian_verdict(rho) == want
 
 
+def test_is_hermitian_on_infinite_entries_is_quiet():
+    # inf - inf in m - m^dag is NaN: the verdict is False, with no numpy warning
+    rho = np.array([[0.5, complex(math.inf, 0.0)], [complex(math.inf, 0.0), 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not qcore.is_hermitian(rho)
+        assert not qcore.is_hermitian(np.stack([np.eye(2) / 2, rho]))
+
+
 def test_2x2_hermiticity_at_the_edge():
     # ulp-exact edges: with rho01 = 0, rho01 - conj rho10 is -conj rho10 exactly, and
     # |rho10| is set at (1 + k ulp) times the bound. numpy's |z| and libm's hypot
