@@ -126,7 +126,10 @@ class FieldAllToAll:
     include_interaction: bool = False
 
     def __post_init__(self):
-        w = tuple(float(x) for x in np.atleast_1d(np.asarray(self.omegas, dtype=float)))
+        w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
+        if w.ndim != 1:
+            raise ValueError("field omegas must be a flat vector")
+        w = tuple(w.tolist())
         if len(w) < 2:
             raise ValueError("field model needs at least two sites")
         _check_finite(self, "omegas", *w)

@@ -142,8 +142,8 @@ def assign(rho_eff, cg):
     unconstrained) and yields n copies of the pure state.
     """
     rho_eff = np.asarray(rho_eff, dtype=complex)
-    if rho_eff.shape[-2:] != (2, 2) or rho_eff.ndim > 3:
-        raise ValueError("effective state must be a single qubit or a stack of them")
+    if rho_eff.shape[-2:] != (2, 2) or rho_eff.ndim > 3 or rho_eff.size == 0:
+        raise ValueError("effective state must be a single qubit or a nonempty stack of them")
     r = qcore.bloch_from_density(rho_eff)
     r_ef = qcore.bloch_radius(r)
     # the radius first: outside the ball is bad input (ValueError) however far, and

@@ -80,17 +80,6 @@ def kron(factors):
     return out
 
 
-def _parity(v, n):
-    """Parity of the low n bits of every entry of a nonnegative integer array."""
-    s = 1
-    while s < n:
-        s *= 2
-    while s > 1:
-        s //= 2
-        v = v ^ (v >> s)
-    return v & 1
-
-
 def pauli_sum(terms, n):
     """Dense matrix of sum coeff * string on n qubits.
 
@@ -126,8 +115,7 @@ def _pauli_blocks(terms, n, states):
                 ny += 1
         # i^ny: a real sign times one factor of i when ny is odd
         scale = coeff if ny % 4 < 2 else -coeff
-        # an X string (zmask 0) has every sign +1 and needs no parity
-        vals = scale * (1.0 - 2.0 * _parity(states & zmask, n) if zmask else np.ones(states.shape))
+        vals = scale * (1.0 - 2.0 * (np.bitwise_count(states & zmask) & 1))
         if ny % 2:
             vals = 1j * vals
         blocks[xmask] = blocks.get(xmask, 0j) + vals
@@ -224,12 +212,6 @@ def density_from_bloch(r):
     return rho
 
 
-# The 2x2 trace norm's products on the float view (p, q, r, s, u, v, w, z) = re, im of
-# a00, a01, a10, a11, neighbours then summed in pairs: the eight squares, then 2 det A =
-# 2(pw + sv) - 2(qz + ru) + i [2(pz + qw) - 2(rv + su)]
-_TN_LEFT = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 3, 1, 2, 0, 1, 2, 3])
-_TN_RIGHT = np.array([0, 1, 2, 3, 4, 5, 6, 7, 6, 5, 7, 4, 7, 6, 5, 4])
-_TN_WEIGHT = np.array([1.0] * 8 + [2.0, 2.0, -2.0, -2.0] * 2)
 _SMALLEST = math.ulp(0.0)  # the scale of a zero matrix, so that it gives 0.0
 _NOT_FINITE = "trace norm is not finite: a NaN or infinite entry, or overflow"
 
@@ -241,7 +223,7 @@ def trace_norm(a):
     norm per matrix, each equal bit for bit to the single-matrix call. A 2x2
     takes sigma_1 + sigma_2 = sqrt(|A|_F^2 + 2 |det A|) with A scaled by its
     largest |real or imaginary part|, so no square overflows or underflows;
-    one matrix is a stack of one. Other sizes take the SVD. ValueError unless
+    one matrix takes the same elementwise steps. Other sizes take the SVD. ValueError unless
     every norm is finite (a NaN or infinite entry, or overflow).
     """
     a = np.asarray(a, dtype=complex)
@@ -256,15 +238,11 @@ def trace_norm(a):
 
 
 def _trace_norm_2x2(a):
-    v = np.ascontiguousarray(a).reshape(-1, 4).view(float)
-    m = np.abs(v).max(1, initial=_SMALLEST, keepdims=True)
-    v = v / m
-    e = v.take(_TN_LEFT, 1) * v.take(_TN_RIGHT, 1) * _TN_WEIGHT
-    e = e[:, 0::2] + e[:, 1::2]
-    e = e[:, 0::2] + e[:, 1::2]  # the two halves of |A|_F^2, re and im of 2 det A
-    np.square(e[:, 2:], out=e[:, 2:])
-    e = e[:, 0::2] + e[:, 1::2]
-    return (m[:, 0] * np.sqrt(e[:, 0] + np.sqrt(e[:, 1]))).reshape(a.shape[:-2])
+    v = np.ascontiguousarray(a).view(float)  # (..., 2, 4): re, im of each entry
+    m = np.abs(v).max((-2, -1), initial=_SMALLEST, keepdims=True)
+    a = (v / m).view(complex)  # a real division: a subnormal scale gives no 0 * inf
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return m[..., 0, 0] * np.sqrt((a.real ** 2 + a.imag ** 2).sum((-2, -1)) + 2.0 * np.abs(det))
 
 
 def is_hermitian(m):
@@ -297,18 +275,13 @@ def assert_density_matrix(rho, name="state"):
 
 
 def time_grid(values, name="time grid"):
-    """values as a float array; ValueError unless nonempty, 1-d, finite and strictly increasing.
-
-    One comparison pass decides: a NaN or an infinity inside the grid fails
-    grid[1:] > grid[:-1], so only the two ends need a finiteness test. The
-    full scan runs only on a refused grid, to name the reason.
-    """
+    """values as a float array; ValueError unless nonempty, 1-d, finite and strictly increasing."""
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not ((grid[1:] > grid[:-1]).all() and math.isfinite(grid[0]) and math.isfinite(grid[-1])):
-        if not np.isfinite(grid).all():
-            raise ValueError(f"{name} must hold finite values")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} must hold finite values")
+    if not (np.diff(grid) > 0).all():
         raise ValueError(f"{name} must be strictly increasing")
     return grid
 

@@ -205,6 +205,24 @@ def test_non_finite_times_and_outputs_raise():
             evolve.trajectory(qcore.density_from_bloch(_bloch(0.8, 0.3)), cg, evolve.Swap(), [0.0, 1.0])
 
 
+def test_empty_input_stack_is_refused():
+    # every route, and the assignment behind them, refuses a stack with no inputs
+    empty, cg = np.empty((0, 2, 2)), preferential(2, 0.7)
+    field = evolve.FieldAllToAll((1.0, 1.3))
+    for spec, method in ((field, "fast"), (field, "dense"), (evolve.Swap(), "statevector")):
+        with pytest.raises(ValueError, match="nonempty stack"):
+            evolve.dynamics(cg, spec, method)(empty, [0.0, 1.0])
+    with pytest.raises(ValueError, match="nonempty stack"):
+        maxent.assign(empty, cg)
+
+
+def test_field_refuses_non_flat_omegas():
+    with pytest.raises(ValueError, match="field omegas must be a flat vector"):
+        evolve.FieldAllToAll([[1.0, 1.3], [1.7, 2.1]])
+    with pytest.raises(ValueError, match="field model needs at least two sites"):
+        evolve.FieldAllToAll(1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("spec, name", [
     (evolve.Swap(), "omega"), (evolve.Cnot(), "omega"), (evolve.CnotInteraction(), "omega"),
