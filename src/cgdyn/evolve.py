@@ -29,21 +29,24 @@ not the spec's class or the input:
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
-`dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2)
-stack of inputs per call (one 2x2 input is a stack of one): what depends on
-H and the weights alone (the energies, the Krylov orbits and sparse -iH, the
-eigh of H and the fuzzy operators in its eigenbasis) is built on first use
-and kept, so the diagnostics and sweeps pay for it once per map, and each
-route steps the whole stack, in runs of inputs that hold no more state
-entries than one input or HEISENBERG_BLOCK; the fast route steps the grid in
-blocks of time points under the same bound. `trajectory` is its one-shot
-form. Each returns the trajectory with the route that ran and the lambda
-solutions; the CLI alone turns those into run metadata.
+`dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2) stack
+of inputs per call (one 2x2 input is a stack of one): what depends on H and the
+weights alone (the energies, the Krylov orbits and sparse -iH, the eigh of H
+and the fuzzy operators in its eigenbasis) is built on first use and kept, so
+the diagnostics and sweeps pay for it once per map, and each route steps the
+whole stack, in runs of inputs that hold no more state entries than one input
+or HEISENBERG_BLOCK; the fast route steps the grid in blocks of time points
+under the same bound (one-point blocks on all the process's CPUs, no byte
+depending on how many). `trajectory` is its one-shot form. Each returns the
+trajectory with the route that ran and the lambda solutions; the CLI alone
+turns those into run metadata.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -56,6 +59,7 @@ DENSE_MAX_QUBITS = 12
 STATEVECTOR_MAX_SPINS = 20
 MIXED_MAX_SPINS = 8
 HEISENBERG_BLOCK = 4096  # state entries per stacked step of inputs or fast-route points, unless one holds more
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # fast-route workers
 # Modelled nanoseconds of the state-vector engines, fitted on the g = 0.5 chain
 # (warm, 2 cores). eigh: d^3, then d^2 per point. Krylov: sparse products, some
 # per point and more per unit of |H| t (|H| <= sum |coeff|), each an overhead
@@ -438,6 +442,7 @@ def dynamics(cg, spec, method="auto"):
     one engine for its pure inputs), steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
     an input's own arithmetic, except Krylov stepping several inputs at once.
+    One-point fast blocks run on the process's CPUs; no byte depends on how many.
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
@@ -472,8 +477,23 @@ def dynamics(cg, spec, method="auto"):
             # each input's own dot, as stacked 1 x n by n x 1 products; populations are conserved
             bloch[..., 2] = 2 * (invariants[0][:, None, :] @ cg.probs[:, None])[:, :1, 0] - 1.0
             probs, eff_coh = cg.probs.astype(complex)[:, None], np.empty((times.size, len(sols), 1, 1), complex)
-            for block in blocks:
-                np.matmul(_fast_coherences(invariants, times[block])[..., None, :], probs, out=eff_coh[block])
+            def step(share):  # blocks that write their own rows by unchanged arithmetic, in any order
+                try:
+                    for block in share:
+                        np.matmul(_fast_coherences(invariants, times[block])[..., None, :], probs, out=eff_coh[block])
+                except BaseException as exc:  # raised once every share is joined
+                    errors.append(exc)
+            w, errors, threads = min(_CPUS, len(blocks)) if blocks[0].stop == 1 else 1, [], []
+            try:
+                for k in range(1, w):  # one-point blocks in interleaved shares on the process's CPUs
+                    (thread := threading.Thread(target=step, args=(blocks[k::w],))).start()
+                    threads.append(thread)
+                step(blocks[::w])  # the caller's share
+            finally:
+                for thread in threads:
+                    thread.join()
+            if errors:
+                raise errors[0]
             bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0, 0].T.real, -2 * eff_coh[..., 0, 0].T.imag
         else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
             mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)

@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import math
+import sys
+import threading
+import time
 from dataclasses import dataclass
 from unittest import mock
 
@@ -685,6 +688,100 @@ def test_fast_route_blocks_hold_at_most_heisenberg_block_coherences(monkeypatch)
     t_c = 2.0 * math.pi / 0.2
     evolve.trajectory(rho, preferential(10, 0.5), evolve.sample_field(10, seed=7), np.linspace(0.0, 4 * t_c, 401))
     assert calls == [401]
+
+
+@pytest.mark.parametrize("points", [1, 2, 33])
+@pytest.mark.parametrize("n, size", [(2049, 1), (1025, 2), (10 ** 4, 3), (20001, 1)])
+@pytest.mark.parametrize("nbody", [False, True], ids=["field", "nbody"])
+def test_worker_count_never_changes_a_byte(monkeypatch, n, size, points, nbody):
+    # one-point blocks run on the process's CPUs: 3 workers give uneven shares on two
+    # cores, switching often, and n = 20,001 reaches OpenBLAS's threaded zdotu in the read-out
+    spec = evolve.sample_field(n, seed=n, include_interaction=nbody)
+    rng = np.random.default_rng(n + size)
+    rhos, cg = np.array([qcore.random_density(2, rng) for _ in range(size)]), custom(rng.dirichlet(np.ones(n)))
+    times = np.linspace(0.0, 5.0, points)
+    got, before, interval = [], threading.active_count(), sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(evolve, "_CPUS", workers)
+            got.append(evolve.trajectory(rhos, cg, spec, times).bloch.tobytes())
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_threads_start_only_on_one_point_blocks(monkeypatch):
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    rho, before = qcore.density_from_bloch([0.8, 0.0, 0.0]), threading.active_count()
+
+    def started(spec, points):
+        starts.clear()
+        evolve.trajectory(rho, non_preferential(spec.n), spec, np.linspace(0.0, 5.0, points))
+        assert threading.active_count() == before
+        return len(starts)
+
+    assert started(evolve.sample_field(160, seed=7), 401) == 0  # the field-dephasing config
+    assert started(evolve.IsingChain(n_spins=50, J=1.0, g=0.0), 101) == 0
+    assert started(evolve.sample_field(1000, seed=1), 101) == 0
+    assert started(evolve.sample_field(2049, seed=1), 101) == evolve._CPUS - 1
+    monkeypatch.setattr(evolve, "_CPUS", 3)
+    assert started(evolve.sample_field(2049, seed=1), 101) == 2
+    assert started(evolve.sample_field(2049, seed=1), 2) == 1  # no more workers than blocks
+
+
+@pytest.mark.parametrize("error, on_worker", [(ValueError("boom"), True), (KeyboardInterrupt(), False)],
+                         ids=["worker-value-error", "caller-interrupt"])
+def test_failing_share_surfaces_after_every_thread_joined(monkeypatch, error, on_worker):
+    n, times = 2049, np.linspace(0.0, 5.0, 101)
+    spec, cg = evolve.sample_field(n, seed=2, include_interaction=True), custom(np.full(n, 1.0 / n))
+    rho, step = qcore.density_from_bloch([0.6, 0.3, 0.1]), evolve._fast_coherences
+    want = _per_point_fast_bloch(rho, cg, spec, times)[0]
+    dyn, before = evolve.dynamics(cg, spec), threading.active_count()
+    monkeypatch.setattr(evolve, "_CPUS", 2)
+    calls = {True: 0, False: 0}
+
+    def failing(invariants, t):
+        worker = threading.current_thread() is not threading.main_thread()
+        calls[worker] += 1
+        if worker == on_worker and t[0] == times[5 if on_worker else 0]:
+            raise error
+        return step(invariants, t)
+
+    monkeypatch.setattr(evolve, "_fast_coherences", failing)
+    with pytest.raises(type(error)) as raised:
+        dyn(rho, times)
+    assert raised.value is error and threading.active_count() == before
+    if not on_worker:  # the caller's interrupt waits for the worker's whole share
+        assert calls == {False: 1, True: 50}
+    monkeypatch.setattr(evolve, "_fast_coherences", step)
+    assert dyn(rho, times).bloch.tobytes() == want.tobytes()
+
+
+def test_a_thread_that_cannot_start_leaves_the_started_ones_joined(monkeypatch):
+    started, start, step = [], threading.Thread.start, evolve._fast_coherences
+
+    def start_once(self):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        start(self)
+
+    def slow_off_main(invariants, t):  # the started worker is still busy when the next start fails
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.002)
+        return step(invariants, t)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(evolve, "_fast_coherences", slow_off_main)
+    monkeypatch.setattr(evolve, "_CPUS", 3)
+    n, before = 2049, threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        evolve.trajectory(qcore.density_from_bloch([0.8, 0.0, 0.0]), non_preferential(n), evolve.sample_field(n),
+                          np.linspace(0.0, 5.0, 101))
+    assert len(started) == 1 and not started[0].is_alive() and threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
