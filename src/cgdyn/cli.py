@@ -346,10 +346,12 @@ def _run_diagnostics(res):
     grid = np.linspace(tmax / steps, tmax, steps)
     report = {"target": target, "seed": seed, "version": __version__}
     derived = {}
-    # these targets form 2^n x 2^n states; past the cap none is formed and no probe runs
-    if target in (*_DIAG_CHANNELS, "ising") and int(res["n"]) > evolve.DENSE_MAX_QUBITS:
+    # refused before any 2^n x 2^n state or probe; at g != 0 ising's mixed probes meet the Heisenberg form's cap
+    mixed = target == "ising" and res["g"] != 0.0
+    cap = evolve.MIXED_MAX_SPINS if mixed else evolve.DENSE_MAX_QUBITS
+    if target in (*_DIAG_CHANNELS, "ising") and int(res["n"]) > cap:
         what = "the ising target is" if target == "ising" else "channel targets are"
-        raise ValueError(f"{what} capped at {evolve.DENSE_MAX_QUBITS} qubits, got {int(res['n'])}")
+        raise ValueError(f"{what} capped at {cap} qubits{' at g != 0' if mixed else ''}, got {int(res['n'])}")
 
     if target in _DIAG_MODELS:
         preferred, make_spec = _DIAG_MODELS[target]

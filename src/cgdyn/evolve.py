@@ -5,9 +5,9 @@ The composite map
     Gamma_t = C o U(t) . U(t)^dag o A
 
 is evaluated along one of three routes. Each Hamiltonian spec declares
-itself as a sum of Pauli strings (`terms()`) and refuses a non-finite
-coefficient when built; the automatic route reads that structure alone,
-not the spec's class or the input:
+itself as a sum of Pauli strings (`terms()`), each with a finite real
+coefficient (else ValueError, naming the string, before any step); the
+automatic route reads that structure alone, not the spec's class or input:
 
 * fast: any z-only sum whose strings pairwise share at most one site once
   equal supports are merged: the field with or without the n-body term,
@@ -36,17 +36,17 @@ and the fuzzy operators in its eigenbasis) is built on first use and kept, so
 the diagnostics and sweeps pay for it once per map, and each route steps the
 whole stack, in runs of inputs that hold no more state entries than one input
 or HEISENBERG_BLOCK; the fast route steps the grid in blocks of time points
-under the same bound (one-point blocks on all the process's CPUs, no byte
-depending on how many). `trajectory` is its one-shot form. Each returns the
-trajectory with the route that ran and the lambda solutions; the CLI alone
-turns those into run metadata.
+under the same bound (one-point blocks on all the process's CPUs, through a
+thread pool imported on that path alone that joins its workers before the
+call ends; no byte depends on how many). `trajectory` is its one-shot form.
+Each returns the trajectory with the route that ran and the lambda
+solutions; the CLI alone turns those into run metadata.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -273,6 +273,9 @@ def _z_strings(spec):
         if sites not in merged:
             buckets.setdefault(len(sites), []).append(sites)
         merged[sites] = merged[sites] + coeff if sites in merged else coeff
+    # a complex, NaN or infinite coefficient spoils the sum; the Pauli-sum check then names its string
+    if not (np.isrealobj(total := sum(merged.values())) and np.isfinite(total)):
+        qcore._pauli_blocks([(c, tuple((k, "z") for k in s)) for s, c in merged.items()], spec.n, np.arange(0))
     groups = []
     for size in sorted(buckets.keys() - {0}):  # an identity string is a phase
         supports = sorted(buckets[size])
@@ -442,7 +445,10 @@ def dynamics(cg, spec, method="auto"):
     one engine for its pure inputs), steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
     an input's own arithmetic, except Krylov stepping several inputs at once.
-    One-point fast blocks run on the process's CPUs; no byte depends on how many.
+    One-point fast blocks run as w = min(CPUs, blocks) interleaved shares: the
+    caller's, and w - 1 on a `ThreadPoolExecutor` (imported on that path alone)
+    that joins its workers before the call returns or raises. No byte depends
+    on w; the caller's exception wins, else the first failing worker share's.
     """
     if spec.n != cg.n:
         raise ValueError(f"Hamiltonian acts on {spec.n} sites but weights cover {cg.n}")
@@ -478,22 +484,16 @@ def dynamics(cg, spec, method="auto"):
             bloch[..., 2] = 2 * (invariants[0][:, None, :] @ cg.probs[:, None])[:, :1, 0] - 1.0
             probs, eff_coh = cg.probs.astype(complex)[:, None], np.empty((times.size, len(sols), 1, 1), complex)
             def step(share):  # blocks that write their own rows by unchanged arithmetic, in any order
-                try:
-                    for block in share:
-                        np.matmul(_fast_coherences(invariants, times[block])[..., None, :], probs, out=eff_coh[block])
-                except BaseException as exc:  # raised once every share is joined
-                    errors.append(exc)
-            w, errors, threads = min(_CPUS, len(blocks)) if blocks[0].stop == 1 else 1, [], []
-            try:
-                for k in range(1, w):  # one-point blocks in interleaved shares on the process's CPUs
-                    (thread := threading.Thread(target=step, args=(blocks[k::w],))).start()
-                    threads.append(thread)
-                step(blocks[::w])  # the caller's share
-            finally:
-                for thread in threads:
-                    thread.join()
-            if errors:
-                raise errors[0]
+                for block in share:
+                    np.matmul(_fast_coherences(invariants, times[block])[..., None, :], probs, out=eff_coh[block])
+            if blocks[0].stop == 1 and (w := min(_CPUS, len(blocks))) > 1:  # interleaved one-point shares
+                from concurrent.futures import ThreadPoolExecutor
+                with ThreadPoolExecutor(w - 1) as pool:  # leaving joins every worker, also on a raise
+                    shares = pool.map(step, [blocks[k::w] for k in range(1, w)])
+                    step(blocks[::w])  # the caller's share: its exception wins
+                    list(shares)  # else the first failing worker share's, in share order
+            else:
+                step(blocks)
             bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0, 0].T.real, -2 * eff_coh[..., 0, 0].T.imag
         else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
             mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)
@@ -563,8 +563,8 @@ def dynamics(cg, spec, method="auto"):
 def trajectory(rho_eff, cg, spec, times, method="auto"):
     """Effective trajectory of one input or a stack over a time grid: the one-shot
     form of `dynamics(cg, spec, method)(rho_eff, times)`. The grid must be
-    nonempty, finite and strictly increasing. Built-in specs reject non-finite
-    coefficients when built; a NaN or out-of-ball effective radius raises
+    nonempty, finite and strictly increasing. A coefficient that is no finite
+    real number raises ValueError; a NaN or out-of-ball effective radius raises
     PositivityError.
     """
     return dynamics(cg, spec, method)(rho_eff, times)

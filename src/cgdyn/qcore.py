@@ -14,6 +14,7 @@ Everything here is d = 2 (qubits). Local dimension is not a parameter.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -83,9 +84,9 @@ def kron(factors):
 def pauli_sum(terms, n):
     """Dense matrix of sum coeff * string on n qubits.
 
-    Terms are (coeff, ((site, axis), ...)) with distinct 1-based sites and
-    axes "x", "y", "z". Terms with one xmask fill the same entries and are
-    summed in declaration order.
+    Terms are (coeff, ((site, axis), ...)) with a finite real coeff, distinct
+    1-based sites and axes "x", "y", "z". Terms with one xmask fill the same
+    entries and are summed in declaration order.
     """
     dim = 2 ** n
     b = np.arange(dim)
@@ -100,6 +101,8 @@ def _pauli_blocks(terms, n, states):
     maps |b> to i^#Y (-1)^popcount(b & zmask) |b ^ xmask>; X, Y flip and Z, Y sign."""
     blocks = {}
     for coeff, ops in terms:
+        if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)):
+            raise ValueError(f"coefficient {coeff!r} of Pauli string {ops!r} is not a finite real number")
         xmask = zmask = ny = 0
         for site, axis in ops:
             if not 1 <= site <= n or axis not in AXES:

@@ -375,9 +375,26 @@ def test_ising_target_refuses_past_the_dense_cap(tmp_path, monkeypatch, capsys):
         cli.main(argv + [str(cap)])
 
 
+def test_ising_target_refuses_mixed_probes_past_their_cap(tmp_path, capsys):
+    # the battery's probe inputs are mixed: at g != 0 they take the Heisenberg form,
+    # capped at MIXED_MAX_SPINS, so the run is refused up front naming that cap; at
+    # g = 0 they take the fast route, which has no such cap
+    cap = evolve.MIXED_MAX_SPINS
+    argv = ["diagnostics", "--target", "ising", "--n", str(cap + 1), "--samples", "5", "--steps", "3",
+            "-o", str(tmp_path / "r.json")]
+    assert cli.main(argv + ["--g", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert f"cgdyn: the ising target is capped at {cap} qubits at g != 0, got {cap + 1}" in err
+    assert "pure" not in err and not list(tmp_path.iterdir())
+    assert cli.main(argv + ["--g", "0"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["target"] == "ising"
+
+
 def test_shipped_configs_never_import_scipy(tmp_path):
     # the configs take no sparse or Krylov route, so scipy (about 25 MB
-    # resident) stays unloaded; a fresh interpreter sees what the runs import
+    # resident) stays unloaded, and no fast-route block of theirs is one time
+    # point, so neither does the thread pool's concurrent.futures; a fresh
+    # interpreter sees what the runs import
     script = (
         "import json, os, sys\n"
         "from cgdyn import cli\n"
@@ -385,7 +402,7 @@ def test_shipped_configs_never_import_scipy(tmp_path):
         "for name, entry in json.load(open(os.path.join(configs, 'checksums.json'))).items():\n"
         "    argv = [entry['experiment'], '--config', os.path.join(configs, name)]\n"
         "    assert cli.main(argv + ['--output', os.path.join(out, name)]) == 0, name\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))))\n"
     )
     src = os.path.abspath(os.path.join(SRC_DIR, os.pardir))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -713,9 +714,16 @@ def test_worker_count_never_changes_a_byte(monkeypatch, n, size, points, nbody):
 
 
 def test_threads_start_only_on_one_point_blocks(monkeypatch):
-    starts, start = [], threading.Thread.start
+    starts, start, step = [], threading.Thread.start, evolve._fast_coherences
     monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
     rho, before = qcore.density_from_bloch([0.8, 0.0, 0.0]), threading.active_count()
+
+    def busy_off_main(invariants, t):  # the pool hands the next share to a worker that is done with its own
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.001)
+        return step(invariants, t)
+
+    monkeypatch.setattr(evolve, "_fast_coherences", busy_off_main)
 
     def started(spec, points):
         starts.clear()
@@ -1018,6 +1026,40 @@ def test_eigensystem_is_real_for_a_real_hamiltonian():
         evals, evecs = qcore.eigensystem(h)
         assert evecs.dtype == float
         assert np.abs(evecs @ np.diag(evals) @ evecs.T - h).max() <= 1e-13
+
+
+_Z_PART = ((1.0, ((1, "z"),)), (0.5, ((1, "z"), (3, "z"))))
+_XX_RING = tuple((1.0, ((k, "x"), (k % 13 + 1, "x"))) for k in range(1, 14))
+
+
+@pytest.mark.parametrize("bad", [1j, math.nan, math.inf], ids=["complex", "nan", "inf"])
+@pytest.mark.parametrize("route, engine, n, rest, string, pure", [
+    ("fast", None, 3, _Z_PART, ((2, "z"),), False),
+    ("dense", None, 3, _Z_PART, ((1, "z"), (2, "z"), (3, "z")), False),  # Z1Z3 in Z1Z2Z3: not a product
+    ("statevector", None, 3, ((1.0, ((1, "x"),)),), ((2, "z"),), False),  # mixed: eigh, Heisenberg form
+    ("statevector", "eigh", 3, ((1.0, ((1, "x"),)),), ((2, "z"),), True),
+    ("statevector", "krylov", 13, _XX_RING, ((1, "z"),), True),
+], ids=["fast", "dense", "mixed-eigh", "pure-eigh", "krylov"])
+def test_coefficient_that_is_no_finite_real_is_refused_before_any_step(monkeypatch, route, engine, n, rest,
+                                                                        string, pure, bad):
+    # a spec that declares its strings through terms() need not check its own coefficients
+    rho, times = qcore.density_from_bloch([0.0, 0.0, 1.0] if pure else [0.3, 0.2, 0.1]), np.linspace(0.0, 1.0, 4)
+    good = _PauliSum(n, rest + ((0.3, string),))
+    assert evolve.trajectory(rho, non_preferential(n), good, times).route == route
+    if engine is not None:
+        norm = sum(abs(c) for c, _ in good.terms())
+        assert evolve._statevector_engine(good, times, evolve._orbits(good)[0].size, norm)[1] == engine
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    for owner, name in ((evolve, "_fast_coherences"), (evolve, "_effective_from_state"), (qcore, "propagate"),
+                        (qcore, "eigensystem"), (scipy.sparse.linalg, "expm_multiply")):
+        monkeypatch.setattr(owner, name, stepped)
+    spec = _PauliSum(n, rest + ((0.3 * bad, string),))
+    with pytest.raises(ValueError) as exc:
+        evolve.dynamics(non_preferential(n), spec)(rho, times)
+    assert str(exc.value) == f"coefficient {0.3 * bad!r} of Pauli string {string!r} is not a finite real number"
 
 
 # ---------------------------------------------------------------------------

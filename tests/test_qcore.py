@@ -137,6 +137,20 @@ def test_pauli_sum_rejects_bad_strings():
             qcore.pauli_sum([(1.0, ops)], 2)
 
 
+@pytest.mark.parametrize("bad", [1j, np.complex128(2.0), math.nan, -math.inf, "1.5", None])
+def test_pauli_sum_refuses_a_coefficient_that_is_no_finite_real(bad):
+    # named with its string, before any entry is written; so is the Krylov engine's CSR
+    ops = ((1, "x"), (2, "z"))
+    want = f"coefficient {bad!r} of Pauli string {ops!r} is not a finite real number"
+    for build in (lambda terms: qcore.pauli_sum(terms, 2),
+                  lambda terms: evolve._sparse_hamiltonian(terms, 2, _basis_orbits(2))):
+        with pytest.raises(ValueError) as exc:
+            build([(0.5, ((1, "z"),)), (bad, ops)])
+        assert str(exc.value) == want
+    for good in (1, np.float32(0.5), np.int64(-2), True):  # real numbers of any type pass
+        assert qcore.pauli_sum([(good, ops)], 2)[2, 0] == float(good)
+
+
 def test_pauli_sum_csr_drops_cancelled_entries():
     # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
     terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
