@@ -17,10 +17,12 @@ automatic route reads that structure alone, not the spec's class or input:
   strings and each step is O(4^n) elementwise work on the joint state.
 * statevector: every non-diagonal Hamiltonian. A pure input is one column
   of amplitudes: one eigh (n <= 12) on the 2^n basis states, or Krylov steps
-  (`expm_multiply`) on orbits of basis states, the ~2^n/n of the
-  momentum-zero sector when site rotation leaves H unchanged, else the 2^n
-  states themselves. A cost model in those counts, grid length and |H| t
-  picks the cheaper.
+  (`expm_multiply`) on the orbits of basis states under the group of site maps
+  that leave H unchanged, generated by the rotation and the reflection where
+  each does (n copies of one qubit are fixed by every site map): ~2^n/2n for
+  the closed chain, ~2^n/2 for the open one, else the 2^n states themselves,
+  read out by the fuzzy operators averaged over the group. A cost model in
+  those counts, grid length and |H| t picks the cheaper.
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H, with
   the grid stepped in blocks of at most HEISENBERG_BLOCK entries of rho(t).
@@ -222,29 +224,38 @@ def build_hamiltonian(spec):
 
 def _orbits(spec):
     """The basis Krylov steps a pure input on: orbit representatives r (ascending),
-    every basis state's r and the orbit lengths L_r. When H's strings, merged by
-    (site, axis), are exactly unchanged as every site k moves to k mod n + 1, these
-    are the rotation orbits (r the least of n bit rotations), the momentum-zero
-    sector, ~2^n/n of them. Otherwise each basis state is its own orbit."""
+    every basis state's r and the orbit lengths L_r, under the group generated by
+    those of the rotation k -> k mod n + 1 and the reflection k -> n + 1 - k that
+    leave H's strings, merged by (site, axis), exactly unchanged. Both (the closed
+    chain): ~2^n/2n bracelets, r the least of the 2n rotated and mirrored images.
+    The rotation alone: the momentum-zero sector, ~2^n/n. The reflection alone (the
+    open chain): the (2^n + 2^ceil(n/2))/2 pairs {b, mirror b}. Neither: each basis
+    state is its own orbit."""
     merged, n = {}, spec.n
     for coeff, ops in spec.terms():
         merged[tuple(sorted(ops))] = merged.get(tuple(sorted(ops)), 0.0) + coeff
-    b = np.arange(2 ** n)
-    if merged != {tuple(sorted((k % n + 1, a) for k, a in key)): c for key, c in merged.items()}:
-        return b, b, np.ones(2 ** n, dtype=int)
-    rep, fixed, r = b.copy(), np.zeros(2 ** n, dtype=int), b
-    for _ in range(n):
-        r = (r >> 1) | ((r & 1) << (n - 1))
-        np.minimum(rep, r, out=rep)
-        fixed += r == b  # L_r is n over the number of rotations that fix r
-    return b[rep == b], rep, n // fixed[rep == b]
+    rotation, reflection = (merged == {tuple(sorted((move(k), a) for k, a in key)): c for key, c in merged.items()}
+                            for move in (lambda k: k % n + 1, lambda k: n + 1 - k))
+    b = np.arange(2 ** n, dtype=np.int32)  # n <= STATEVECTOR_MAX_SPINS: half int64's traffic
+    rep, lengths = b, np.ones(2 ** n, dtype=int)
+    if rotation:
+        rep, fixed, r = b.copy(), np.zeros(2 ** n, dtype=int), b
+        for _ in range(n):
+            r = (r >> 1) | ((r & 1) << (n - 1))
+            np.minimum(rep, r, out=rep)
+            fixed += r == b
+        lengths = n // fixed  # n over the number of rotations that fix the state
+    if reflection:  # one gather: each state's mirror image (bits reversed) lies in orbit rep[mirror]
+        mirror = rep[sum(((b >> k) & 1) << (n - 1 - k) for k in range(n))]
+        rep, lengths = np.minimum(rep, mirror), lengths * (1 + (mirror != rep))
+    return b[rep == b], rep, lengths[rep == b]
 
 
 def _sparse_hamiltonian(terms, n, orbits):
-    """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_k T^k |r> of
-    `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the rotation
-    T on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s) at
-    (S, R); entries that cancel are dropped."""
+    """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s> of
+    `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
+    site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
+    at (S, R); entries that cancel are dropped."""
     from scipy import sparse as sp
 
     reps, rep, lengths = orbits
@@ -439,7 +450,7 @@ def dynamics(cg, spec, method="auto"):
     counts and the method are checked and H's merged z strings parsed here,
     once. What depends on H and the weights alone is built on the first input
     that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
-    Krylov orbits with sparse -iH and the sector spin operators, and the eigh of
+    Krylov orbits with sparse -iH and the averaged fuzzy operators, and the eigh of
     H with the fuzzy operators in its eigenbasis, so a run that only steps
     Krylov never diagonalizes. Each call assigns its stack, picks one route (and
     one engine for its pure inputs), steps the grid and checks the Bloch ball.
@@ -527,12 +538,16 @@ def dynamics(cg, spec, method="auto"):
             elif engine == "krylov":
                 from scipy.sparse.linalg import expm_multiply
 
-                reps, _, lengths = orbits
+                reps, rep, lengths = orbits
                 a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
-                # in a sector every site marginal is (1/n) <sum_j sigma_j>
-                spins = keep("spins", lambda: [
-                    _sparse_hamiltonian([(1.0, ((j, ax),)) for j in range(1, n + 1)], n, orbits)
-                    for ax in qcore.AXES] if reps.size < 2 ** n else None)
+
+                def read_out():  # in a sector the sites of one orbit (that of their one-flip states) share
+                    # their marginal: C reads sum_k pbar_k sigma_k, pbar_k the mean weight over k's orbit
+                    same = (site := rep[1 << np.arange(n - 1, -1, -1)])[:, None] == site
+                    pbar = (same @ cg.probs / same.sum(1)).tolist()
+                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, orbits)
+                            for ax in qcore.AXES]
+                spins = keep("spins", read_out) if reps.size < 2 ** n else None
                 for idx in (pure[run] for run in _chunks(pure.size, reps.size)):
                     # a column per input (a lone one as a vector: expm_multiply norms it
                     # faster), stepped from the last point; at t = 0 orbit R holds sqrt(L_r) psi(r)
@@ -544,8 +559,7 @@ def dynamics(cg, spec, method="auto"):
                         if spins is None:
                             bloch[idx, i] = qcore.bloch_from_density(_effective_from_state(psi_t.T, cg))
                         else:
-                            bloch[idx, i] = np.stack([cg.probs.sum() / n * (psi_t.conj() * (s @ psi_t)).sum(0).real
-                                                      for s in spins], -1)
+                            bloch[idx, i] = np.stack([(psi_t.conj() * (s @ psi_t)).sum(0).real for s in spins], -1)
 
         radii_sq = np.sum(bloch * bloch, axis=-1)
         # the one ball bound that `maxent.assign` applies to inputs, so every output

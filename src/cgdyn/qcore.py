@@ -98,8 +98,10 @@ def pauli_sum(terms, n):
 
 def _pauli_blocks(terms, n, states):
     """{xmask: the sum's values in the columns of the given basis states}: a string
-    maps |b> to i^#Y (-1)^popcount(b & zmask) |b ^ xmask>; X, Y flip and Z, Y sign."""
-    blocks = {}
+    maps |b> to i^#Y (-1)^popcount(b & zmask) |b ^ xmask>; X, Y flip and Z, Y sign.
+    ValueError, naming the string, for a coefficient that is no finite real number,
+    and, naming one of its strings, for an xmask whose summed values overflow."""
+    blocks, first = {}, {}
     for coeff, ops in terms:
         if not (isinstance(coeff, numbers.Real) and math.isfinite(coeff)):
             raise ValueError(f"coefficient {coeff!r} of Pauli string {ops!r} is not a finite real number")
@@ -121,7 +123,12 @@ def _pauli_blocks(terms, n, states):
         vals = scale * (1.0 - 2.0 * (np.bitwise_count(states & zmask) & 1))
         if ny % 2:
             vals = 1j * vals
-        blocks[xmask] = blocks.get(xmask, 0j) + vals
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            blocks[xmask] = blocks.get(xmask, 0j) + vals
+        first.setdefault(xmask, ops)
+    for xmask, vals in blocks.items():
+        if not np.isfinite(vals).all():
+            raise ValueError(f"Pauli strings flipping the sites of {first[xmask]!r} sum to values that are not finite")
     return blocks
 
 

@@ -51,7 +51,7 @@ def test_traced_trajectories_record_the_benchmark_spans(monkeypatch):
     cases = [
         (mixed, preferential(4, 0.4), field, [0.0, 0.5, 1.0], "dense"),
         (mixed, preferential(4, 0.4), evolve.IsingChain(4, g=0.5), [0.0, 0.5, 1.0]),
-        # Krylov on the closed chain's momentum-zero sector and on the open chain's full space
+        # Krylov on the closed chain's sector of rotation and reflection and on the open chain's of reflection
         (pure, non_preferential(10), evolve.IsingChain(10, g=0.5), np.linspace(0.0, 2.0, 10)),
         (pure, non_preferential(10), evolve.IsingChain(10, g=0.5, boundary="open"), np.linspace(0.0, 2.0, 10)),
         (mixed, preferential(6, 0.4), evolve.IsingChain(6), [0.0, 0.5, 1.0]),

@@ -1062,10 +1062,26 @@ def test_coefficient_that_is_no_finite_real_is_refused_before_any_step(monkeypat
     assert str(exc.value) == f"coefficient {0.3 * bad!r} of Pauli string {string!r} is not a finite real number"
 
 
+_OVERFLOWING = _PauliSum(2, ((1e308, ((1, "x"),)), (1e308, ((1, "x"),)), (1.0, ((2, "z"),))))
+
+
+@pytest.mark.parametrize("engine, bloch", [(None, [0.3, 0.2, 0.1]), ("eigh", [0.0, 0.0, 1.0]),
+                                           ("krylov", [0.0, 0.0, 1.0])], ids=["mixed-eigh", "pure-eigh", "krylov"])
+def test_merged_coefficient_that_overflows_names_its_string(engine, bloch):
+    # two finite X1 coefficients whose sum is past the float range: the block of
+    # that xmask is refused, naming one of its strings, with no overflow warning
+    # (tier-1 turns a RuntimeWarning into an error)
+    with _forced(engine) if engine else contextlib.nullcontext():
+        with pytest.raises(ValueError) as exc:
+            evolve.trajectory(qcore.density_from_bloch(bloch), non_preferential(2), _OVERFLOWING, [0.0, 1.0],
+                              method="statevector")
+    assert str(exc.value) == "Pauli strings flipping the sites of ((1, 'x'),) sum to values that are not finite"
+
+
 # ---------------------------------------------------------------------------
-# The momentum-zero sector: Krylov steps a rotation-invariant H on the orbits
-# of its basis states under site rotation, and a pure closed-chain input's
-# trajectory cannot depend on the weights
+# The sectors of site rotation and reflection: Krylov steps an H that either
+# fixes on the orbits of its basis states under the group they generate, and
+# a pure closed-chain input's trajectory cannot depend on the weights
 
 
 def _forced(engine):
@@ -1095,14 +1111,47 @@ def test_rotation_sector_detects_invariant_sums(spec):
 
 
 @pytest.mark.parametrize("spec", [
-    evolve.IsingChain(5, J=1.0, g=0.6, boundary="open"),
     evolve.Cnot(omega=0.7),
     evolve.FieldAllToAll((1.0, 1.0, 1.5)),
     _ulp_chain(5),
-], ids=["open-chain", "cnot", "unequal-field", "ulp-chain"])
+], ids=["cnot", "unequal-field", "ulp-chain"])
 def test_rotation_sector_refuses_other_sums(spec):
     got, want = evolve._orbits(spec), _basis_orbits(spec.n)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _mirror(b, n):
+    # the basis state with site k's bit moved to site n + 1 - k
+    return int(format(b, f"0{n}b")[::-1], 2)
+
+
+def _chiral(n):
+    # x_k y_{k+1} z_{k+2} around the ring: every rotation keeps it, the reflection
+    # turns each string into z y x
+    return _PauliSum(n, tuple((0.3, ((k, "x"), (k % n + 1, "y"), ((k + 1) % n + 1, "z"))) for k in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 9])
+def test_reflection_orbits_of_the_open_chain(n):
+    # the reflection alone fixes the open chain (and a mirror-symmetric field): the
+    # orbits are the pairs {b, mirror b}, (2^n + 2^ceil(n/2)) / 2 of them
+    for spec in (evolve.IsingChain(n, J=0.7, g=0.4, boundary="open"),
+                 evolve.FieldAllToAll(tuple(1.0 + min(k, n - 1 - k) for k in range(n)))):
+        reps, rep, lengths = evolve._orbits(spec)
+        assert reps.size == (2 ** n + 2 ** ((n + 1) // 2)) // 2 and lengths.sum() == 2 ** n
+        for b in range(2 ** n):
+            assert rep[b] == min(b, _mirror(b, n))
+        assert list(lengths) == [1 + (r != _mirror(r, n)) for r in reps]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_rotation_invariant_sum_that_the_reflection_changes_keeps_the_rotation_orbits(n):
+    reps, rep, lengths = evolve._orbits(_chiral(n))
+    for b in range(2 ** n):
+        orbit = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
+        assert rep[b] == min(orbit)
+        if b == min(orbit):
+            assert lengths[list(reps).index(b)] == len(orbit)
 
 
 def test_nearly_invariant_sum_runs_on_the_full_space():
@@ -1122,16 +1171,18 @@ def test_nearly_invariant_sum_runs_on_the_full_space():
 
 
 def test_rotation_sector_basis():
-    # about 2^n / n orbits, whose lengths add up to 2^n
-    for n, dim in ((4, 6), (6, 14), (10, 108), (13, 632), (14, 1182), (15, 2192), (16, 4116)):
+    # the closed chain is fixed by rotation and reflection: about 2^n / 2n
+    # orbits (bracelets), whose lengths add up to 2^n
+    for n, dim in ((4, 6), (6, 13), (10, 78), (13, 380), (14, 687), (15, 1224), (16, 2250)):
         reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
         assert reps.size == dim and lengths.sum() == 2 ** n
-    # each state's representative is the least of its rotations, and an orbit
-    # is as long as the number of distinct rotations
+    # each state's representative is the least of its 2n rotated and mirrored
+    # images, and an orbit is as long as the number of distinct images
     n = 6
     reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
     for b in range(2 ** n):
-        orbit = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
+        rotations = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
+        orbit = rotations | {_mirror(r, n) for r in rotations}
         assert rep[b] == min(orbit)
         if b == min(orbit):
             assert lengths[list(reps).index(b)] == len(orbit)
@@ -1163,6 +1214,32 @@ def test_sector_matches_full_space_krylov():
             with mock.patch.object(evolve, "_orbits", lambda spec: _basis_orbits(spec.n)):
                 want = evolve.trajectory(rho0, cg, spec, times).bloch
         assert np.abs(got - want).max() <= 1e-12, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 12), closed=st.booleans(), J=st.floats(-1.5, 1.5), g=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), start=st.sampled_from([0.0, 0.4, -0.9]),
+       steps=st.lists(st.floats(0.05, 1.5), max_size=4))
+def test_chain_sector_matches_the_full_space_and_eigh(n, closed, J, g, seed, start, steps):
+    # a pure chain input stepped on the orbits of rotation and reflection (the
+    # closed chain) or of the reflection alone (the open chain), read out by the
+    # group-averaged fuzzy operators, is the one on all 2^n states; eigh above
+    # n = 10 takes seconds per draw, so there the full space stands in for it
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    rho0 = qcore.density_from_bloch(direction / np.linalg.norm(direction))
+    spec = evolve.IsingChain(n, J=J, g=g, boundary="closed" if closed else "open")
+    cg, times = custom(rng.dirichlet(np.ones(n))), start + np.cumsum([0.0] + steps)
+    assert evolve._orbits(spec)[0].size < 2 ** n
+    with _forced("krylov"):
+        got = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+        with mock.patch.object(evolve, "_orbits", lambda spec: _basis_orbits(spec.n)):
+            full = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+    assert np.abs(got - full).max() <= 1e-12
+    if n <= 10:
+        with _forced("eigh"):
+            want = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+        assert np.abs(got - want).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -1348,7 +1425,7 @@ def test_dynamics_reuse_is_exact(monkeypatch):
          [(pure[0], ten), (mixed[0], short), (pure[1], many), (pure[1], ten), (mixed[1], wide)],
          {"krylov sector", "heisenberg", "eigh"}),
         (preferential(10, 0.3), evolve.IsingChain(10, J=1.0, g=0.5, boundary="open"), "auto",
-         [(pure[0], ten), (pure[1], [0.3, 0.9]), (pure[0], short)], {"krylov"}),
+         [(pure[0], ten), (pure[1], [0.3, 0.9]), (pure[0], short)], {"krylov sector"}),
     ]
     for cg, spec, method, fed, want in cases:
         counts.clear()
@@ -1440,3 +1517,21 @@ def test_stacked_trajectory_matches_one_input_calls(kind, data):
         assert np.abs(stack.purity[k] - one.purity).max() <= 1e-12
         assert stack.solution[k].lam == one.solution.lam
         assert np.array_equal(stack.solution[k].per_particle_r, one.solution.per_particle_r)
+
+
+@pytest.mark.parametrize("n, size", [(3, 2), (5, 4), (6, 3)])
+def test_stacked_full_space_krylov_matches_one_input_calls(n, size):
+    # the open chain now steps its reflection pairs, so a sum that neither site map
+    # fixes carries the full-space Krylov read-out: a stack of pure inputs gives
+    # the one-input calls within 1e-12, and a stack of one gives their bytes
+    spec, rng = _ulp_chain(n), np.random.default_rng(n)
+    assert evolve._orbits(spec)[0].size == 2 ** n
+    directions = rng.normal(size=(size, 3))
+    rho = qcore.density_from_bloch(directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    cg, times = custom(rng.dirichlet(np.ones(n))), np.array([0.0, 0.4, 1.1, 1.3])
+    with _forced("krylov"):
+        dyn = evolve.dynamics(cg, spec, "statevector")
+        stack, ones = dyn(rho, times), [dyn(r, times) for r in rho]
+        assert dyn(rho[:1], times).bloch.tobytes() == ones[0].bloch.tobytes()
+    for k, one in enumerate(ones):
+        assert np.abs(stack.bloch[k] - one.bloch).max() <= 1e-12

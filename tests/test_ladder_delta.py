@@ -1,0 +1,70 @@
+import importlib.util
+import math
+import os
+
+import numpy as np
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "scripts", "ladder_delta.py")
+_SPEC = importlib.util.spec_from_file_location("ladder_delta", _PATH)
+ladder_delta = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ladder_delta)
+
+
+def test_identical_bytes_give_none():
+    a = np.array([[0.5, -0.25, 1e-300]])
+    assert ladder_delta.delta(a, a.copy()) is None
+
+
+def test_delta_is_the_largest_change():
+    a, b = np.array([[0.5, 0.0, 0.1]]), np.array([[0.5, -0.0, 0.1 + 1e-15]])
+    assert ladder_delta.delta(a, b) == abs((0.1 + 1e-15) - 0.1)
+    # a NaN against a number is an infinite change; equal NaNs and infinities none
+    assert ladder_delta.delta([math.nan, 1.0], [0.0, 1.0]) == math.inf
+    assert ladder_delta.delta([math.nan, math.inf, 1.0], [math.nan, math.inf, 2.0]) == 1.0
+    with pytest.raises(ValueError, match="shapes differ"):
+        ladder_delta.delta(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+def test_main_exits_1_past_the_bound(tmp_path, monkeypatch, capsys):
+    # one command checks the rule: an op whose max |delta| exceeds 1e-12 fails the run
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cgdyn").mkdir(parents=True)
+        trees.append(str(tmp_path / side))
+
+    def outputs(change):
+        def run(src, out):
+            moved = src.parent.name == "change"
+            return {"dense.n8": np.array([[0.5, 0.1, 0.2]]),
+                    "statevector.n13": np.array([[change if moved else 0.5, 0.0, 0.0]])}
+        return run
+
+    for change, code in ((0.5, 0), (0.5 + 1e-13, 0), (0.5 + 1e-11, 1), (math.nan, 1)):
+        monkeypatch.setattr(ladder_delta, "_run", outputs(change))
+        assert ladder_delta.main(trees) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0::2] == ["dense.n8: bytes identical"] * 4
+    assert lines[1] == "statevector.n13: bytes identical"
+    assert lines[3] == "statevector.n13: max |delta| 1.000e-13"
+    assert lines[5].endswith("exceeds 1e-12") and lines[7] == "statevector.n13: max |delta| inf exceeds 1e-12"
+
+
+def test_main_refuses_other_ops_and_failed_runs(tmp_path, monkeypatch, capsys):
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cgdyn").mkdir(parents=True)
+        trees.append(str(tmp_path / side))
+    monkeypatch.setattr(ladder_delta, "_run", lambda src, out: {src.parent.name: np.zeros(3)})
+    assert ladder_delta.main(trees) == 1
+    monkeypatch.setattr(ladder_delta, "_run", lambda src, out: {"op": np.zeros(3 + (src.parent.name == "change"))})
+    assert ladder_delta.main(trees) == 1
+
+    def failed(src, out):
+        raise RuntimeError(f"the ladder failed under {src}: boom")
+
+    monkeypatch.setattr(ladder_delta, "_run", failed)
+    assert ladder_delta.main(trees) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAILED the trees ran different ops: ['change', 'parent']"
+    assert lines[1] == "op: FAILED shapes differ: (3,) vs (4,)" and lines[2].startswith("FAILED the ladder failed")

@@ -151,6 +151,20 @@ def test_pauli_sum_refuses_a_coefficient_that_is_no_finite_real(bad):
         assert qcore.pauli_sum([(good, ops)], 2)[2, 0] == float(good)
 
 
+def test_pauli_sum_refuses_a_merged_coefficient_that_overflows():
+    # each coefficient is finite, their sum on one xmask is not: refused with one of
+    # its strings named, on the dense and the sparse build, with no overflow warning
+    terms = [(1e308, ((1, "x"),)), (1.0, ((2, "z"),)), (1e308, ((1, "x"), (2, "z")))]
+    want = "Pauli strings flipping the sites of ((1, 'x'),) sum to values that are not finite"
+    for build in (lambda terms: qcore.pauli_sum(terms, 2),
+                  lambda terms: evolve._sparse_hamiltonian(terms, 2, _basis_orbits(2))):
+        with pytest.raises(ValueError) as exc:
+            build(terms)
+        assert str(exc.value) == want
+    # opposite signs that cancel stay finite
+    assert not qcore.pauli_sum([(1e308, ((1, "x"),)), (-1e308, ((1, "x"),))], 2).any()
+
+
 def test_pauli_sum_csr_drops_cancelled_entries():
     # XX + YY cancels on |00> <-> |11>; the CSR stores no explicit zeros
     terms = [(1.0, ((1, "x"), (2, "x"))), (1.0, ((1, "y"), (2, "y")))]
