@@ -29,6 +29,10 @@ automatic route reads that structure alone, not the spec's class or input:
   A real H (every shipped spec) has a real eigenbasis, so eigh and every
   product with it run in real arithmetic.
 
+The two 4^n engines, dense and the Heisenberg form, hold one input's joint
+state (rho0, or rho-hat in H's eigenbasis) and one propagated array per step,
+2 * 16 * 4^n bytes: each point's state is read out before the next is formed.
+
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
 `dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2) stack
@@ -251,15 +255,21 @@ def _orbits(spec):
     return b[rep == b], rep, lengths[rep == b]
 
 
+def _orbit_index(rep):
+    """Each basis state's orbit number, for the ascending representatives of `_orbits`."""
+    return (np.cumsum(rep == np.arange(rep.size)) - 1)[rep]
+
+
 def _sparse_hamiltonian(terms, n, orbits):
     """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s> of
     `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
     site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
-    at (S, R); entries that cancel are dropped."""
+    at (S, R); entries that cancel are dropped. A kept `_orbit_index` may follow the
+    (reps, rep, lengths) triple as a fourth entry, else it is computed here."""
     from scipy import sparse as sp
 
-    reps, rep, lengths = orbits
-    orbit = (np.cumsum(rep == np.arange(2 ** n)) - 1)[rep]  # each state's orbit; reps ascend
+    reps, rep, lengths, *index = orbits
+    orbit = index[0] if index else _orbit_index(rep)
     blocks = qcore._pauli_blocks(terms, n, reps)
     rows = [orbit[reps ^ xmask] for xmask in blocks]
     data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
@@ -450,10 +460,11 @@ def dynamics(cg, spec, method="auto"):
     counts and the method are checked and H's merged z strings parsed here,
     once. What depends on H and the weights alone is built on the first input
     that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
-    Krylov orbits with sparse -iH and the averaged fuzzy operators, and the eigh of
-    H with the fuzzy operators in its eigenbasis, so a run that only steps
-    Krylov never diagonalizes. Each call assigns its stack, picks one route (and
-    one engine for its pure inputs), steps the grid and checks the Bloch ball.
+    Krylov orbits with their one orbit map, sparse -iH and the averaged fuzzy
+    operators built on it, and the eigh of H with the fuzzy operators in its
+    eigenbasis, so a run that only steps Krylov never diagonalizes. Each call
+    assigns its stack, picks one route (and one engine for its pure inputs),
+    steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
     an input's own arithmetic, except Krylov stepping several inputs at once.
     One-point fast blocks run as w = min(CPUs, blocks) interleaved shares: the
@@ -485,9 +496,9 @@ def dynamics(cg, spec, method="auto"):
             evals = keep("energies", lambda: _z_energies(strings, n))
             for idx in _chunks(len(sols), 4 ** n):
                 rho0 = qcore.kron(factors[idx].swapaxes(0, 1))
-                for i in range(times.size):  # one-point grids: a lone input's product reuses the phases' array
-                    rho_t = qcore.propagate(evals, None, rho0, times[i:i + 1])
-                    bloch[idx, i] = qcore.bloch_from_density(apply_cg(rho_t, cg))
+                for i in range(times.size):  # one-point grids; each point's state is read before the next is formed
+                    bloch[idx, i] = qcore.bloch_from_density(
+                        apply_cg(qcore.propagate(evals, None, rho0, times[i:i + 1]), cg))
         elif route == "fast":
             blocks = _chunks(times.size, len(sols) * n)
             invariants = _fast_invariants(factors, strings, min(blocks[0].stop, times.size))
@@ -525,10 +536,9 @@ def dynamics(cg, spec, method="auto"):
                     qcore.to_eigenbasis(evecs, fuzzy_operator("z", cg).real)]).reshape(3, -1))
                 for idx in (mixed[run] for run in _chunks(mixed.size, 4 ** n)):
                     rho_hat = qcore.to_eigenbasis(evecs, qcore.kron(factors[idx].swapaxes(0, 1)))[:, None]
-                    for block in _chunks(times.size, idx.size * 4 ** n):
-                        rho_t = qcore.propagate(evals, None, rho_hat, times[block])  # (inputs, points, d, d)
-                        bloch[idx, block] = (g_flat @ rho_t.reshape(-1, 4 ** n, 1))[..., 0].real.reshape(
-                            idx.size, -1, 3)
+                    for block in _chunks(times.size, idx.size * 4 ** n):  # (inputs, points, d, d), read at once
+                        read = g_flat @ qcore.propagate(evals, None, rho_hat, times[block]).reshape(-1, 4 ** n, 1)
+                        bloch[idx, block] = read[..., 0].real.reshape(idx.size, -1, 3)
             if engine == "eigh":
                 for idx in (pure[run] for run in _chunks(pure.size, 2 ** n)):
                     coeff = qcore.matmul(evecs.conj().T, _product_vector(directions[idx], n)[..., None])
@@ -539,13 +549,14 @@ def dynamics(cg, spec, method="auto"):
                 from scipy.sparse.linalg import expm_multiply
 
                 reps, rep, lengths = orbits
-                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
+                sector = keep("sector", lambda: (*orbits, _orbit_index(rep)))  # one orbit map for H and the read-out
+                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, sector))
 
                 def read_out():  # in a sector the sites of one orbit (that of their one-flip states) share
                     # their marginal: C reads sum_k pbar_k sigma_k, pbar_k the mean weight over k's orbit
                     same = (site := rep[1 << np.arange(n - 1, -1, -1)])[:, None] == site
                     pbar = (same @ cg.probs / same.sum(1)).tolist()
-                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, orbits)
+                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, sector)
                             for ax in qcore.AXES]
                 spins = keep("spins", read_out) if reps.size < 2 ** n else None
                 for idx in (pure[run] for run in _chunks(pure.size, reps.size)):

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
@@ -1286,10 +1287,12 @@ def test_statevector_engine_keeps_eigh_where_configs_run():
 
 def test_statevector_engine_weighs_grid_length_and_span():
     chain = evolve.IsingChain(10, J=1.0, g=0.5)
-    # the benchmark's statevector.n10 case: Krylov 0.02-0.04 s, eigh 1.1-1.4 s
+    # warm, 2 cores, six runs each: the benchmark's statevector.n10 case takes
+    # Krylov 0.009-0.020 s, eigh 0.14-0.15 s
     assert _engine(chain, np.linspace(0.0, 2.0, 10)) == "krylov"
-    # a long span on the open chain's 2^n states: Krylov 1.3-1.4 s over [0, 400],
-    # eigh 0.85-0.97 s; on the closed chain's 108 orbits Krylov takes 0.67-0.74 s
+    # a long span on the open chain's 528 reflection pairs: Krylov 0.56-0.59 s over
+    # [0, 400], eigh 0.16-0.20 s; on the closed chain's 78 bracelets Krylov takes
+    # 0.35-0.39 s and eigh 0.15-0.17 s, yet the model picks Krylov there
     open_chain = evolve.IsingChain(10, J=1.0, g=0.5, boundary="open")
     assert _engine(open_chain, np.linspace(0.0, 400.0, 10)) == "eigh"
     assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "krylov"
@@ -1385,6 +1388,46 @@ def test_heisenberg_blocks_match_one_point_calls(cg, spec, times):
         assert got.tobytes() == evolve.trajectory(rho, cg, spec, [t]).bloch[0].tobytes(), t
 
 
+def _traced_peak(run, from_first_step):
+    # peak traced bytes (numpy's buffers included) over run(), or from its first
+    # qcore.propagate call on, and the number of propagate calls
+    real, steps, tracing = qcore.propagate, [], tracemalloc.is_tracing()
+
+    def step(*args):
+        if from_first_step and not steps:
+            tracemalloc.reset_peak()
+        steps.append(None)
+        return real(*args)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(qcore, "propagate", step):
+            out = run()
+        return out, tracemalloc.get_traced_memory()[1] - base, len(steps)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, method", [
+    (evolve.sample_field(9, seed=9, include_interaction=True), "dense"),
+    (evolve.IsingChain(8, J=1.0, g=0.5), "auto"),
+], ids=["dense", "heisenberg"])
+def test_joint_state_steps_hold_two_state_arrays(spec, method):
+    # a lone mixed input's steps hold rho0 (or rho-hat) and one propagated state,
+    # 2 * 16 * 4^n bytes, plus half a MiB for numpy's ufunc buffers (8192 entries
+    # an operand) and small arrays: the dense route over the whole call, the
+    # Heisenberg form from its first step on (rho-hat's two-sided product in H's
+    # eigenbasis peaks higher). A third state array would exceed it from n = 8 on
+    cg, rho = preferential(spec.n, 0.3), qcore.density_from_bloch(0.6 * _bloch(0.7, 0.4))
+    dyn, times = evolve.dynamics(cg, spec, method), np.linspace(0.0, 2.0, 10)
+    want = dyn(rho, times)  # builds what the map keeps: the energies, or eigh and G
+    got, peak, steps = _traced_peak(lambda: dyn(rho, times), from_first_step=method != "dense")
+    assert steps == times.size and got.route == want.route and got.bloch.tobytes() == want.bloch.tobytes()
+    assert peak <= 2 * 16 * 4 ** spec.n + 2 ** 19, peak / (16 * 4 ** spec.n)
+
+
 def test_dynamics_reuse_is_exact(monkeypatch):
     # one map fed interleaved pure and mixed inputs on different grids returns
     # what fresh trajectory calls return, bit for bit, on every engine; it builds
@@ -1459,21 +1502,30 @@ def test_dynamics_reuse_is_exact(monkeypatch):
 # One map over a stack of inputs: each stacked trajectory is the one-input call's
 
 
-_STACK_ROUTES = ["fast", "dense", "heisenberg", "eigh", "krylov sector", "krylov full", "mixed purity"]
+_STACK_ROUTES = ["fast", "dense", "heisenberg", "eigh", "krylov sector", "krylov reflection", "krylov full",
+                 "mixed purity"]
 
 
 @st.composite
 def _stack_cases(draw, kind):
     """A spec, weights, method and forced engine that take the given route or engine,
-    a grid, and a stack of 1-5 inputs: pure, mixed or (on statevector) both."""
+    a grid, and a stack of 1-5 inputs: pure, mixed or (on statevector) both. Krylov
+    steps the closed chain's bracelets, the open chain's reflection pairs, and the
+    2^n states of an open chain with a field of its own on each site, which no site
+    map fixes."""
     n = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     method, engine, purity = "auto", None, "pure"
     if kind in ("fast", "dense"):
         spec = evolve.FieldAllToAll(tuple(rng.normal(1.5, 0.3, n)), include_interaction=draw(st.booleans()))
         method, purity = kind, draw(st.sampled_from(["pure", "mixed", "both"]))
+    elif kind == "krylov full":
+        bonds = tuple((-1.0, ((k, "z"), (k + 1, "z"))) for k in range(1, n))
+        fields = tuple((-g, ((k, "x"),)) for k, g in enumerate(rng.uniform(0.2, 1.5, n).tolist(), start=1))
+        spec, engine = _PauliSum(n, bonds + fields), "krylov"
+        assert evolve._orbits(spec)[0].size == 2 ** n  # the full-space read-out
     else:
-        boundary = {"krylov sector": "closed", "krylov full": "open"}.get(kind)
+        boundary = {"krylov sector": "closed", "krylov reflection": "open"}.get(kind)
         spec = evolve.IsingChain(n, J=1.0, g=draw(st.floats(0.2, 1.5)),
                                  boundary=boundary or draw(st.sampled_from(["open", "closed"])))
         if kind == "heisenberg":

@@ -637,6 +637,29 @@ def test_propagate_diagonal_matches_eigenbasis(rng):
     assert np.abs(got - want).max() < 1e-15
 
 
+def test_propagate_diagonal_keeps_the_product_bits(rng):
+    # propagate gives the bits of the expression rho * (phase outer product) on point
+    # grids, one-point grids and scalar times: a lone input with leading axes of length
+    # one, multiplied into the phases' array, a same-shaped one (at d = 128 the product
+    # reaches the 256 KiB from which numpy writes it into the temporary) and a stack,
+    # in fresh arrays that share no memory with rho
+    for d in (16, 128):
+        evals = rng.normal(size=d)
+        lone = qcore.random_density(d, rng)
+        stack = np.stack([qcore.random_density(d, rng) for _ in range(3)])
+        grid = np.sort(rng.uniform(-3.0, 20.0, 7))
+        for rho in (lone, lone[None], lone[None, None], lone.real, stack, stack[:, None]):
+            for t in (grid, grid[:1], grid[3]) if rho is not stack else (grid[:1], grid[3]):
+                phases = np.exp(-1j * evals * np.asarray(t)[..., None])
+                want = rho * (phases[..., :, None] * phases[..., None, :].conj())
+                got = qcore.propagate(evals, None, rho, t)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not np.shares_memory(got, rho)
+                got[...] = 0.0  # the caller owns it: the next call is unchanged
+                assert qcore.propagate(evals, None, rho, t).tobytes() == want.tobytes()
+
+
 def _exclusive_products_loop(values):
     # the prefix/suffix loop that exclusive_products must reproduce bit for bit
     values = np.asarray(values)
