@@ -30,8 +30,8 @@ automatic route reads that structure alone, not the spec's class or input:
   product with it run in real arithmetic.
 
 The two 4^n engines, dense and the Heisenberg form, hold one input's joint
-state (rho0, or rho-hat in H's eigenbasis) and one propagated array per step,
-2 * 16 * 4^n bytes: each point's state is read out before the next is formed.
+state (rho0, or rho-hat in H's eigenbasis) and its rho * phases, written into
+the phases' array, per step (2 * 16 * 4^n bytes); each is read before the next.
 
 The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
@@ -228,7 +228,7 @@ def build_hamiltonian(spec):
 
 def _orbits(spec):
     """The basis Krylov steps a pure input on: orbit representatives r (ascending),
-    every basis state's r and the orbit lengths L_r, under the group generated by
+    every basis state's orbit number and the lengths L_r, under the group generated by
     those of the rotation k -> k mod n + 1 and the reflection k -> n + 1 - k that
     leave H's strings, merged by (site, axis), exactly unchanged. Both (the closed
     chain): ~2^n/2n bracelets, r the least of the 2n rotated and mirrored images.
@@ -252,24 +252,19 @@ def _orbits(spec):
     if reflection:  # one gather: each state's mirror image (bits reversed) lies in orbit rep[mirror]
         mirror = rep[sum(((b >> k) & 1) << (n - 1 - k) for k in range(n))]
         rep, lengths = np.minimum(rep, mirror), lengths * (1 + (mirror != rep))
-    return b[rep == b], rep, lengths[rep == b]
-
-
-def _orbit_index(rep):
-    """Each basis state's orbit number, for the ascending representatives of `_orbits`."""
-    return (np.cumsum(rep == np.arange(rep.size)) - 1)[rep]
+    first = rep == b
+    return b[first], (np.cumsum(first) - 1)[rep], lengths[first]
 
 
 def _sparse_hamiltonian(terms, n, orbits):
     """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s> of
     `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
     site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
-    at (S, R); entries that cancel are dropped. A kept `_orbit_index` may follow the
-    (reps, rep, lengths) triple as a fourth entry, else it is computed here."""
+    at (S, R), with S read off the (reps, orbit numbers, lengths) triple; entries
+    that cancel are dropped."""
     from scipy import sparse as sp
 
-    reps, rep, lengths, *index = orbits
-    orbit = index[0] if index else _orbit_index(rep)
+    reps, orbit, lengths = orbits
     blocks = qcore._pauli_blocks(terms, n, reps)
     rows = [orbit[reps ^ xmask] for xmask in blocks]
     data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
@@ -460,11 +455,11 @@ def dynamics(cg, spec, method="auto"):
     counts and the method are checked and H's merged z strings parsed here,
     once. What depends on H and the weights alone is built on the first input
     that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
-    Krylov orbits with their one orbit map, sparse -iH and the averaged fuzzy
-    operators built on it, and the eigh of H with the fuzzy operators in its
-    eigenbasis, so a run that only steps Krylov never diagonalizes. Each call
-    assigns its stack, picks one route (and one engine for its pure inputs),
-    steps the grid and checks the Bloch ball.
+    Krylov orbits (with each basis state's orbit number), sparse -iH and the
+    averaged fuzzy operators built on them, and the eigh of H with the fuzzy
+    operators in its eigenbasis, so a run that only steps Krylov never
+    diagonalizes. Each call assigns its stack, picks one route (and one engine
+    for its pure inputs), steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
     an input's own arithmetic, except Krylov stepping several inputs at once.
     One-point fast blocks run as w = min(CPUs, blocks) interleaved shares: the
@@ -548,15 +543,14 @@ def dynamics(cg, spec, method="auto"):
             elif engine == "krylov":
                 from scipy.sparse.linalg import expm_multiply
 
-                reps, rep, lengths = orbits
-                sector = keep("sector", lambda: (*orbits, _orbit_index(rep)))  # one orbit map for H and the read-out
-                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, sector))
+                reps, index, lengths = orbits
+                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
 
                 def read_out():  # in a sector the sites of one orbit (that of their one-flip states) share
                     # their marginal: C reads sum_k pbar_k sigma_k, pbar_k the mean weight over k's orbit
-                    same = (site := rep[1 << np.arange(n - 1, -1, -1)])[:, None] == site
+                    same = (site := index[1 << np.arange(n - 1, -1, -1)])[:, None] == site
                     pbar = (same @ cg.probs / same.sum(1)).tolist()
-                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, sector)
+                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, orbits)
                             for ax in qcore.AXES]
                 spins = keep("spins", read_out) if reps.size < 2 ** n else None
                 for idx in (pure[run] for run in _chunks(pure.size, reps.size)):

@@ -336,20 +336,19 @@ def propagate(evals, evecs, rho, t):
     evals; U(t) rho U(t)^dag is then elementwise, O(d^2) with no matrix
     products. A scalar t gives one (d, d) matrix; a 1-d grid t gives a
     (T, d, d) stack, each slice equal bit for bit to the scalar call at that
-    point. One input's product lands in the phase outer product's array:
-    numpy's temporary elision writes a same-shaped one of 256 KiB or more
-    there (as phase * rho), and a rho with leading axes of length one (the
-    Heisenberg form's rho-hat) is multiplied into it here. Each call returns
-    a fresh array that the caller owns.
+    point. The product is always rho * phase, in that order; one input's
+    (any rho whose broadcast has the phase outer product's size and dtype)
+    is written into the outer product's array. Each call returns a fresh
+    array that the caller owns.
     """
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * evals * t[..., None])
     if evecs is None:
-        rho, square = np.asarray(rho), phases.shape + phases.shape[-1:]
-        shape = np.broadcast_shapes(rho.shape, square)
-        if shape == square or math.prod(shape) != math.prod(square) or np.result_type(rho, phases) != phases.dtype:
-            return rho * (phases[..., :, None] * phases[..., None, :].conj())
-        out = (phases[..., :, None] * phases[..., None, :].conj()).reshape(shape)
+        rho, outer = np.asarray(rho), phases[..., :, None] * phases[..., None, :].conj()
+        shape = np.broadcast_shapes(rho.shape, outer.shape)
+        if math.prod(shape) != outer.size or np.result_type(rho, outer) != outer.dtype:
+            return rho * outer
+        out = outer.reshape(shape)
         return np.multiply(rho, out, out=out)
     u = (evecs * phases[..., None, :]) @ evecs.conj().T
     return u @ rho @ np.swapaxes(u.conj(), -1, -2)

@@ -1138,21 +1138,53 @@ def test_reflection_orbits_of_the_open_chain(n):
     # orbits are the pairs {b, mirror b}, (2^n + 2^ceil(n/2)) / 2 of them
     for spec in (evolve.IsingChain(n, J=0.7, g=0.4, boundary="open"),
                  evolve.FieldAllToAll(tuple(1.0 + min(k, n - 1 - k) for k in range(n)))):
-        reps, rep, lengths = evolve._orbits(spec)
+        reps, index, lengths = evolve._orbits(spec)
         assert reps.size == (2 ** n + 2 ** ((n + 1) // 2)) // 2 and lengths.sum() == 2 ** n
         for b in range(2 ** n):
-            assert rep[b] == min(b, _mirror(b, n))
+            assert reps[index[b]] == min(b, _mirror(b, n))
         assert list(lengths) == [1 + (r != _mirror(r, n)) for r in reps]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_rotation_invariant_sum_that_the_reflection_changes_keeps_the_rotation_orbits(n):
-    reps, rep, lengths = evolve._orbits(_chiral(n))
+    reps, index, lengths = evolve._orbits(_chiral(n))
     for b in range(2 ** n):
         orbit = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
-        assert rep[b] == min(orbit)
+        assert reps[index[b]] == min(orbit)
         if b == min(orbit):
             assert lengths[list(reps).index(b)] == len(orbit)
+
+
+def _least_images(n, rotate, reflect):
+    # each basis state's least image under the rotations and/or the reflection
+    b = np.arange(2 ** n)
+    images = [((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)] if rotate else [b]
+    if reflect:
+        images += [sum(((x >> k) & 1) << (n - 1 - k) for k in range(n)) for x in images]
+    return np.min(images, axis=0)
+
+
+_GROUP_CASES = [
+    *(("closed", evolve.IsingChain(n, J=1.0, g=0.5), True, True) for n in range(2, 11)),
+    # at n = 2 the rotation is the reflection, so it fixes the open chain too
+    *(("open", evolve.IsingChain(n, J=0.7, g=0.4, boundary="open"), n == 2, True) for n in range(2, 11)),
+    *(("chiral", _chiral(n), True, False) for n in range(3, 11)),
+    ("cnot", evolve.Cnot(omega=0.7), False, False),
+    # at n = 4 the moved bond (2, 3) is its own mirror image, so the reflection fixes it
+    *(("ulp", _ulp_chain(n), False, n == 4) for n in range(3, 11)),
+]
+
+
+@pytest.mark.parametrize("spec, rotate, reflect", [case[1:] for case in _GROUP_CASES],
+                         ids=[f"{case[0]}-n{case[1].n}" for case in _GROUP_CASES])
+def test_orbit_numbers_index_the_least_images(spec, rotate, reflect):
+    # under both generators, the reflection alone, the rotation alone and neither:
+    # representative i has orbit number i, orbit i holds lengths[i] states, and each
+    # state's representative is the least of its images under the group
+    reps, index, lengths = evolve._orbits(spec)
+    assert np.array_equal(index[reps], np.arange(reps.size))
+    assert np.array_equal(np.bincount(index), lengths)
+    assert np.array_equal(reps[index], _least_images(spec.n, rotate, reflect))
 
 
 def test_nearly_invariant_sum_runs_on_the_full_space():
@@ -1175,16 +1207,16 @@ def test_rotation_sector_basis():
     # the closed chain is fixed by rotation and reflection: about 2^n / 2n
     # orbits (bracelets), whose lengths add up to 2^n
     for n, dim in ((4, 6), (6, 13), (10, 78), (13, 380), (14, 687), (15, 1224), (16, 2250)):
-        reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
+        reps, index, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
         assert reps.size == dim and lengths.sum() == 2 ** n
     # each state's representative is the least of its 2n rotated and mirrored
     # images, and an orbit is as long as the number of distinct images
     n = 6
-    reps, rep, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
+    reps, index, lengths = evolve._orbits(evolve.IsingChain(n, J=1.0, g=0.5))
     for b in range(2 ** n):
         rotations = {((b >> k) | (b << (n - k))) & (2 ** n - 1) for k in range(n)}
         orbit = rotations | {_mirror(r, n) for r in rotations}
-        assert rep[b] == min(orbit)
+        assert reps[index[b]] == min(orbit)
         if b == min(orbit):
             assert lengths[list(reps).index(b)] == len(orbit)
 
@@ -1195,9 +1227,9 @@ def test_sector_operator_is_the_invariant_block():
              _PauliSum(4, tuple((0.3, ((k, "x"), (k % 4 + 1, "y"), ((k + 1) % 4 + 1, "z"))) for k in range(1, 5)))]
     for spec in specs:
         sector = evolve._orbits(spec)
-        reps, rep, lengths = sector
+        reps, index, lengths = sector
         q = np.zeros((2 ** spec.n, reps.size))
-        q[np.arange(2 ** spec.n), np.searchsorted(reps, rep)] = 1.0
+        q[np.arange(2 ** spec.n), index] = 1.0
         q /= np.sqrt(lengths)
         want = q.T @ evolve.build_hamiltonian(spec) @ q
         assert np.abs(evolve._sparse_hamiltonian(spec.terms(), spec.n, sector).toarray() - want).max() <= 1e-14, spec
@@ -1426,6 +1458,23 @@ def test_joint_state_steps_hold_two_state_arrays(spec, method):
     got, peak, steps = _traced_peak(lambda: dyn(rho, times), from_first_step=method != "dense")
     assert steps == times.size and got.route == want.route and got.bloch.tobytes() == want.bloch.tobytes()
     assert peak <= 2 * 16 * 4 ** spec.n + 2 ** 19, peak / (16 * 4 ** spec.n)
+
+
+def test_dense_route_multiplies_rho_into_the_phases():
+    # a forced dense field at n = 7, where one input's (1, d, d) product first reaches
+    # numpy's 256 KiB elision threshold: each point is rho0 * phases written into the
+    # phases' array, then C and the Bloch vector, bit for bit
+    spec, cg = evolve.sample_field(7, seed=7, include_interaction=True), preferential(7, 0.3)
+    rho, times = qcore.density_from_bloch(0.6 * _bloch(0.7, 0.4)), np.linspace(0.0, 2.0, 6)
+    got = evolve.trajectory(rho, cg, spec, times, method="dense")
+    evals = evolve._z_energies(evolve._z_strings(spec), spec.n)
+    rho0 = qcore.kron(maxent.assign(rho[None], cg).factors.swapaxes(0, 1))
+    want = []
+    for i in range(times.size):
+        phases = np.exp(-1j * evals * times[i:i + 1, None])
+        outer = phases[..., :, None] * phases[..., None, :].conj()
+        want.append(qcore.bloch_from_density(apply_cg(np.multiply(rho0, outer, out=outer), cg)))
+    assert got.route == "dense" and got.bloch.tobytes() == np.concatenate(want).tobytes()
 
 
 def test_dynamics_reuse_is_exact(monkeypatch):

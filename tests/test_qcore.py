@@ -638,11 +638,11 @@ def test_propagate_diagonal_matches_eigenbasis(rng):
 
 
 def test_propagate_diagonal_keeps_the_product_bits(rng):
-    # propagate gives the bits of the expression rho * (phase outer product) on point
-    # grids, one-point grids and scalar times: a lone input with leading axes of length
-    # one, multiplied into the phases' array, a same-shaped one (at d = 128 the product
-    # reaches the 256 KiB from which numpy writes it into the temporary) and a stack,
-    # in fresh arrays that share no memory with rho
+    # propagate gives the bits of the explicit product rho * (phase outer product), in
+    # that order, on point grids, one-point grids and scalar times: a lone input with
+    # leading axes of length one, a same-shaped one (at d = 128 the product reaches the
+    # 256 KiB from which numpy's temporary elision would swap the operands of
+    # rho * (outer)) and a stack, in fresh arrays that share no memory with rho
     for d in (16, 128):
         evals = rng.normal(size=d)
         lone = qcore.random_density(d, rng)
@@ -651,7 +651,8 @@ def test_propagate_diagonal_keeps_the_product_bits(rng):
         for rho in (lone, lone[None], lone[None, None], lone.real, stack, stack[:, None]):
             for t in (grid, grid[:1], grid[3]) if rho is not stack else (grid[:1], grid[3]):
                 phases = np.exp(-1j * evals * np.asarray(t)[..., None])
-                want = rho * (phases[..., :, None] * phases[..., None, :].conj())
+                outer = phases[..., :, None] * phases[..., None, :].conj()
+                want = np.multiply(rho, outer, out=np.empty(np.broadcast_shapes(rho.shape, outer.shape), complex))
                 got = qcore.propagate(evals, None, rho, t)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
