@@ -1,6 +1,6 @@
 """Compare the benchmark's trajectory ladders between two source trees.
 
-    python scripts/ladder_delta.py PARENT_SRC CHANGE_SRC
+    python scripts/ladder_delta.py PARENT_SRC CHANGE_SRC [--pairs N]
 
 Each SRC is a checkout root or its `src/` directory. For each tree, a fresh
 process with that tree's `src/` first on sys.path imports this checkout's
@@ -10,12 +10,21 @@ process with that tree's `src/` first on sys.path imports this checkout's
 a run fails, when an op's output has another shape in the two trees, or when
 an op's max |delta| exceeds 1e-12 (a NaN against a number counts as an
 infinite change).
+
+With --pairs N (N > 0) it then times the two trees in N pairs of fresh
+processes, the parent first in odd pairs and the change first in even ones.
+Each process runs the ladder once untimed and PASSES times timed, and keeps
+each op's minimum wall time. Beside each op's delta the script prints the
+median over the N processes of that minimum, per tree, and the change's
+median over the parent's. Timings never change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,23 +36,38 @@ ROOT = Path(__file__).resolve().parent.parent
 TOLERANCE = 1e-12  # the bound on an op's max |delta| outside the checksum manifest
 SEED = 0
 WORKLOADS = ("joint-state", "large-n")
+PASSES = 7  # timed ladder passes per fresh process under --pairs; an op's time is its minimum
 
-# run in a fresh process: argv is the tree's src, the perfbench directory and the output .npz
+# run in a fresh process: argv is the tree's src, the perfbench directory, the output
+# file, the seed and the timed passes. No passes: each op's output into the .npz;
+# else one untimed pass, then each op's minimum wall time over the passes as JSON
 _CHILD = """
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-src, bench, out, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+src, bench, out, seed, passes = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
 sys.path[:0] = [src, bench]
 import cgdyn
 import workloads
 
 if Path(cgdyn.__file__).resolve().parent != (Path(src) / "cgdyn").resolve():
     raise SystemExit(f"imported cgdyn from {cgdyn.__file__}, not from {src}")
-ops = [op for name in sys.argv[5:] for op in workloads.build(name, None, seed).ops]
-np.savez(out, **{op.label: op.run(None) for op in ops})
+ops = [op for name in sys.argv[6:] for op in workloads.build(name, None, seed).ops]
+outputs = {op.label: op.run(None) for op in ops}
+if not passes:
+    np.savez(out, **outputs)
+    raise SystemExit(0)
+best = dict.fromkeys(outputs, float("inf"))
+for _ in range(passes):
+    for op in ops:
+        start = time.perf_counter()
+        op.run(None)
+        best[op.label] = min(best[op.label], time.perf_counter() - start)
+Path(out).write_text(json.dumps(best))
 """
 
 
@@ -55,16 +79,38 @@ def _src(path):
     return src
 
 
-def _run(src, out):
-    """Run every ladder op once under the tree at src; return {label: Bloch array}."""
+def _child(src, out, passes):
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(ROOT / "perfbench"), str(out), str(SEED), *WORKLOADS],
+        [sys.executable, "-c", _CHILD, str(src), str(ROOT / "perfbench"), str(out), str(SEED), str(passes),
+         *WORKLOADS],
         cwd=out.parent, capture_output=True, text=True,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"the ladder failed under {src}: {proc.stderr.strip()}")
+
+
+def _run(src, out):
+    """Run every ladder op once under the tree at src; return {label: Bloch array}."""
+    _child(src, out, 0)
     with np.load(out) as data:
         return {label: data[label] for label in data.files}
+
+
+def _time(src, out):
+    """Time the ladder in one fresh process under the tree at src; return {label: min seconds}."""
+    _child(src, out, PASSES)
+    return json.loads(out.read_text())
+
+
+def summary(parent, change):
+    """{label: (parent median, change median, change / parent)} of each op's minimum
+    wall time, given one {label: seconds} per fresh process of each tree, for the ops
+    that both trees ran."""
+    out = {}
+    for label in (label for label in parent[0] if label in change[0]):
+        before, after = (statistics.median(run[label] for run in runs) for runs in (parent, change))
+        out[label] = before, after, after / before
+    return out
 
 
 def delta(a, b):
@@ -84,15 +130,24 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_src")
     ap.add_argument("change_src")
+    ap.add_argument("--pairs", type=int, default=0, metavar="N",
+                    help="time the trees in N alternating pairs of fresh processes (default 0: no timing)")
     args = ap.parse_args(argv)
+    if args.pairs < 0:
+        ap.error("--pairs must be at least 0")
     parent, change = _src(args.parent_src), _src(args.change_src)
+    times = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory() as tmp:
         try:
             before, after = (_run(src, Path(tmp) / f"{side}.npz")
                              for src, side in ((parent, "parent"), (change, "change")))
+            for k in range(args.pairs):
+                for src, side in ((parent, "parent"), (change, "change"))[::1 if k % 2 == 0 else -1]:
+                    times[side].append(_time(src, Path(tmp) / f"{side}.json"))
         except RuntimeError as exc:
             print(f"FAILED {exc}")
             return 1
+    timed = summary(times["parent"], times["change"]) if args.pairs else {}
     ok = before.keys() == after.keys()
     if not ok:
         print(f"FAILED the trees ran different ops: {sorted(before.keys() ^ after.keys())}")
@@ -103,11 +158,13 @@ def main(argv=None):
             print(f"{label}: FAILED {exc}")
             ok = False
             continue
-        if worst is None:
-            print(f"{label}: bytes identical")
-            continue
-        print(f"{label}: max |delta| {worst:.3e}" + (f" exceeds {TOLERANCE:g}" if worst > TOLERANCE else ""))
-        ok = ok and worst <= TOLERANCE
+        line = f"{label}: " + ("bytes identical" if worst is None else f"max |delta| {worst:.3e}"
+                                + (f" exceeds {TOLERANCE:g}" if worst > TOLERANCE else ""))
+        if label in timed:
+            was, now, ratio = timed[label]
+            line += f"; {was * 1e3:.3f} -> {now * 1e3:.3f} ms (x{ratio:.3f})"
+        print(line)
+        ok = ok and (worst is None or worst <= TOLERANCE)
     return 0 if ok else 1
 
 

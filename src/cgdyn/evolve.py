@@ -16,13 +16,15 @@ automatic route reads that structure alone, not the spec's class or input:
 * dense: any other z-only sum. Its energies come from the same merged z
   strings and each step is O(4^n) elementwise work on the joint state.
 * statevector: every non-diagonal Hamiltonian. A pure input is one column
-  of amplitudes: one eigh (n <= 12) on the 2^n basis states, or Krylov steps
-  (`expm_multiply`) on the orbits of basis states under the group of site maps
+  of amplitudes on the orbits of basis states under the group of site maps
   that leave H unchanged, generated by the rotation and the reflection where
   each does (n copies of one qubit are fixed by every site map): ~2^n/2n for
-  the closed chain, ~2^n/2 for the open one, else the 2^n states themselves,
-  read out by the fuzzy operators averaged over the group. A cost model in
-  those counts, grid length and |H| t picks the cheaper.
+  the closed chain, ~2^n/2 for the open one, else the 2^n states themselves.
+  Two engines step it there: one eigh of H on the orbits (at most 2^12), or
+  Krylov steps (`expm_multiply`); a cost model in the orbit count, grid length
+  and |H| t picks the cheaper. On a sector both read out the fuzzy operators
+  averaged over the group as gathers, built once per map; on the 2^n states,
+  the weighted marginals.
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H, with
   the grid stepped in blocks of at most HEISENBERG_BLOCK entries of rho(t).
@@ -37,8 +39,9 @@ The effective trajectory is generally nonlinear in the input state
 (through the assignment) and need not compose as a semigroup in t.
 `dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2) stack
 of inputs per call (one 2x2 input is a stack of one): what depends on H and the
-weights alone (the energies, the Krylov orbits and sparse -iH, the eigh of H
-and the fuzzy operators in its eigenbasis) is built on first use and kept, so
+weights alone (the energies, the orbits with their read-out gathers, sparse
+-iH, the eigh of H on the orbits, and on the 2^n states with the fuzzy
+operators in its eigenbasis) is built on first use and kept, so
 the diagnostics and sweeps pay for it once per map, and each route steps the
 whole stack, in runs of inputs that hold no more state entries than one input
 or HEISENBERG_BLOCK; the fast route steps the grid in blocks of time points
@@ -256,21 +259,61 @@ def _orbits(spec):
     return b[first], (np.cumsum(first) - 1)[rep], lengths[first]
 
 
-def _sparse_hamiltonian(terms, n, orbits):
-    """CSR of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s> of
-    `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
+def _orbit_entries(terms, n, orbits):
+    """(rows, cols, values) of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s>
+    of `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
     site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
-    at (S, R), with S read off the (reps, orbit numbers, lengths) triple; entries
-    that cancel are dropped."""
-    from scipy import sparse as sp
-
+    at (S, R), with S read off the (reps, orbit numbers, lengths) triple; one (S, R) may
+    take several entries, which the caller sums."""
     reps, orbit, lengths = orbits
     blocks = qcore._pauli_blocks(terms, n, reps)
     rows = [orbit[reps ^ xmask] for xmask in blocks]
     data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
-    rows, cols = np.concatenate(rows), np.tile(np.arange(reps.size), len(blocks))
+    return np.concatenate(rows), np.tile(np.arange(reps.size), len(blocks)), data
+
+
+def _sparse_hamiltonian(terms, n, orbits):
+    """CSR of a Pauli sum on the orbits (`_orbit_entries`); entries that cancel are dropped."""
+    from scipy import sparse as sp
+
+    rows, cols, data = _orbit_entries(terms, n, orbits)
     keep = data != 0  # building the CSR sums the entries, which leaves its indices sorted
-    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(reps.size, reps.size))
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(orbits[0].size,) * 2)
+
+
+def _orbit_hamiltonian(terms, n, orbits):
+    """The dense matrix of a Pauli sum on the orbits (`_orbit_entries`), numpy alone."""
+    rows, cols, data = _orbit_entries(terms, n, orbits)
+    h = np.zeros((orbits[0].size,) * 2, dtype=complex)
+    np.add.at(h, (rows, cols), data)
+    return h
+
+
+def _orbit_read_out(orbits, probs):
+    """The fuzzy operators averaged over the group, on the orbits: the sites of one orbit
+    (that of their one-flip states) share their marginal, so C reads sum_k pbar_k sigma_k,
+    pbar_k the mean weight over k's orbit. Returned as gathers: for each (orbit R, site k)
+    with bit k of r set, the target S of sigma+_k = |0><1|_k and the weight pbar_k sqrt(L_r / L_s)
+    of G+ = sum_k pbar_k sigma+_k; and the diagonal g_z(r) = sum_k pbar_k z_k(r) of G^z."""
+    reps, index, lengths = orbits
+    bits = 1 << np.arange(probs.size - 1, -1, -1)  # site k's bit, qubit 1 leftmost
+    same = index[bits][:, None] == index[bits]
+    pbar = same @ probs / same.sum(1)
+    up = (reps[:, None] & bits) != 0
+    sources, k = np.nonzero(up)
+    targets = index[reps[sources] ^ bits[k]]
+    return targets, sources, pbar[k] * np.sqrt(lengths[sources] / lengths[targets]), (1.0 - 2.0 * up) @ pbar
+
+
+def _orbit_bloch(psi, read_out):
+    """Bloch vectors of a (..., m) stack of orbit amplitudes under `_orbit_read_out`'s operators:
+    x + iy = 2 psi^dag G+ psi, z = sum_r g_z(r) |psi_r|^2, each state's own dot as stacked
+    1 x P by P x 1 products, so a stack repeats each state's arithmetic."""
+    targets, sources, weights, g_z = read_out
+    pairs = np.take(psi, targets, -1).conj() * np.take(psi, sources, -1)  # C order: a row per state
+    plus = 2.0 * (pairs[..., None, :] @ weights[:, None])[..., 0, 0]
+    z = ((psi.real ** 2 + psi.imag ** 2)[..., None, :] @ g_z[:, None])[..., 0, 0]
+    return np.stack([plus.real, plus.imag, z], -1)
 
 
 def _z_strings(spec):
@@ -391,16 +434,28 @@ def _effective_from_state(psi, cg):
     return out
 
 
+def _krylov_states(a, psi0, times):
+    """A (B, m) stack's states at each time point, (m,) for B = 1: `expm_multiply` by a = -iH steps a
+    column per input (a lone one as a vector, which it norms faster) from the last point, from t = 0."""
+    from scipy.sparse.linalg import expm_multiply
+
+    psi, t_prev = psi0.T.squeeze(), 0.0
+    for t in times:
+        if t != t_prev:
+            psi, t_prev = expm_multiply(a * (t - t_prev), psi), t
+        yield psi.T
+
+
 def _statevector_engine(spec, times, orbits, norm):
-    """(modelled ns, "eigh" or "krylov") of a pure input: eigh on 2^n states, up to the cap,
-    or Krylov on the given number of orbits, whichever is cheaper. norm is sum |coeff|."""
-    d, steps = 2 ** spec.n, len(times)
+    """(modelled ns, "eigh" or "krylov") of a pure input on the given number of orbits: eigh,
+    up to 2^DENSE_MAX_QUBITS orbits, or Krylov, whichever is cheaper. norm is sum |coeff|."""
+    steps = len(times)
     # Krylov steps 0 -> t0 -> ... -> t_last
     travel = norm * (abs(times[0]) + times[-1] - times[0])
     products = steps * _KRYLOV_POINT + travel * _KRYLOV_TRAVEL
     krylov = products * (1.0 + orbits * (spec.n + 1) / _KRYLOV_ENTRIES), "krylov"
-    eigh = d ** 3 * _EIGH_CUBE + steps * d ** 2 * _EIGH_POINT, "eigh"
-    return min(krylov, eigh) if spec.n <= DENSE_MAX_QUBITS else krylov
+    eigh = orbits ** 3 * _EIGH_CUBE + steps * orbits ** 2 * _EIGH_POINT, "eigh"
+    return min(krylov, eigh) if orbits <= 2 ** DENSE_MAX_QUBITS else krylov
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +510,13 @@ def dynamics(cg, spec, method="auto"):
     counts and the method are checked and H's merged z strings parsed here,
     once. What depends on H and the weights alone is built on the first input
     that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
-    Krylov orbits (with each basis state's orbit number), sparse -iH and the
-    averaged fuzzy operators built on them, and the eigh of H with the fuzzy
-    operators in its eigenbasis, so a run that only steps Krylov never
-    diagonalizes. Each call assigns its stack, picks one route (and one engine
-    for its pure inputs), steps the grid and checks the Bloch ball.
+    orbits (with each basis state's orbit number) and a sector's read-out
+    gathers, sparse -iH on the orbits, the eigh of H on a sector's orbits, and
+    the eigh of H on the 2^n states (shared by pure and mixed inputs) with the
+    fuzzy operators in its eigenbasis; a run that only steps Krylov never
+    diagonalizes, and one that only runs eigh never builds sparse -iH. Each call
+    assigns its stack, picks one route (and one engine for its pure inputs),
+    steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
     an input's own arithmetic, except Krylov stepping several inputs at once.
     One-point fast blocks run as w = min(CPUs, blocks) interleaved shares: the
@@ -514,14 +571,8 @@ def dynamics(cg, spec, method="auto"):
             bloch[..., 0], bloch[..., 1] = 2 * eff_coh[..., 0, 0].T.real, -2 * eff_coh[..., 0, 0].T.imag
         else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
             mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)
-            engine = None
-            if pure.size:
-                orbits = keep("orbits", lambda: _orbits(spec))
-                norm = keep("norm", lambda: sum(abs(c) for c, _ in spec.terms()))
-                engine = _statevector_engine(spec, times, orbits[0].size, norm)[1]
-            if mixed.size or engine == "eigh":
-                evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
             if mixed.size:
+                evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
                 # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho) in H's eigenbasis: a stacked
                 # (3, d^2) matvec per input and point keeps its bits (a 2-d product would not);
                 # G^x, G^z are real, G^y imaginary: each rotates its one nonzero part
@@ -534,37 +585,28 @@ def dynamics(cg, spec, method="auto"):
                     for block in _chunks(times.size, idx.size * 4 ** n):  # (inputs, points, d, d), read at once
                         read = g_flat @ qcore.propagate(evals, None, rho_hat, times[block]).reshape(-1, 4 ** n, 1)
                         bloch[idx, block] = read[..., 0].real.reshape(idx.size, -1, 3)
-            if engine == "eigh":
-                for idx in (pure[run] for run in _chunks(pure.size, 2 ** n)):
-                    coeff = qcore.matmul(evecs.conj().T, _product_vector(directions[idx], n)[..., None])
-                    for i, t in enumerate(times):
-                        psi_t = qcore.matmul(evecs, np.exp(-1j * evals * t)[:, None] * coeff)[..., 0]
-                        bloch[idx, i] = qcore.bloch_from_density(_effective_from_state(psi_t, cg))
-            elif engine == "krylov":
-                from scipy.sparse.linalg import expm_multiply
-
-                reps, index, lengths = orbits
-                a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
-
-                def read_out():  # in a sector the sites of one orbit (that of their one-flip states) share
-                    # their marginal: C reads sum_k pbar_k sigma_k, pbar_k the mean weight over k's orbit
-                    same = (site := index[1 << np.arange(n - 1, -1, -1)])[:, None] == site
-                    pbar = (same @ cg.probs / same.sum(1)).tolist()
-                    return [_sparse_hamiltonian([(p, ((k, ax),)) for k, p in enumerate(pbar, 1)], n, orbits)
-                            for ax in qcore.AXES]
-                spins = keep("spins", read_out) if reps.size < 2 ** n else None
+            if pure.size:  # one engine, on the orbits; a sector's states are read out by its gathers
+                orbits = keep("orbits", lambda: _orbits(spec))
+                norm = keep("norm", lambda: sum(abs(c) for c, _ in spec.terms()))
+                (reps, _, lengths), engine = orbits, _statevector_engine(spec, times, orbits[0].size, norm)[1]
+                sector = reps.size < 2 ** n
+                read = keep("read-out", lambda: _orbit_read_out(orbits, cg.probs)) if sector else None
+                if engine == "eigh":  # a sector's own, or the 2^n states', shared with the mixed inputs
+                    evals, evecs = keep("sector eigh", lambda: qcore.eigensystem(
+                        _orbit_hamiltonian(spec.terms(), n, orbits))) if sector else keep(
+                        "eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
+                else:
+                    a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
                 for idx in (pure[run] for run in _chunks(pure.size, reps.size)):
-                    # a column per input (a lone one as a vector: expm_multiply norms it
-                    # faster), stepped from the last point; at t = 0 orbit R holds sqrt(L_r) psi(r)
-                    psi_t, t_prev = (_product_vector(directions[idx], n)[:, reps] * np.sqrt(lengths)).T.squeeze(), 0.0
-                    for i, t in enumerate(times):
-                        if t != t_prev:
-                            psi_t = expm_multiply(a * (t - t_prev), psi_t)
-                            t_prev = t
-                        if spins is None:
-                            bloch[idx, i] = qcore.bloch_from_density(_effective_from_state(psi_t.T, cg))
-                        else:
-                            bloch[idx, i] = np.stack([(psi_t.conj() * (s @ psi_t)).sum(0).real for s in spins], -1)
+                    psi0 = _product_vector(directions[idx], n)[:, reps] * np.sqrt(lengths)  # orbit R: sqrt(L_r) psi(r)
+                    if engine == "eigh":  # a column per input
+                        coeff = qcore.matmul(evecs.conj().T, psi0[..., None])
+                        states = (qcore.matmul(evecs, np.exp(-1j * evals * t)[:, None] * coeff)[..., 0] for t in times)
+                    else:
+                        states = _krylov_states(a, psi0, times)
+                    for i, psi_t in enumerate(states):
+                        bloch[idx, i] = _orbit_bloch(psi_t, read) if sector else qcore.bloch_from_density(
+                            _effective_from_state(psi_t, cg))
 
         radii_sq = np.sum(bloch * bloch, axis=-1)
         # the one ball bound that `maxent.assign` applies to inputs, so every output

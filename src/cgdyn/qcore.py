@@ -322,11 +322,13 @@ def to_eigenbasis(evecs, m):
     """evecs^dag m evecs, for one matrix or a (..., d, d) stack. A real evecs
     takes real products only: `matmul` from both sides for a complex m, plain
     real products for a real one (pass a real or imaginary operator's one
-    nonzero part)."""
+    nonzero part). The complex m's second product is transposed back into the
+    first's buffer, so m and two products of its size are held at most."""
     if evecs.dtype.kind == "c" or m.dtype.kind != "c":
         return evecs.conj().T @ m @ evecs
     half = np.swapaxes(matmul(evecs.T, m), -1, -2).copy()
-    return np.ascontiguousarray(np.swapaxes(matmul(evecs.T, half), -1, -2))
+    np.copyto(half, np.swapaxes(matmul(evecs.T, half), -1, -2))
+    return half
 
 
 def propagate(evals, evecs, rho, t):

@@ -52,7 +52,8 @@ def test_traced_trajectories_record_the_benchmark_spans(monkeypatch):
         (mixed, preferential(4, 0.4), field, [0.0, 0.5, 1.0], "dense"),
         (mixed, preferential(4, 0.4), evolve.IsingChain(4, g=0.5), [0.0, 0.5, 1.0]),
         # Krylov on the closed chain's sector of rotation and reflection and on the open chain's of reflection
-        (pure, non_preferential(10), evolve.IsingChain(10, g=0.5), np.linspace(0.0, 2.0, 10)),
+        # (the closed n = 10 chain's 78 orbits take eigh)
+        (pure, non_preferential(13), evolve.IsingChain(13, g=0.5), np.linspace(0.0, 2.0, 10)),
         (pure, non_preferential(10), evolve.IsingChain(10, g=0.5, boundary="open"), np.linspace(0.0, 2.0, 10)),
         (mixed, preferential(6, 0.4), evolve.IsingChain(6), [0.0, 0.5, 1.0]),
     ]

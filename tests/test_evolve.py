@@ -204,8 +204,9 @@ def test_non_finite_times_and_outputs_raise():
     # so is a non-finite entry of a tuple field
     with pytest.raises(ValueError, match="FieldAllToAll.omegas must be finite, got nan"):
         evolve.trajectory(rho, cg, evolve.FieldAllToAll((math.nan, 1.0)), [0.0, 1.0])
-    # a NaN effective radius fails the ball check instead of reaching the caller
-    with mock.patch.object(evolve, "_effective_from_state", lambda psi, cg: np.full((2, 2), np.nan)):
+    # a NaN effective radius fails the ball check instead of reaching the caller (the
+    # pure input's read-out on Swap's three orbits)
+    with mock.patch.object(evolve, "_orbit_bloch", lambda psi, read: np.full(psi.shape[:-1] + (3,), np.nan)):
         with pytest.raises(qcore.PositivityError, match="radius nan left the ball at time index 0"):
             evolve.trajectory(qcore.density_from_bloch(_bloch(0.8, 0.3)), cg, evolve.Swap(), [0.0, 1.0])
 
@@ -1091,7 +1092,7 @@ def _forced(engine):
 
 
 def _basis_orbits(n):
-    # what evolve._orbits returns for a sum that site rotation changes
+    # what evolve._orbits returns for a sum that neither the rotation nor the reflection fixes
     b = np.arange(2 ** n)
     return b, b, np.ones(2 ** n, dtype=int)
 
@@ -1275,6 +1276,72 @@ def test_chain_sector_matches_the_full_space_and_eigh(n, closed, J, g, seed, sta
         assert np.abs(got - want).max() <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), closed=st.booleans(), J=st.floats(-1.5, 1.5), g=st.floats(-1.5, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.lists(st.booleans(), min_size=10, max_size=10),
+       start=st.sampled_from([0.0, -0.7, -2.3]), steps=st.lists(st.floats(0.05, 1.5), max_size=4))
+def test_sector_eigh_matches_the_full_space_and_krylov(n, closed, J, g, seed, zeros, start, steps):
+    # eigh on the orbits of rotation and reflection (the closed chain) or of the
+    # reflection (the open chain) is eigh on all 2^n states and Krylov on the orbits.
+    # A pure input refuses a zero weight, so the dynamics take those sites' weights
+    # down to 1e-7, and the gathers meet the zeros themselves on a random sector state
+    rng = np.random.default_rng(seed)
+    spec = evolve.IsingChain(n, J=J, g=g, boundary="closed" if closed else "open")
+    orbits = evolve._orbits(spec)
+    reps, index, lengths = orbits
+    assert reps.size < 2 ** n
+    probs, mask = rng.dirichlet(np.ones(n)), np.array(zeros[:n])
+    direction, times = rng.normal(size=3), start + np.cumsum([0.0] + steps)
+    tiny = np.where(mask, 1e-7, probs)
+    rho0, cg = qcore.density_from_bloch(direction / np.linalg.norm(direction)), custom(tiny / tiny.sum())
+    with _forced("eigh"):
+        got = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+        with mock.patch.object(evolve, "_orbits", lambda spec: _basis_orbits(spec.n)):
+            full = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+    with _forced("krylov"):
+        krylov = evolve.trajectory(rho0, cg, spec, times, method="statevector").bloch
+    assert np.abs(got - full).max() <= 1e-12 and np.abs(got - krylov).max() <= 1e-12
+    probs[mask] = 0.0
+    cg = custom(probs / probs.sum() if probs.sum() else np.eye(n)[0])
+    psi = rng.normal(size=reps.size) + 1j * rng.normal(size=reps.size)
+    psi /= np.linalg.norm(psi)
+    expanded = psi[index] / np.sqrt(lengths[index])  # sum_R psi_R |R> on the 2^n states
+    want = qcore.bloch_from_density(evolve._effective_from_state(expanded, cg))
+    assert np.abs(evolve._orbit_bloch(psi, evolve._orbit_read_out(orbits, cg.probs)) - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [
+    evolve.IsingChain(6, J=1.0, g=0.6), evolve.IsingChain(7, J=0.8, g=0.3, boundary="open"), evolve.Swap(omega=1.3),
+    _chiral(5),
+], ids=repr)
+def test_dense_sector_matrix_is_the_sparse_one(spec):
+    # eigh's sector matrix, built by numpy alone, holds the CSR's entries
+    orbits = evolve._orbits(spec)
+    csr = evolve._sparse_hamiltonian(spec.terms(), spec.n, orbits).toarray()
+    assert np.abs(evolve._orbit_hamiltonian(spec.terms(), spec.n, orbits) - csr).max() <= 1e-15
+
+
+@pytest.mark.parametrize("boundary", ["closed", "open"])
+def test_sector_map_builds_sparse_h_for_krylov_alone(monkeypatch, boundary):
+    # both engines read a sector's states by gathers: a map builds sparse H once
+    # when its inputs take Krylov, and never when they take eigh alone
+    real, built = evolve._sparse_hamiltonian, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "_sparse_hamiltonian", counted)
+    spec, rho = evolve.IsingChain(8, J=1.0, g=0.5, boundary=boundary), qcore.density_from_bloch(_bloch(0.7, 0.4))
+    for engine, want in (("eigh", 0), ("krylov", 1)):
+        built.clear()
+        with _forced(engine):
+            dyn = evolve.dynamics(preferential(8, 0.3), spec)
+            for times in ([0.0, 0.5], np.linspace(-1.0, 2.0, 5), [0.3]):
+                dyn(np.stack([rho, rho]), times)
+        assert len(built) == want, engine
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(3, 9), g=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 32 - 1),
        start=st.sampled_from([0.0, 0.4, -0.9]), steps=st.lists(st.floats(0.05, 1.5), max_size=4))
@@ -1318,22 +1385,27 @@ def test_statevector_engine_keeps_eigh_where_configs_run():
 
 
 def test_statevector_engine_weighs_grid_length_and_span():
+    # warm, 2 cores, four runs each, both engines on the orbits: on the closed n = 10
+    # chain's 78 bracelets the benchmark's statevector.n10 case (10 points on [0, 2])
+    # takes eigh 1.8-2.0 ms, Krylov 8.3-8.5 ms; over [0, 400] eigh 1.8-6.0 ms, Krylov
+    # 0.38-0.39 s
     chain = evolve.IsingChain(10, J=1.0, g=0.5)
-    # warm, 2 cores, six runs each: the benchmark's statevector.n10 case takes
-    # Krylov 0.009-0.020 s, eigh 0.14-0.15 s
-    assert _engine(chain, np.linspace(0.0, 2.0, 10)) == "krylov"
-    # a long span on the open chain's 528 reflection pairs: Krylov 0.56-0.59 s over
-    # [0, 400], eigh 0.16-0.20 s; on the closed chain's 78 bracelets Krylov takes
-    # 0.35-0.39 s and eigh 0.15-0.17 s, yet the model picks Krylov there
+    assert _engine(chain, np.linspace(0.0, 2.0, 10)) == "eigh"
+    assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "eigh"
+    # the open chain's 528 reflection pairs: over [0, 2] Krylov 12.1-12.4 ms, eigh
+    # 37-42 ms; over [0, 400] Krylov 0.64-0.67 s, eigh 41-43 ms
     open_chain = evolve.IsingChain(10, J=1.0, g=0.5, boundary="open")
+    assert _engine(open_chain, np.linspace(0.0, 2.0, 10)) == "krylov"
     assert _engine(open_chain, np.linspace(0.0, 400.0, 10)) == "eigh"
-    assert _engine(chain, np.linspace(0.0, 400.0, 10)) == "krylov"
     # the span counts from t = 0, where the Krylov steps start
-    assert _engine(chain, np.linspace(-398.0, 2.0, 10)) == "eigh"
-    # n = 8 crosses over: Krylov with 10 points on [0, 2], eigh with 101
-    small = evolve.IsingChain(8, J=1.0, g=0.5)
-    assert _engine(small, np.linspace(0.0, 2.0, 10)) == "krylov"
-    assert _engine(small, np.linspace(0.0, 2.0, 101)) == "eigh"
+    assert _engine(open_chain, np.linspace(0.0, 30.0, 10)) == "krylov"
+    assert _engine(open_chain, np.linspace(-28.0, 2.0, 10)) == "eigh"
+    # the closed n = 13 chain's 380 bracelets cross over: Krylov with 10 points on
+    # [0, 2] (12.3-18.3 ms, eigh 15.6-16.8 ms), eigh with 101 (21.8-22.0 ms, Krylov
+    # 79-87 ms)
+    big = evolve.IsingChain(13, J=1.0, g=0.5)
+    assert _engine(big, np.linspace(0.0, 2.0, 10)) == "krylov"
+    assert _engine(big, np.linspace(0.0, 2.0, 101)) == "eigh"
 
 
 def test_statevector_engine_cost_rises_with_n():
@@ -1344,11 +1416,13 @@ def test_statevector_engine_cost_rises_with_n():
             times = np.linspace(span / steps, span, steps)
             costs = [_rate(spec, times, m) for spec, m in zip(chains, orbits)]
             assert all(b[0] >= a[0] for a, b in zip(costs, costs[1:])), (span, steps)
-            # no eigh above the dense cap, where the Hamiltonian is never built
-            assert {e for n, (_, e) in enumerate(costs, start=2) if n > evolve.DENSE_MAX_QUBITS} == {"krylov"}
-    # not even when H is zero and the grid a single point at t = 0
-    idle = evolve.IsingChain(evolve.DENSE_MAX_QUBITS + 1, J=0.0, g=0.0)
-    assert _engine(idle, [0.0]) == "krylov"
+            # no eigh above 2^12 orbits
+            cap = 2 ** evolve.DENSE_MAX_QUBITS
+            assert {e for m, (_, e) in zip(orbits, costs) if m > cap} == {"krylov"}
+    # not even where the model rates eigh cheaper: a long span on 2^12 orbits takes
+    # eigh, and on one orbit more Krylov
+    spec, times = chains[-1], np.linspace(0.0, 1e5, 10)
+    assert _rate(spec, times, cap)[1] == "eigh" and _rate(spec, times, cap + 1)[1] == "krylov"
 
 
 def test_krylov_travel_counts_the_step_to_the_first_point():
@@ -1361,16 +1435,17 @@ def test_krylov_travel_counts_the_step_to_the_first_point():
     assert before == after and before[1] == "krylov"
 
 
-@pytest.mark.parametrize("method, stage", [("statevector", "_effective_from_state"), ("dense", "apply_cg")])
+@pytest.mark.parametrize("method, stage", [("statevector", "_orbit_bloch"), ("dense", "apply_cg")])
 def test_positivity_error_names_index_time_and_route(monkeypatch, method, stage):
     # the exchange model keeps a symmetric pure product state pure, and a
     # z-pure product state is an eigenstate of the diagonal chain, so every
-    # effective radius is 1; inflating the third marginal pushes it off the ball
+    # effective radius is 1; inflating the third read-out (the Bloch vector on
+    # Swap's three orbits, or the marginal) pushes it off the ball
     real, calls = getattr(evolve, stage), []
 
-    def inflated(state, cg):
+    def inflated(state, other):
         calls.append(state)
-        return real(state, cg) * (1.0 + 1e-6 if len(calls) == 3 else 1.0)
+        return real(state, other) * (1.0 + 1e-6 if len(calls) == 3 else 1.0)
 
     monkeypatch.setattr(evolve, stage, inflated)
     spec, bloch = {"statevector": (evolve.Swap(omega=1.0), _bloch(0.8, 0.3)),
@@ -1389,7 +1464,8 @@ def test_inputs_and_outputs_share_one_ball_bound(monkeypatch, excess):
     cg = preferential(2, 0.7)
     dyn = evolve.dynamics(cg, evolve.Swap())
     edge = qcore.bloch_operator([0.0, 0.0, 1.0 + excess])
-    monkeypatch.setattr(evolve, "_effective_from_state", lambda psi, cg: edge)
+    # the pure input's read-out on Swap's three orbits
+    monkeypatch.setattr(evolve, "_orbit_bloch", lambda psi, read: qcore.bloch_from_density(edge))
     rho0 = qcore.density_from_bloch(_bloch(0.8, 0.3))
     if 1.0 + excess <= qcore.MAX_RADIUS:
         out = dyn(rho0, [0.0, 1.0]).bloch[-1]
@@ -1460,6 +1536,19 @@ def test_joint_state_steps_hold_two_state_arrays(spec, method):
     assert peak <= 2 * 16 * 4 ** spec.n + 2 ** 19, peak / (16 * 4 ** spec.n)
 
 
+def test_heisenberg_set_up_holds_three_state_arrays():
+    # a whole lone mixed call of the chain's Heisenberg form, the map already built:
+    # rotating rho0 into H's eigenbasis holds rho0 and two products, 3 * 16 * 4^n
+    # bytes, plus the allowance above; a fourth copy would exceed it
+    spec, cg = evolve.IsingChain(8, J=1.0, g=0.5), preferential(8, 0.3)
+    rho, times = qcore.density_from_bloch(0.6 * _bloch(0.7, 0.4)), np.linspace(0.0, 2.0, 10)
+    dyn = evolve.dynamics(cg, spec)
+    want = dyn(rho, times)
+    got, peak, steps = _traced_peak(lambda: dyn(rho, times), from_first_step=False)
+    assert steps == times.size and got.bloch.tobytes() == want.bloch.tobytes()
+    assert peak <= 3 * 16 * 4 ** spec.n + 2 ** 19, peak / (16 * 4 ** spec.n)
+
+
 def test_dense_route_multiplies_rho_into_the_phases():
     # a forced dense field at n = 7, where one input's (1, d, d) product first reaches
     # numpy's 256 KiB elision threshold: each point is rho0 * phases written into the
@@ -1480,8 +1569,9 @@ def test_dense_route_multiplies_rho_into_the_phases():
 def test_dynamics_reuse_is_exact(monkeypatch):
     # one map fed interleaved pure and mixed inputs on different grids returns
     # what fresh trajectory calls return, bit for bit, on every engine; it builds
-    # H, its eigh and the Krylov orbits at most once, and only when an input needs
-    # them, and tests a diagonal H's strings for the fast route once
+    # H, the Krylov orbits and one eigh per basis (the 2^n states', from H, and a
+    # sector's) at most once, and only when an input needs them, and tests a
+    # diagonal H's strings for the fast route once
     counts, engines = {}, []
 
     def counted(name, real):
@@ -1511,13 +1601,17 @@ def test_dynamics_reuse_is_exact(monkeypatch):
     cases = [  # weights, spec, method, the inputs fed and the engines they take
         (preferential(4, 0.4), evolve.sample_field(4, seed=2), "auto", mix, {"fast"}),
         (preferential(4, 0.4), field, "dense", mix, {"dense"}),
-        (preferential(2, 0.7), evolve.Swap(omega=1.0), "auto", mix, {"heisenberg", "eigh"}),
-        # the closed n = 8 chain's pure inputs take Krylov on its sector with 10 points, eigh with 101
+        (preferential(2, 0.7), evolve.Swap(omega=1.0), "auto", mix, {"heisenberg", "eigh sector"}),
+        # no site map fixes Cnot: its pure and mixed inputs share the eigh of H
+        (preferential(2, 0.7), evolve.Cnot(omega=0.8), "auto", mix, {"heisenberg", "eigh"}),
+        # the closed n = 8 chain's pure inputs take eigh on its 30 bracelets, its mixed ones on all 2^n states
         (preferential(8, 0.3), evolve.IsingChain(8, J=1.0, g=0.5), "auto",
          [(pure[0], ten), (mixed[0], short), (pure[1], many), (pure[1], ten), (mixed[1], wide)],
-         {"krylov sector", "heisenberg", "eigh"}),
+         {"eigh sector", "heisenberg"}),
+        # the open n = 10 chain's pure inputs take Krylov on its reflection pairs, and eigh there over [0, 400]
         (preferential(10, 0.3), evolve.IsingChain(10, J=1.0, g=0.5, boundary="open"), "auto",
-         [(pure[0], ten), (pure[1], [0.3, 0.9]), (pure[0], short)], {"krylov sector"}),
+         [(pure[0], ten), (pure[1], [0.3, 0.9]), (pure[0], np.linspace(0.0, 400.0, 10)), (pure[0], short)],
+         {"krylov sector", "eigh sector"}),
     ]
     for cg, spec, method, fed, want in cases:
         counts.clear()
@@ -1531,12 +1625,12 @@ def test_dynamics_reuse_is_exact(monkeypatch):
             elif not runs[-1].solution.is_pure:
                 taken.add("heisenberg")
             else:
-                sector = orbits(spec)[0].size < 2 ** spec.n and engines == ["krylov"]
-                taken.add(engines[0] + " sector" * sector)
+                taken.add(engines[0] + " sector" * (orbits(spec)[0].size < 2 ** spec.n))
         assert taken == want
-        needs_eigh = int(bool(taken & {"eigh", "heisenberg"}))
-        assert counts.get("build_hamiltonian", 0) == counts.get("eigensystem", 0) == needs_eigh, spec
-        assert counts.get("_orbits", 0) == int(bool(taken & {"eigh", "krylov", "krylov sector"})), spec
+        full, sector = bool(taken & {"eigh", "heisenberg"}), "eigh sector" in taken
+        assert counts.get("build_hamiltonian", 0) == int(full), spec
+        assert counts.get("eigensystem", 0) == full + sector, spec
+        assert counts.get("_orbits", 0) == int(bool(taken - {"fast", "dense", "heisenberg"})), spec
         assert counts.get("_fast_exact", 0) == int(evolve._z_strings(spec) is not None), spec
         for (rho, times), run in zip(fed, runs):
             fresh = evolve.trajectory(rho, cg, spec, times, method)
@@ -1618,6 +1712,21 @@ def test_stacked_trajectory_matches_one_input_calls(kind, data):
         assert np.abs(stack.purity[k] - one.purity).max() <= 1e-12
         assert stack.solution[k].lam == one.solution.lam
         assert np.array_equal(stack.solution[k].per_particle_r, one.solution.per_particle_r)
+
+
+@pytest.mark.parametrize("n, boundary", [(2, "closed"), (6, "closed"), (10, "closed"), (5, "open"), (9, "open")])
+def test_stacked_sector_eigh_repeats_each_inputs_bytes(n, boundary):
+    # eigh on a sector steps a column per input and reads each state by its own dots,
+    # so each stacked trajectory is its one-input call's, bit for bit
+    spec, rng = evolve.IsingChain(n, J=1.0, g=0.7, boundary=boundary), np.random.default_rng(n)
+    assert evolve._orbits(spec)[0].size < 2 ** n
+    directions = rng.normal(size=(7, 3))
+    rho = qcore.density_from_bloch(directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    cg, times = custom(rng.dirichlet(np.ones(n))), np.linspace(-0.3, 2.0, 6)
+    with _forced("eigh"):
+        dyn = evolve.dynamics(cg, spec, "statevector")
+        stack, ones = dyn(rho, times), [dyn(r, times) for r in rho]
+    assert stack.bloch.tobytes() == np.stack([one.bloch for one in ones]).tobytes()
 
 
 @pytest.mark.parametrize("n, size", [(3, 2), (5, 4), (6, 3)])

@@ -68,3 +68,40 @@ def test_main_refuses_other_ops_and_failed_runs(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "FAILED the trees ran different ops: ['change', 'parent']"
     assert lines[1] == "op: FAILED shapes differ: (3,) vs (4,)" and lines[2].startswith("FAILED the ladder failed")
+
+
+def test_summary_takes_the_median_of_each_trees_minima():
+    # one {label: min seconds} per fresh process; an op only one tree ran is left out
+    parent = [{"a": 0.010, "b": 0.004}, {"a": 0.012, "b": 0.002}, {"a": 0.011, "b": 0.003}]
+    change = [{"a": 0.005, "b": 0.004, "c": 1.0}, {"a": 0.007, "b": 0.006, "c": 1.0},
+              {"a": 0.006, "b": 0.005, "c": 1.0}]
+    got = ladder_delta.summary(parent, change)
+    assert list(got) == ["a", "b"]
+    assert got["a"] == (0.011, 0.006, 0.006 / 0.011) and got["b"] == (0.003, 0.005, 0.005 / 0.003)
+    # an even count takes the mean of the middle two
+    assert ladder_delta.summary(parent[:2], change[:2])["a"][:2] == (0.011, 0.006)
+
+
+def test_pairs_alternate_fresh_processes_and_keep_the_exit_code(tmp_path, monkeypatch, capsys):
+    trees = []
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "cgdyn").mkdir(parents=True)
+        trees.append(str(tmp_path / side))
+    order = []
+
+    def timed(src, out):
+        order.append(src.parent.name)
+        return {"dense.n8": 0.002 if src.parent.name == "parent" else 0.001, "statevector.n10": 0.008}
+
+    monkeypatch.setattr(ladder_delta, "_time", timed)
+    monkeypatch.setattr(ladder_delta, "_run", lambda src, out: {
+        "dense.n8": np.zeros(3), "statevector.n10": np.full(3, 0.5 + 1e-11 * (src.parent.name == "change"))})
+    assert ladder_delta.main(trees + ["--pairs", "3"]) == 1  # the delta past the bound still fails the run
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]  # which runs first alternates
+    assert capsys.readouterr().out.splitlines() == [
+        "dense.n8: bytes identical; 2.000 -> 1.000 ms (x0.500)",
+        "statevector.n10: max |delta| 1.000e-11 exceeds 1e-12; 8.000 -> 8.000 ms (x1.000)"]
+    order.clear()
+    monkeypatch.setattr(ladder_delta, "_run", lambda src, out: {"dense.n8": np.zeros(3)})
+    assert ladder_delta.main(trees) == 0 and order == []  # no pairs: no timing process
+    assert capsys.readouterr().out.splitlines() == ["dense.n8: bytes identical"]

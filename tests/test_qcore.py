@@ -109,7 +109,7 @@ def _random_string(rng, n, n_y=None):
 
 
 def _basis_orbits(n):
-    # what evolve._orbits returns for a sum that site rotation changes
+    # what evolve._orbits returns for a sum that neither the rotation nor the reflection fixes
     b = np.arange(2 ** n)
     return b, b, np.ones(2 ** n, dtype=int)
 
