@@ -2,21 +2,24 @@
 
     python scripts/ladder_delta.py PARENT_SRC CHANGE_SRC [--pairs N]
 
-Each SRC is a checkout root or its `src/` directory. For each tree, a fresh
-process with that tree's `src/` first on sys.path imports this checkout's
-`perfbench/workloads.py` (read-only), builds the seed-0 `joint-state` and
-`large-n` ops and runs each once. For every op the script prints either
-"bytes identical" or the max |delta| over its Bloch vectors. It exits 1 when
-a run fails, when an op's output has another shape in the two trees, or when
-an op's max |delta| exceeds 1e-12 (a NaN against a number counts as an
-infinite change).
+Each SRC is a checkout root or its `src/` directory. For each tree and each
+of the workloads `joint-state` and `large-n`, a fresh process with that
+tree's `src/` first on sys.path imports this checkout's
+`perfbench/workloads.py` (read-only), builds the workload's seed-0 ops and
+runs each once. A workload's process runs no other workload's ops, so the
+fast ops never run in a process that the dense ops have warmed. For every
+op the script prints either "bytes identical" or the max |delta| over its
+Bloch vectors. It exits 1 when a run fails, when an op's output has another
+shape in the two trees, or when an op's max |delta| exceeds 1e-12 (a NaN
+against a number counts as an infinite change).
 
-With --pairs N (N > 0) it then times the two trees in N pairs of fresh
-processes, the parent first in odd pairs and the change first in even ones.
-Each process runs the ladder once untimed and PASSES times timed, and keeps
-each op's minimum wall time. Beside each op's delta the script prints the
-median over the N processes of that minimum, per tree, and the change's
-median over the parent's. Timings never change the exit code.
+With --pairs N (N > 0) it then times the two trees in N pairs of runs, the
+parent first in odd pairs and the change first in even ones. A run is one
+fresh process per workload, which runs its workload's ops once untimed and
+PASSES times timed, and keeps each op's minimum wall time. Beside each op's
+delta the script prints the median over the N runs of that minimum, per
+tree, and the change's median over the parent's. Timings never change the
+exit code.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ WORKLOADS = ("joint-state", "large-n")
 PASSES = 7  # timed ladder passes per fresh process under --pairs; an op's time is its minimum
 
 # run in a fresh process: argv is the tree's src, the perfbench directory, the output
-# file, the seed and the timed passes. No passes: each op's output into the .npz;
-# else one untimed pass, then each op's minimum wall time over the passes as JSON
+# file, the seed, the timed passes and the workload. No passes: each op's output into
+# the .npz; else one untimed pass, then each op's minimum wall time over the passes as JSON
 _CHILD = """
 import json
 import sys
@@ -56,7 +59,7 @@ import workloads
 
 if Path(cgdyn.__file__).resolve().parent != (Path(src) / "cgdyn").resolve():
     raise SystemExit(f"imported cgdyn from {cgdyn.__file__}, not from {src}")
-ops = [op for name in sys.argv[6:] for op in workloads.build(name, None, seed).ops]
+ops = workloads.build(sys.argv[6], None, seed).ops
 outputs = {op.label: op.run(None) for op in ops}
 if not passes:
     np.savez(out, **outputs)
@@ -79,27 +82,36 @@ def _src(path):
     return src
 
 
-def _child(src, out, passes):
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(ROOT / "perfbench"), str(out), str(SEED), str(passes),
-         *WORKLOADS],
-        cwd=out.parent, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"the ladder failed under {src}: {proc.stderr.strip()}")
+def _children(src, out, passes):
+    """Run the child under the tree at src once per workload, each in its own fresh
+    process writing its own file beside out; yield those files in workload order."""
+    for name in WORKLOADS:
+        path = out.with_name(f"{out.stem}.{name}{out.suffix}")
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(src), str(ROOT / "perfbench"), str(path), str(SEED), str(passes),
+             name],
+            cwd=out.parent, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(f"the ladder failed under {src}: {proc.stderr.strip()}")
+        yield path
 
 
 def _run(src, out):
     """Run every ladder op once under the tree at src; return {label: Bloch array}."""
-    _child(src, out, 0)
-    with np.load(out) as data:
-        return {label: data[label] for label in data.files}
+    outputs = {}
+    for path in _children(src, out, 0):
+        with np.load(path) as data:
+            outputs.update((label, data[label]) for label in data.files)
+    return outputs
 
 
 def _time(src, out):
-    """Time the ladder in one fresh process under the tree at src; return {label: min seconds}."""
-    _child(src, out, PASSES)
-    return json.loads(out.read_text())
+    """Time the ladder under the tree at src, a fresh process per workload; return {label: min seconds}."""
+    best = {}
+    for path in _children(src, out, PASSES):
+        best.update(json.loads(path.read_text()))
+    return best
 
 
 def summary(parent, change):

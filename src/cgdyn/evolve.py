@@ -20,8 +20,9 @@ automatic route reads that structure alone, not the spec's class or input:
   that leave H unchanged, generated by the rotation and the reflection where
   each does (n copies of one qubit are fixed by every site map): ~2^n/2n for
   the closed chain, ~2^n/2 for the open one, else the 2^n states themselves.
-  Two engines step it there: one eigh of H on the orbits (at most 2^12), or
-  Krylov steps (`expm_multiply`); a cost model in the orbit count, grid length
+  Two engines step it there: one eigh of H on the orbits (at most 2^12),
+  `qcore.pauli_sum(terms, n, orbits)`, or Krylov steps (`expm_multiply`) of
+  the CSR of the same entries; a cost model in the orbit count, grid length
   and |H| t picks the cheaper. On a sector both read out the fuzzy operators
   averaged over the group as gathers, built once per map; on the 2^n states,
   the weighted marginals.
@@ -259,34 +260,13 @@ def _orbits(spec):
     return b[first], (np.cumsum(first) - 1)[rep], lengths[first]
 
 
-def _orbit_entries(terms, n, orbits):
-    """(rows, cols, values) of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s>
-    of `_orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
-    site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
-    at (S, R), with S read off the (reps, orbit numbers, lengths) triple; one (S, R) may
-    take several entries, which the caller sums."""
-    reps, orbit, lengths = orbits
-    blocks = qcore._pauli_blocks(terms, n, reps)
-    rows = [orbit[reps ^ xmask] for xmask in blocks]
-    data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
-    return np.concatenate(rows), np.tile(np.arange(reps.size), len(blocks)), data
-
-
 def _sparse_hamiltonian(terms, n, orbits):
-    """CSR of a Pauli sum on the orbits (`_orbit_entries`); entries that cancel are dropped."""
+    """CSR of a Pauli sum on the orbits: the entries `qcore.pauli_sum` sums, with those that cancel dropped."""
     from scipy import sparse as sp
 
-    rows, cols, data = _orbit_entries(terms, n, orbits)
+    rows, cols, data = qcore._orbit_entries(terms, n, orbits)
     keep = data != 0  # building the CSR sums the entries, which leaves its indices sorted
     return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(orbits[0].size,) * 2)
-
-
-def _orbit_hamiltonian(terms, n, orbits):
-    """The dense matrix of a Pauli sum on the orbits (`_orbit_entries`), numpy alone."""
-    rows, cols, data = _orbit_entries(terms, n, orbits)
-    h = np.zeros((orbits[0].size,) * 2, dtype=complex)
-    np.add.at(h, (rows, cols), data)
-    return h
 
 
 def _orbit_read_out(orbits, probs):
@@ -332,9 +312,10 @@ def _z_strings(spec):
         if sites not in merged:
             buckets.setdefault(len(sites), []).append(sites)
         merged[sites] = merged[sites] + coeff if sites in merged else coeff
-    # a complex, NaN or infinite coefficient spoils the sum; the Pauli-sum check then names its string
+    # a complex, NaN or infinite coefficient spoils the total, and so do finite ones whose sum, the
+    # energy of the all-up state 0, overflows: the Pauli-sum check on that state names a string
     if not (np.isrealobj(total := sum(merged.values())) and np.isfinite(total)):
-        qcore._pauli_blocks([(c, tuple((k, "z") for k in s)) for s, c in merged.items()], spec.n, np.arange(0))
+        qcore._pauli_blocks([(c, tuple((k, "z") for k in s)) for s, c in merged.items()], spec.n, np.zeros(1, int))
     groups = []
     for size in sorted(buckets.keys() - {0}):  # an identity string is a phase
         supports = sorted(buckets[size])
@@ -593,7 +574,7 @@ def dynamics(cg, spec, method="auto"):
                 read = keep("read-out", lambda: _orbit_read_out(orbits, cg.probs)) if sector else None
                 if engine == "eigh":  # a sector's own, or the 2^n states', shared with the mixed inputs
                     evals, evecs = keep("sector eigh", lambda: qcore.eigensystem(
-                        _orbit_hamiltonian(spec.terms(), n, orbits))) if sector else keep(
+                        qcore.pauli_sum(spec.terms(), n, orbits))) if sector else keep(
                         "eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
                 else:
                     a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))

@@ -81,19 +81,36 @@ def kron(factors):
     return out
 
 
-def pauli_sum(terms, n):
-    """Dense matrix of sum coeff * string on n qubits.
+def pauli_sum(terms, n, orbits=None):
+    """Dense matrix of sum coeff * string on n qubits: on the 2^n basis states,
+    or on the orbits of a (reps, orbit numbers, lengths) triple (`_orbit_entries`).
 
     Terms are (coeff, ((site, axis), ...)) with a finite real coeff, distinct
     1-based sites and axes "x", "y", "z". Terms with one xmask fill the same
-    entries and are summed in declaration order.
+    entries and are summed in declaration order; an empty sum is the zero matrix.
     """
-    dim = 2 ** n
-    b = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    for xmask, vals in _pauli_blocks(terms, n, b).items():
-        h[b ^ xmask, b] = vals
+    if orbits is None:  # each basis state its own orbit
+        b = np.arange(2 ** n)
+        orbits = b, b, np.ones(2 ** n, dtype=int)
+    rows, cols, data = _orbit_entries(terms, n, orbits)
+    h = np.zeros((orbits[0].size,) * 2, dtype=complex)
+    np.add.at(h, (rows, cols), data)
     return h
+
+
+def _orbit_entries(terms, n, orbits):
+    """(rows, cols, values) of a Pauli sum on the normalised orbits |R> = L_r^-1/2 sum_{s in R} |s>
+    of `evolve._orbits`: any sum on the 2^n one-state orbits, one that commutes with the group's
+    site maps on a sector's. Each |r> -> phase |s = r ^ xmask> adds phase c sqrt(L_r / L_s)
+    at (S, R), with S read off the (reps, orbit numbers, lengths) triple; one (S, R) may
+    take several entries, which the caller sums. An empty sum gives empty arrays."""
+    reps, orbit, lengths = orbits
+    blocks = _pauli_blocks(terms, n, reps)
+    if not blocks:  # H = 0
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
+    rows = [orbit[reps ^ xmask] for xmask in blocks]
+    data = np.concatenate([v * np.sqrt(lengths / lengths[s]) for v, s in zip(blocks.values(), rows)])
+    return np.concatenate(rows), np.tile(np.arange(reps.size), len(blocks)), data
 
 
 def _pauli_blocks(terms, n, states):

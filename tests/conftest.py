@@ -11,6 +11,13 @@ settings.load_profile("cgdyn")
 ACCEPTANCE_LINES = []
 
 
+def _basis_orbits(n):
+    # what evolve._orbits returns for a sum that neither the rotation nor the reflection
+    # fixes, and what qcore.pauli_sum builds on by default: each basis state its own orbit
+    b = np.arange(2 ** n)
+    return b, b, np.ones(2 ** n, dtype=int)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

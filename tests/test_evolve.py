@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cgdyn import evolve, maxent, qcore
 from cgdyn.coarse_grain import apply_cg, custom, fuzzy_operator, non_preferential, preferential
+from conftest import _basis_orbits
 
 
 def _bloch(theta, phi=0.0):
@@ -1065,19 +1066,36 @@ def test_coefficient_that_is_no_finite_real_is_refused_before_any_step(monkeypat
 
 
 _OVERFLOWING = _PauliSum(2, ((1e308, ((1, "x"),)), (1e308, ((1, "x"),)), (1.0, ((2, "z"),))))
+_FIELD_OVERFLOWING = evolve.FieldAllToAll((1e308, 1e308))  # finite per site; the all-up energy overflows
 
 
-@pytest.mark.parametrize("engine, bloch", [(None, [0.3, 0.2, 0.1]), ("eigh", [0.0, 0.0, 1.0]),
-                                           ("krylov", [0.0, 0.0, 1.0])], ids=["mixed-eigh", "pure-eigh", "krylov"])
-def test_merged_coefficient_that_overflows_names_its_string(engine, bloch):
+@pytest.mark.parametrize("spec, method, engine, bloch, string", [
+    (_OVERFLOWING, "statevector", None, [0.3, 0.2, 0.1], ((1, "x"),)),
+    (_OVERFLOWING, "statevector", "eigh", [0.0, 0.0, 1.0], ((1, "x"),)),
+    (_OVERFLOWING, "statevector", "krylov", [0.0, 0.0, 1.0], ((1, "x"),)),
+    (_FIELD_OVERFLOWING, "auto", None, [0.3, 0.2, 0.1], ((1, "z"),)),
+    (_FIELD_OVERFLOWING, "dense", None, [0.3, 0.2, 0.1], ((1, "z"),)),
+    (_FIELD_OVERFLOWING, "statevector", None, [0.3, 0.2, 0.1], ((1, "z"),)),
+], ids=["mixed-eigh", "pure-eigh", "krylov", "field-auto", "field-dense", "field-statevector"])
+def test_merged_coefficient_that_overflows_names_its_string(spec, method, engine, bloch, string):
     # two finite X1 coefficients whose sum is past the float range: the block of
     # that xmask is refused, naming one of its strings, with no overflow warning
-    # (tier-1 turns a RuntimeWarning into an error)
+    # (tier-1 turns a RuntimeWarning into an error). So are two z fields whose sum,
+    # the all-up energy, is past it, on every route and before any step
     with _forced(engine) if engine else contextlib.nullcontext():
         with pytest.raises(ValueError) as exc:
-            evolve.trajectory(qcore.density_from_bloch(bloch), non_preferential(2), _OVERFLOWING, [0.0, 1.0],
-                              method="statevector")
-    assert str(exc.value) == "Pauli strings flipping the sites of ((1, 'x'),) sum to values that are not finite"
+            evolve.trajectory(qcore.density_from_bloch(bloch), non_preferential(2), spec, [0.0, 1.0], method=method)
+    assert str(exc.value) == f"Pauli strings flipping the sites of {string!r} sum to values that are not finite"
+
+
+@pytest.mark.parametrize("engine", ["eigh", "krylov"])
+def test_sum_with_no_strings_keeps_every_input(engine):
+    # H = 0: a pure and a mixed input keep their Bloch vectors on the statevector route
+    cg, times = preferential(3, 0.5), np.linspace(0.0, 2.0, 5)
+    with _forced(engine):
+        for r in ([0.0, 0.0, 1.0], _bloch(0.7, 0.4), [0.3, 0.2, 0.1]):
+            got = evolve.trajectory(qcore.density_from_bloch(r), cg, _PauliSum(3, ()), times, method="statevector")
+            assert np.abs(got.bloch - r).max() <= 1e-12, r
 
 
 # ---------------------------------------------------------------------------
@@ -1089,12 +1107,6 @@ def test_merged_coefficient_that_overflows_names_its_string(engine, bloch):
 def _forced(engine):
     # the selector returns (modelled ns, engine); trajectory reads the engine
     return mock.patch.object(evolve, "_statevector_engine", lambda *_: (0.0, engine))
-
-
-def _basis_orbits(n):
-    # what evolve._orbits returns for a sum that neither the rotation nor the reflection fixes
-    b = np.arange(2 ** n)
-    return b, b, np.ones(2 ** n, dtype=int)
 
 
 def _ulp_chain(n):
@@ -1234,6 +1246,7 @@ def test_sector_operator_is_the_invariant_block():
         q /= np.sqrt(lengths)
         want = q.T @ evolve.build_hamiltonian(spec) @ q
         assert np.abs(evolve._sparse_hamiltonian(spec.terms(), spec.n, sector).toarray() - want).max() <= 1e-14, spec
+        assert np.abs(qcore.pauli_sum(spec.terms(), spec.n, sector) - want).max() <= 1e-14, spec
 
 
 def test_sector_matches_full_space_krylov():
@@ -1318,7 +1331,7 @@ def test_dense_sector_matrix_is_the_sparse_one(spec):
     # eigh's sector matrix, built by numpy alone, holds the CSR's entries
     orbits = evolve._orbits(spec)
     csr = evolve._sparse_hamiltonian(spec.terms(), spec.n, orbits).toarray()
-    assert np.abs(evolve._orbit_hamiltonian(spec.terms(), spec.n, orbits) - csr).max() <= 1e-15
+    assert np.abs(qcore.pauli_sum(spec.terms(), spec.n, orbits) - csr).max() <= 1e-15
 
 
 @pytest.mark.parametrize("boundary", ["closed", "open"])

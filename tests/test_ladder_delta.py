@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import math
 import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -105,3 +107,28 @@ def test_pairs_alternate_fresh_processes_and_keep_the_exit_code(tmp_path, monkey
     monkeypatch.setattr(ladder_delta, "_run", lambda src, out: {"dense.n8": np.zeros(3)})
     assert ladder_delta.main(trees) == 0 and order == []  # no pairs: no timing process
     assert capsys.readouterr().out.splitlines() == ["dense.n8: bytes identical"]
+
+
+def test_each_workload_runs_in_its_own_child(tmp_path, monkeypatch):
+    # the byte check and the timing start one fresh process per workload, and each
+    # names exactly one workload; the script merges their outputs in workload order
+    argvs = []
+
+    def child(argv, cwd, capture_output, text):
+        argvs.append(argv)
+        out, passes, names = argv[5], int(argv[7]), argv[8:]
+        labels = [f"{name}.op" for name in names]
+        if passes:
+            with open(out, "w") as f:
+                json.dump(dict.fromkeys(labels, 0.001), f)
+        else:
+            np.savez(out, **{label: np.zeros(3) for label in labels})
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(ladder_delta.subprocess, "run", child)
+    src = tmp_path / "src"
+    assert list(ladder_delta._run(src, tmp_path / "parent.npz")) == ["joint-state.op", "large-n.op"]
+    assert list(ladder_delta._time(src, tmp_path / "parent.json")) == ["joint-state.op", "large-n.op"]
+    assert [argv[8:] for argv in argvs] == [["joint-state"], ["large-n"]] * 2
+    assert [argv[7] for argv in argvs] == ["0", "0", str(ladder_delta.PASSES), str(ladder_delta.PASSES)]
+    assert len({argv[5] for argv in argvs}) == 4  # each child writes its own file

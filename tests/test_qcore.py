@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from cgdyn import evolve, maxent, qcore
 from cgdyn.coarse_grain import preferential
+from conftest import _basis_orbits
 
 
 def test_pauli_algebra():
@@ -108,12 +109,6 @@ def _random_string(rng, n, n_y=None):
     return tuple(zip(sites, axes))
 
 
-def _basis_orbits(n):
-    # what evolve._orbits returns for a sum that neither the rotation nor the reflection fixes
-    b = np.arange(2 ** n)
-    return b, b, np.ones(2 ** n, dtype=int)
-
-
 def test_pauli_sum_matches_kron_sums(rng):
     for n in (1, 2, 3, 4):
         for _ in range(20):
@@ -125,7 +120,8 @@ def test_pauli_sum_matches_kron_sums(rng):
             terms = [(float(rng.normal()), ops) for ops in strings]
             want = _kron_sum(terms, n)
             assert np.array_equal(qcore.pauli_sum(terms, n), want)
-            # the Krylov engine's CSR on the 2^n one-state orbits
+            # the same builder given the 2^n one-state orbits, and the Krylov engine's CSR on them
+            assert np.array_equal(qcore.pauli_sum(terms, n, _basis_orbits(n)), want)
             got = evolve._sparse_hamiltonian(iter(terms), n, _basis_orbits(n))
             assert got.has_sorted_indices
             assert np.array_equal(got.toarray(), want)
@@ -139,10 +135,11 @@ def test_pauli_sum_rejects_bad_strings():
 
 @pytest.mark.parametrize("bad", [1j, np.complex128(2.0), math.nan, -math.inf, "1.5", None])
 def test_pauli_sum_refuses_a_coefficient_that_is_no_finite_real(bad):
-    # named with its string, before any entry is written; so is the Krylov engine's CSR
+    # named with its string, before any entry is written; so are the orbit form and the Krylov engine's CSR
     ops = ((1, "x"), (2, "z"))
     want = f"coefficient {bad!r} of Pauli string {ops!r} is not a finite real number"
     for build in (lambda terms: qcore.pauli_sum(terms, 2),
+                  lambda terms: qcore.pauli_sum(terms, 2, _basis_orbits(2)),
                   lambda terms: evolve._sparse_hamiltonian(terms, 2, _basis_orbits(2))):
         with pytest.raises(ValueError) as exc:
             build([(0.5, ((1, "z"),)), (bad, ops)])
@@ -153,10 +150,11 @@ def test_pauli_sum_refuses_a_coefficient_that_is_no_finite_real(bad):
 
 def test_pauli_sum_refuses_a_merged_coefficient_that_overflows():
     # each coefficient is finite, their sum on one xmask is not: refused with one of
-    # its strings named, on the dense and the sparse build, with no overflow warning
+    # its strings named, on the dense build, its orbit form and the sparse build, with no overflow warning
     terms = [(1e308, ((1, "x"),)), (1.0, ((2, "z"),)), (1e308, ((1, "x"), (2, "z")))]
     want = "Pauli strings flipping the sites of ((1, 'x'),) sum to values that are not finite"
     for build in (lambda terms: qcore.pauli_sum(terms, 2),
+                  lambda terms: qcore.pauli_sum(terms, 2, _basis_orbits(2)),
                   lambda terms: evolve._sparse_hamiltonian(terms, 2, _basis_orbits(2))):
         with pytest.raises(ValueError) as exc:
             build(terms)
