@@ -23,9 +23,9 @@ automatic route reads that structure alone, not the spec's class or input:
   Two engines step it there: one eigh of H on the orbits (at most 2^12),
   `qcore.pauli_sum(terms, n, orbits)`, or Krylov steps (`expm_multiply`) of
   the CSR of the same entries; a cost model in the orbit count, grid length
-  and |H| t picks the cheaper. On a sector both read out the fuzzy operators
-  averaged over the group as gathers, built once per map; on the 2^n states,
-  the weighted marginals.
+  and |H| t picks the cheaper. Both read out the fuzzy operators averaged
+  over the group as gathers, built once per map; on the 2^n states (the
+  trivial group) these are the weighted marginals.
   A mixed input takes eigh and the Heisenberg form Tr[sigma C(rho)] =
   Tr[G rho]: O(4^n) elementwise work per step in the eigenbasis of H, with
   the grid stepped in blocks of at most HEISENBERG_BLOCK entries of rho(t).
@@ -41,7 +41,7 @@ The effective trajectory is generally nonlinear in the input state
 `dynamics(cg, spec)` is the map of one (H, weights) pair, fed a (B, 2, 2) stack
 of inputs per call (one 2x2 input is a stack of one): what depends on H and the
 weights alone (the energies, the orbits with their read-out gathers, sparse
--iH, the eigh of H on the orbits, and on the 2^n states with the fuzzy
+-iH, and one eigh of H per basis size, on the 2^n states with the fuzzy
 operators in its eigenbasis) is built on first use and kept, so
 the diagnostics and sweeps pay for it once per map, and each route steps the
 whole stack, in runs of inputs that hold no more state entries than one input
@@ -231,7 +231,7 @@ def build_hamiltonian(spec):
 
 
 def _orbits(spec):
-    """The basis Krylov steps a pure input on: orbit representatives r (ascending),
+    """The basis both engines step a pure input on: orbit representatives r (ascending),
     every basis state's orbit number and the lengths L_r, under the group generated by
     those of the rotation k -> k mod n + 1 and the reflection k -> n + 1 - k that
     leave H's strings, merged by (site, axis), exactly unchanged. Both (the closed
@@ -323,6 +323,11 @@ def _z_strings(spec):
         if sites.min() < 1 or sites.max() > spec.n or (np.diff(sites, axis=1) == 0).any():
             raise ValueError(f"each Pauli string needs distinct sites in 1..{spec.n}")
         groups.append((sites, np.fromiter(map(merged.__getitem__, supports), float, len(supports))))
+    with np.errstate(over="ignore"):  # refused below instead
+        gap = 2 * sum(np.abs(coeffs).sum() for _, coeffs in groups)
+    if not np.isfinite(gap):  # the largest energy gap a coherence sees: refused as an overflowing block is
+        first = tuple((k, "z") for k in next(iter(merged)))
+        raise ValueError(f"Pauli strings flipping the sites of {first!r} sum to values that are not finite")
     return groups
 
 
@@ -405,16 +410,6 @@ def _product_vector(direction, n):
     return psi
 
 
-def _effective_from_state(psi, cg):
-    """C(|psi><psi|) for each state of a (..., 2^n) stack: the weighted single-site marginals."""
-    n, out = cg.n, np.zeros(psi.shape[:-1] + (2, 2), dtype=complex)
-    for k, p in enumerate(cg.probs, start=1):
-        if p:
-            a = psi.reshape(psi.shape[:-1] + (2 ** (k - 1), 2, 2 ** (n - k)))
-            out += p * np.einsum("...aib,...ajb->...ij", a, a.conj())
-    return out
-
-
 def _krylov_states(a, psi0, times):
     """A (B, m) stack's states at each time point, (m,) for B = 1: `expm_multiply` by a = -iH steps a
     column per input (a lone one as a vector, which it norms faster) from the last point, from t = 0."""
@@ -491,11 +486,12 @@ def dynamics(cg, spec, method="auto"):
     counts and the method are checked and H's merged z strings parsed here,
     once. What depends on H and the weights alone is built on the first input
     that needs it and kept for the rest: the diagonal energies, sum |coeff|, the
-    orbits (with each basis state's orbit number) and a sector's read-out
-    gathers, sparse -iH on the orbits, the eigh of H on a sector's orbits, and
-    the eigh of H on the 2^n states (shared by pure and mixed inputs) with the
-    fuzzy operators in its eigenbasis; a run that only steps Krylov never
-    diagonalizes, and one that only runs eigh never builds sparse -iH. Each call
+    orbits (with each basis state's orbit number) and their read-out gathers,
+    sparse -iH on the orbits, and one eigh of H per basis size: on the orbits,
+    and on the 2^n states, where the pure and mixed inputs share it (built
+    from equal bytes whichever comes first), with the fuzzy operators in its
+    eigenbasis; a run that only steps Krylov never diagonalizes, and one that
+    only runs eigh never builds sparse -iH. Each call
     assigns its stack, picks one route (and one engine for its pure inputs),
     steps the grid and checks the Bloch ball.
     Each input's trajectory is its own call's within 1e-12: each engine repeats
@@ -553,7 +549,7 @@ def dynamics(cg, spec, method="auto"):
         else:  # statevector: mixed inputs in the Heisenberg form, pure ones on one engine
             mixed, pure = np.flatnonzero(~is_pure), np.flatnonzero(is_pure)
             if mixed.size:
-                evals, evecs = keep("eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
+                evals, evecs = keep(("eigh", 2 ** n), lambda: qcore.eigensystem(build_hamiltonian(spec)))
                 # Tr[sigma C(rho)] = Tr[G rho] = sum(conj(G) * rho) in H's eigenbasis: a stacked
                 # (3, d^2) matvec per input and point keeps its bits (a 2-d product would not);
                 # G^x, G^z are real, G^y imaginary: each rotates its one nonzero part
@@ -566,16 +562,14 @@ def dynamics(cg, spec, method="auto"):
                     for block in _chunks(times.size, idx.size * 4 ** n):  # (inputs, points, d, d), read at once
                         read = g_flat @ qcore.propagate(evals, None, rho_hat, times[block]).reshape(-1, 4 ** n, 1)
                         bloch[idx, block] = read[..., 0].real.reshape(idx.size, -1, 3)
-            if pure.size:  # one engine, on the orbits; a sector's states are read out by its gathers
+            if pure.size:  # one engine, on the orbits (the 2^n states where no site map fixes H), read by gathers
                 orbits = keep("orbits", lambda: _orbits(spec))
                 norm = keep("norm", lambda: sum(abs(c) for c, _ in spec.terms()))
                 (reps, _, lengths), engine = orbits, _statevector_engine(spec, times, orbits[0].size, norm)[1]
-                sector = reps.size < 2 ** n
-                read = keep("read-out", lambda: _orbit_read_out(orbits, cg.probs)) if sector else None
-                if engine == "eigh":  # a sector's own, or the 2^n states', shared with the mixed inputs
-                    evals, evecs = keep("sector eigh", lambda: qcore.eigensystem(
-                        qcore.pauli_sum(spec.terms(), n, orbits))) if sector else keep(
-                        "eigh", lambda: qcore.eigensystem(build_hamiltonian(spec)))
+                read = keep("read-out", lambda: _orbit_read_out(orbits, cg.probs))
+                if engine == "eigh":  # one per basis size: on the 2^n states, shared with the mixed inputs
+                    evals, evecs = keep(("eigh", reps.size), lambda: qcore.eigensystem(
+                        qcore.pauli_sum(spec.terms(), n, orbits)))
                 else:
                     a = keep("-iH", lambda: -1j * _sparse_hamiltonian(spec.terms(), n, orbits))
                 for idx in (pure[run] for run in _chunks(pure.size, reps.size)):
@@ -586,8 +580,7 @@ def dynamics(cg, spec, method="auto"):
                     else:
                         states = _krylov_states(a, psi0, times)
                     for i, psi_t in enumerate(states):
-                        bloch[idx, i] = _orbit_bloch(psi_t, read) if sector else qcore.bloch_from_density(
-                            _effective_from_state(psi_t, cg))
+                        bloch[idx, i] = _orbit_bloch(psi_t, read)
 
         radii_sq = np.sum(bloch * bloch, axis=-1)
         # the one ball bound that `maxent.assign` applies to inputs, so every output

@@ -1056,7 +1056,7 @@ def test_coefficient_that_is_no_finite_real_is_refused_before_any_step(monkeypat
     def stepped(*args, **kwargs):
         raise AssertionError("stepped")
 
-    for owner, name in ((evolve, "_fast_coherences"), (evolve, "_effective_from_state"), (qcore, "propagate"),
+    for owner, name in ((evolve, "_fast_coherences"), (evolve, "_orbit_bloch"), (qcore, "propagate"),
                         (qcore, "eigensystem"), (scipy.sparse.linalg, "expm_multiply")):
         monkeypatch.setattr(owner, name, stepped)
     spec = _PauliSum(n, rest + ((0.3 * bad, string),))
@@ -1067,6 +1067,8 @@ def test_coefficient_that_is_no_finite_real_is_refused_before_any_step(monkeypat
 
 _OVERFLOWING = _PauliSum(2, ((1e308, ((1, "x"),)), (1e308, ((1, "x"),)), (1.0, ((2, "z"),))))
 _FIELD_OVERFLOWING = evolve.FieldAllToAll((1e308, 1e308))  # finite per site; the all-up energy overflows
+_GAP_OVERFLOWING = evolve.FieldAllToAll((1e308, -1e308, 1e308))  # the total is finite; z = (+, -, +) is at 3e308
+_RATE_OVERFLOWING = evolve.FieldAllToAll((1e308, 1.0))  # every energy is finite; the gap 2 (1e308 + 1) is not
 
 
 @pytest.mark.parametrize("spec, method, engine, bloch, string", [
@@ -1076,15 +1078,20 @@ _FIELD_OVERFLOWING = evolve.FieldAllToAll((1e308, 1e308))  # finite per site; th
     (_FIELD_OVERFLOWING, "auto", None, [0.3, 0.2, 0.1], ((1, "z"),)),
     (_FIELD_OVERFLOWING, "dense", None, [0.3, 0.2, 0.1], ((1, "z"),)),
     (_FIELD_OVERFLOWING, "statevector", None, [0.3, 0.2, 0.1], ((1, "z"),)),
-], ids=["mixed-eigh", "pure-eigh", "krylov", "field-auto", "field-dense", "field-statevector"])
+] + [(spec, method, None, [0.3, 0.2, 0.1], ((1, "z"),))
+     for spec in (_GAP_OVERFLOWING, _RATE_OVERFLOWING) for method in ("auto", "dense", "fast", "statevector")],
+    ids=["mixed-eigh", "pure-eigh", "krylov", "field-auto", "field-dense", "field-statevector"]
+    + [f"{kind}-{method}" for kind in ("gap", "rate") for method in ("auto", "dense", "fast", "statevector")])
 def test_merged_coefficient_that_overflows_names_its_string(spec, method, engine, bloch, string):
     # two finite X1 coefficients whose sum is past the float range: the block of
     # that xmask is refused, naming one of its strings, with no overflow warning
-    # (tier-1 turns a RuntimeWarning into an error). So are two z fields whose sum,
-    # the all-up energy, is past it, on every route and before any step
+    # (tier-1 turns a RuntimeWarning into an error). So are z fields whose largest
+    # energy gap, 2 sum |c|, is past it, on every route and before any step, also
+    # where the all-up energy or every energy is finite
     with _forced(engine) if engine else contextlib.nullcontext():
         with pytest.raises(ValueError) as exc:
-            evolve.trajectory(qcore.density_from_bloch(bloch), non_preferential(2), spec, [0.0, 1.0], method=method)
+            evolve.trajectory(qcore.density_from_bloch(bloch), non_preferential(spec.n), spec, [0.0, 1.0],
+                              method=method)
     assert str(exc.value) == f"Pauli strings flipping the sites of {string!r} sum to values that are not finite"
 
 
@@ -1319,7 +1326,7 @@ def test_sector_eigh_matches_the_full_space_and_krylov(n, closed, J, g, seed, ze
     psi = rng.normal(size=reps.size) + 1j * rng.normal(size=reps.size)
     psi /= np.linalg.norm(psi)
     expanded = psi[index] / np.sqrt(lengths[index])  # sum_R psi_R |R> on the 2^n states
-    want = qcore.bloch_from_density(evolve._effective_from_state(expanded, cg))
+    want = qcore.bloch_from_density(apply_cg(np.outer(expanded, expanded.conj()), cg))
     assert np.abs(evolve._orbit_bloch(psi, evolve._orbit_read_out(orbits, cg.probs)) - want).max() <= 1e-13
 
 
@@ -1582,9 +1589,10 @@ def test_dense_route_multiplies_rho_into_the_phases():
 def test_dynamics_reuse_is_exact(monkeypatch):
     # one map fed interleaved pure and mixed inputs on different grids returns
     # what fresh trajectory calls return, bit for bit, on every engine; it builds
-    # H, the Krylov orbits and one eigh per basis (the 2^n states', from H, and a
-    # sector's) at most once, and only when an input needs them, and tests a
-    # diagonal H's strings for the fast route once
+    # the Krylov orbits and one eigh per basis (the 2^n states' and a sector's) at
+    # most once, and only when an input needs them, and tests a diagonal H's strings
+    # for the fast route once. A mixed input builds the 2^n states' H through
+    # build_hamiltonian, unless a pure input's eigh on those states came first
     counts, engines = {}, []
 
     def counted(name, real):
@@ -1628,21 +1636,22 @@ def test_dynamics_reuse_is_exact(monkeypatch):
     ]
     for cg, spec, method, fed, want in cases:
         counts.clear()
-        dyn, taken = evolve.dynamics(cg, spec, method), set()
+        dyn, order = evolve.dynamics(cg, spec, method), []
         runs = []
         for rho, times in fed:
             engines.clear()
             runs.append(dyn(rho, times))
             if runs[-1].route != "statevector":
-                taken.add(runs[-1].route)
+                order.append(runs[-1].route)
             elif not runs[-1].solution.is_pure:
-                taken.add("heisenberg")
+                order.append("heisenberg")
             else:
-                taken.add(engines[0] + " sector" * (orbits(spec)[0].size < 2 ** spec.n))
+                order.append(engines[0] + " sector" * (orbits(spec)[0].size < 2 ** spec.n))
+        taken = set(order)
         assert taken == want
-        full, sector = bool(taken & {"eigh", "heisenberg"}), "eigh sector" in taken
-        assert counts.get("build_hamiltonian", 0) == int(full), spec
-        assert counts.get("eigensystem", 0) == full + sector, spec
+        full = [kind for kind in order if kind in ("eigh", "heisenberg")]
+        assert counts.get("build_hamiltonian", 0) == int(full[:1] == ["heisenberg"]), spec
+        assert counts.get("eigensystem", 0) == bool(full) + ("eigh sector" in taken), spec
         assert counts.get("_orbits", 0) == int(bool(taken - {"fast", "dense", "heisenberg"})), spec
         assert counts.get("_fast_exact", 0) == int(evolve._z_strings(spec) is not None), spec
         for (rho, times), run in zip(fed, runs):
@@ -1652,6 +1661,31 @@ def test_dynamics_reuse_is_exact(monkeypatch):
             for a, b in ((run.times, fresh.times), (run.bloch, fresh.bloch), (run.purity, fresh.purity),
                          (run.solution.per_particle_r, fresh.solution.per_particle_r)):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    evolve.Cnot(omega=0.8),
+    _PauliSum(4, ((0.7, ((1, "x"), (2, "y"))), (0.4, ((2, "z"), (3, "z"))), (-0.3, ((4, "x"),)),
+                  (0.5, ((1, "z"),)))),
+], ids=["cnot", "unsymmetric-y"])
+def test_full_space_eigh_is_shared_in_either_order(monkeypatch, spec):
+    # no site map fixes H, so a pure input's eigh and a mixed input's both run on
+    # the 2^n states: one map builds it once, from equal bytes whichever input
+    # comes first, and each trajectory is the fresh call's, bit for bit
+    n, times, cg = spec.n, np.linspace(0.0, 2.0, 6), preferential(spec.n, 0.6)
+    assert evolve._orbits(spec)[0].size == 2 ** n
+    pure, mixed = qcore.density_from_bloch(_bloch(0.9, 0.4)), qcore.density_from_bloch(0.6 * _bloch(2.1, -0.7))
+    with _forced("eigh"):
+        fresh = [evolve.trajectory(rho, cg, spec, times) for rho in (pure, mixed)]
+        calls = []
+        monkeypatch.setattr(qcore, "eigensystem", lambda h, real=qcore.eigensystem: calls.append(h) or real(h))
+        for fed in ((pure, mixed), (mixed, pure)):
+            calls.clear()
+            dyn = evolve.dynamics(cg, spec)
+            runs = [dyn(rho, times) for rho in fed]
+            assert len(calls) == 1
+            for want, got in zip(fresh, runs if fed[0] is pure else runs[::-1]):
+                assert got.route == want.route == "statevector" and got.bloch.tobytes() == want.bloch.tobytes()
 
 
 # ---------------------------------------------------------------------------
